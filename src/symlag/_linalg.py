@@ -1,13 +1,16 @@
-"""Small dense exact linear algebra: Bareiss determinants, rational solves.
+"""Small dense exact linear algebra on one fraction-free elimination kernel.
 
-All "exact" routines take Fraction/int entries and never touch floats; the
-single float routine is the pivoted-elimination determinant used by the
-floating Vandermonde path.
+The exact routines clear rational rows to integers and run `_echelon`, a
+Bareiss pass whose divisions are all exact.  Its pivots give the
+determinant, the rank, the leading principal minors (without row swaps the
+k-th pivot is the k-th leading minor, Bareiss 1968) and, on [A | b], the
+triangular system of an exact solve.  The single float routine is the
+pivoted-elimination determinant used by the floating Vandermonde path.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm, sqrt
+from math import lcm, prod, sqrt
 from typing import Sequence
 
 from .errors import SingularMatrixError
@@ -15,103 +18,94 @@ from .errors import SingularMatrixError
 Matrix = Sequence[Sequence[Fraction | int]]
 
 
-def bareiss_determinant(rows: list[list[int]]) -> int:
-    """Fraction-free determinant of an integer matrix (Bareiss elimination).
-
-    Every intermediate division is exact, so values stay integers and only
-    grow as minors do.
-    """
-    m = [list(r) for r in rows]
-    n = len(m)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            pivot = next((r for r in range(k + 1, n) if m[r][k] != 0), None)
-            if pivot is None:
-                return 0
-            m[k], m[pivot] = m[pivot], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
-
-
-def _cleared(rows: Matrix) -> tuple[list[list[int]], Fraction]:
-    """Scale each row to integers; returns (int matrix, product of scalings)."""
-    out = []
-    scale = Fraction(1)
+def _cleared(rows: Matrix) -> tuple[list[list[int]], list[int]]:
+    """Scale each row to integers; returns (int matrix, row multipliers)."""
+    out, mults = [], []
     for row in rows:
         fr = [Fraction(x) for x in row]
-        mult = lcm(*(f.denominator for f in fr)) if fr else 1
-        scale *= mult
+        mult = lcm(*(f.denominator for f in fr))
+        mults.append(mult)
         out.append([int(f * mult) for f in fr])
-    return out, scale
+    return out, mults
+
+
+def _echelon(m: list[list[int]]) -> tuple[list[int], list[int], int, int]:
+    """Fraction-free row echelon form of an integer matrix, in place.
+
+    Columns without a pivot are skipped.  Returns (pivots, pivot columns,
+    sign of the row swaps, lead), where the first ``lead`` pivots sat on the
+    diagonal without a swap: those are the leading principal minors.
+    """
+    pivots, cols = [], []
+    sign, lead, prev, r = 1, 0, 1, 0
+    for c in range(len(m[0]) if m else 0):
+        p = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if p is None:
+            continue
+        if p != r:
+            m[r], m[p] = m[p], m[r]
+            sign = -sign
+        elif lead == r == c:
+            lead += 1
+        piv, tail = m[r][c], m[r][c + 1:]
+        for row in m[r + 1:]:
+            f = row[c]
+            row[c + 1:] = [(x * piv - f * y) // prev for x, y in zip(row[c + 1:], tail)]
+            row[c] = 0
+        pivots.append(piv)
+        cols.append(c)
+        prev = piv
+        r += 1
+    return pivots, cols, sign, lead
 
 
 def exact_determinant(rows: Matrix) -> Fraction:
-    """Determinant of a rational matrix via row clearing + Bareiss."""
-    cleared, scale = _cleared(rows)
-    return Fraction(bareiss_determinant(cleared), 1) / scale
+    """Determinant of a square rational matrix."""
+    cleared, mults = _cleared(rows)
+    pivots, _, sign, _ = _echelon(cleared)
+    if len(pivots) < len(rows):
+        return Fraction(0)
+    return Fraction(sign * (pivots[-1] if pivots else 1), prod(mults))
 
 
 def leading_principal_minors(rows: Matrix) -> list[Fraction]:
-    """Determinants of the k x k leading blocks, k = 1..n (Sylvester data)."""
+    """Determinants of the k x k leading blocks, k = 1..n (Sylvester data).
+
+    One elimination gives them all unless a leading minor vanishes; the
+    minors from that one on are then computed block by block.
+    """
     n = len(rows)
-    return [exact_determinant([row[: k + 1] for row in rows[: k + 1]]) for k in range(n)]
+    cleared, mults = _cleared(rows)
+    pivots, _, _, lead = _echelon(cleared)
+    minors, scale = [], 1
+    for piv, mult in zip(pivots[:lead], mults):
+        scale *= mult
+        minors.append(Fraction(piv, scale))
+    return minors + [exact_determinant([row[: k + 1] for row in rows[: k + 1]]) for k in range(lead, n)]
 
 
 def solve_exact(rows: Matrix, rhs: Sequence[Fraction | int]) -> list[Fraction]:
-    """Solve a square rational system exactly by Gaussian elimination.
+    """Solve a square rational system exactly.
 
-    Raises SingularMatrixError when no unique solution exists; callers use
-    this for matrices the theory certifies invertible.
+    Eliminates the augmented matrix [A | b], then back-substitutes over the
+    rationals.  Raises SingularMatrixError when no unique solution exists;
+    callers use this for matrices the theory certifies invertible.
     """
     n = len(rows)
     if any(len(r) != n for r in rows) or len(rhs) != n:
         raise ValueError("solve_exact needs a square system with matching rhs")
-    a = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
-    for k in range(n):
-        pivot = next((r for r in range(k, n) if a[r][k] != 0), None)
-        if pivot is None:
-            raise SingularMatrixError("matrix is singular")
-        a[k], a[pivot] = a[pivot], a[k]
-        inv = 1 / a[k][k]
-        a[k] = [x * inv for x in a[k]]
-        for r in range(n):
-            if r != k and a[r][k] != 0:
-                f = a[r][k]
-                a[r] = [x - f * y for x, y in zip(a[r], a[k])]
-    return [a[r][n] for r in range(n)]
+    m, _ = _cleared([[*row, b] for row, b in zip(rows, rhs)])
+    if _echelon(m)[1] != list(range(n)):
+        raise SingularMatrixError("matrix is singular")
+    x = [Fraction(0)] * n
+    for k in reversed(range(n)):
+        x[k] = Fraction(m[k][n] - sum(m[k][j] * x[j] for j in range(k + 1, n)), m[k][k])
+    return x
 
 
 def exact_rank(rows: Matrix) -> int:
-    """Rank of a rational matrix (any shape) by row echelon over Fractions."""
-    a = [[Fraction(x) for x in row] for row in rows]
-    if not a:
-        return 0
-    n_cols = len(a[0])
-    rank = 0
-    for col in range(n_cols):
-        pivot = next((r for r in range(rank, len(a)) if a[r][col] != 0), None)
-        if pivot is None:
-            continue
-        a[rank], a[pivot] = a[pivot], a[rank]
-        inv = 1 / a[rank][col]
-        a[rank] = [x * inv for x in a[rank]]
-        for r in range(len(a)):
-            if r != rank and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[rank])]
-        rank += 1
-        if rank == len(a):
-            break
-    return rank
+    """Rank of a rational matrix of any shape."""
+    return len(_echelon(_cleared(rows)[0])[0])
 
 
 def float_determinant(rows: Sequence[Sequence[float]]) -> tuple[float, float]:

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
@@ -18,7 +17,6 @@ from . import charmat, interp, nodeset, symcore
 from .errors import SymlagError
 
 SCHEMA = "symlag/1"
-ENUM_LIMIT_ENV = "SYMLAG_ENUM_LIMIT"
 
 
 @dataclass(frozen=True)
@@ -26,7 +24,6 @@ class RunConfig:
     fmt: str
     snap_tol: Fraction | None
     det_tol: float
-    enum_limit: int | None
     float_mode: bool
 
 
@@ -61,25 +58,16 @@ def _positive_float(text: str) -> float:
 
 
 def _config(args) -> RunConfig:
-    enum_limit = getattr(args, "enum_limit", None)
-    if enum_limit is None:
-        raw = os.environ.get(ENUM_LIMIT_ENV)
-        if raw is not None:
-            try:
-                enum_limit = int(raw)
-            except ValueError:
-                raise SymlagError(f"{ENUM_LIMIT_ENV}={raw!r} is not an integer")
     return RunConfig(
         fmt=getattr(args, "format", "table"),
         snap_tol=getattr(args, "snap_tol", None),
         det_tol=getattr(args, "det_tol", 1e-9),
-        enum_limit=enum_limit,
         float_mode=getattr(args, "float_mode", False),
     )
 
 
-def _frac(x: Fraction) -> str:
-    return str(x)
+def _snaps_json(snaps) -> list[dict]:
+    return [{"original": s.original, "snapped": str(s.snapped), "delta": str(s.delta)} for s in snaps]
 
 
 def _det_json(det):
@@ -139,17 +127,18 @@ def cmd_vmatrix(args) -> int:
     cfg = _config(args)
     v = charmat.v_matrix(args.n)
     minors = v.leading_principal_minors()
+    det = minors[-1]  # the last leading minor is det V
     payload = {
         "schema": SCHEMA,
         "command": "vmatrix",
-        "determinant": v.determinant(),
+        "determinant": det,
         "leading_principal_minors": minors,
         "positive_definite": all(m > 0 for m in minors),
         "symmetric": v.is_symmetric(),
         **v.to_json_dict(),
     }
     lines = _matrix_lines(f"V matrix for n={args.n} (v[i][j] = <chi_i, chi_j>)", v.types, v.entries)
-    lines.append(f"determinant: {v.determinant()}")
+    lines.append(f"determinant: {det}")
     lines.append(f"leading principal minors: {minors} (all positive: {all(m > 0 for m in minors)})")
     _emit(payload, lines, cfg.fmt)
     return 0
@@ -158,10 +147,11 @@ def cmd_vmatrix(args) -> int:
 def cmd_kmatrix(args) -> int:
     cfg = _config(args)
     k = charmat.k_matrix(args.n)
+    det = k.determinant()
     payload = {
         "schema": SCHEMA,
         "command": "kmatrix",
-        "determinant": k.determinant(),
+        "determinant": det,
         "lower_triangular": k.is_lower_triangular(),
         "diagonal": list(k.diagonal()),
         **k.to_json_dict(),
@@ -171,7 +161,7 @@ def cmd_kmatrix(args) -> int:
         k.types, k.entries,
     )
     lines.append(f"lower triangular: {k.is_lower_triangular()}, diagonal: {list(k.diagonal())}")
-    lines.append(f"determinant: {k.determinant()}")
+    lines.append(f"determinant: {det}")
     _emit(payload, lines, cfg.fmt)
     return 0
 
@@ -203,10 +193,7 @@ def cmd_classify(args) -> int:
             }
             for o in nodes.orbits
         ],
-        "snaps": [
-            {"original": s.original, "snapped": _frac(s.snapped), "delta": _frac(s.delta)}
-            for s in snaps
-        ],
+        "snaps": _snaps_json(snaps),
     }
     lines = [f"{len(nodes)} points in R^{nodes.n}, {len(nodes.orbits)} orbits, orbit vector {vector}"]
     for o in nodes.orbits:
@@ -238,22 +225,16 @@ def cmd_solve(args) -> int:
         r = interp.r_vector(basis)
     except (OSError, ValueError, SymlagError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        if isinstance(exc, SymlagError) and "enumeration" in str(exc):
-            print("hint: raise the limit with --enum-limit or SYMLAG_ENUM_LIMIT", file=sys.stderr)
         return 2
     cs = interp.solve_constraints(v, r)
-    realizable = {symcore.orbit_size(t) for t in v.types}
-    notes = [
-        f"basis has an orbit of size {k}, which matches no point-orbit class in R^{basis.n}"
-        for k in sorted({s for s in basis.orbit_sizes() if s not in realizable})
-    ]
+    notes = interp.unmatched_orbit_notes(basis)
     payload = {
         "schema": SCHEMA,
         "command": "solve",
         "n": basis.n,
         "function_count": len(basis),
         "r": list(cs.r),
-        "solution": [_frac(x) for x in cs.solution],
+        "solution": [str(x) for x in cs.solution],
         "admissible": cs.admissible,
         "reason": cs.reason,
         "template": _orbit_template(v.types, cs.integer_solution()) if cs.admissible else None,
@@ -261,7 +242,7 @@ def cmd_solve(args) -> int:
     }
     lines = [f"basis: {len(basis)} functions in {len(basis.orbits)} orbits (n = {basis.n})"]
     lines.append(f"r vector: {cs.r}")
-    lines.append("solution X: (" + ", ".join(_frac(x) for x in cs.solution) + ")")
+    lines.append("solution X: (" + ", ".join(map(str, cs.solution)) + ")")
     if cs.admissible:
         lines.append("admissible: yes — node-set template:")
         for entry in _orbit_template(v.types, cs.integer_solution()):
@@ -296,10 +277,7 @@ def cmd_equiv(args) -> int:
             if result.bijection is not None
             else None
         ),
-        "snaps": [
-            {"original": s.original, "snapped": _frac(s.snapped), "delta": _frac(s.delta)}
-            for s in (*snaps_a, *snaps_b)
-        ],
+        "snaps": _snaps_json((*snaps_a, *snaps_b)),
     }
     lines = [
         f"orbit vector A: {result.vector_a}",
@@ -355,10 +333,7 @@ def cmd_analyze(args) -> int:
         "notes": list(screen.notes),
         "basis": {"function_count": len(basis), "orbit_sizes": list(basis.orbit_sizes())},
         "nodes": {"point_count": len(nodes), "orbit_vector": list(screen.node_vector)},
-        "snaps": [
-            {"original": s.original, "snapped": _frac(s.snapped), "delta": _frac(s.delta)}
-            for s in snaps
-        ],
+        "snaps": _snaps_json(snaps),
     }
     lines = [f"analyze: {len(basis)} basis functions vs {len(nodes)} nodes in R^{basis.n}"]
     for c in screen.conditions:
@@ -368,7 +343,7 @@ def cmd_analyze(args) -> int:
     for s in snaps:
         lines.append(f"  note: {s.describe()}")
     if report is not None:
-        det = _frac(report.determinant) if isinstance(report.determinant, Fraction) else repr(report.determinant)
+        det = str(report.determinant) if isinstance(report.determinant, Fraction) else repr(report.determinant)
         lines.append(f"determinant ({report.mode}): {det}")
     lines.append(f"verdict: {verdict}")
     if reason:
@@ -382,8 +357,6 @@ def cmd_analyze(args) -> int:
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--format", choices=("json", "table"), default="table",
                      help="output format (default: table)")
-    sub.add_argument("--enum-limit", type=_positive_int, default=None, dest="enum_limit",
-                     help=f"n cap for full permutation enumeration (env {ENUM_LIMIT_ENV})")
 
 
 def build_parser() -> argparse.ArgumentParser:

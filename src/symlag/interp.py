@@ -26,7 +26,6 @@ from typing import Iterable, Sequence
 from . import _linalg
 from .charmat import VMatrix, v_matrix
 from .errors import (
-    CapacityError,
     DimensionMismatchError,
     NotSymmetricError,
     SizeMismatchError,
@@ -411,6 +410,15 @@ class NecessaryConditionsReport:
         return next((c for c in self.conditions if not c.passed), None)
 
 
+def unmatched_orbit_notes(b: BasisSet) -> list[str]:
+    """One note per basis orbit size that no point orbit of R^n has."""
+    realizable = {orbit_size(t) for t in enumerate_types(b.n)}
+    return [
+        f"basis has an orbit of size {k}, which matches no point-orbit class in R^{b.n}"
+        for k in sorted({size for size in b.orbit_sizes() if size not in realizable})
+    ]
+
+
 def check_necessary_conditions(
     b: BasisSet, s: NodeSet, v: VMatrix | None = None
 ) -> NecessaryConditionsReport:
@@ -421,12 +429,7 @@ def check_necessary_conditions(
     """
     if b.n != s.n:
         raise DimensionMismatchError(f"basis in dimension {b.n}, nodes in dimension {s.n}")
-    notes: list[str] = []
-    realizable = {orbit_size(t) for t in enumerate_types(b.n)}
-    for k in sorted({size for size in b.orbit_sizes() if size not in realizable}):
-        notes.append(
-            f"basis has an orbit of size {k}, which matches no point-orbit class in R^{b.n}"
-        )
+    notes = unmatched_orbit_notes(b)
     conditions: list[ConditionResult] = []
     node_vec = orbit_vector(s)
 
@@ -448,12 +451,7 @@ def check_necessary_conditions(
     if not counts_ok:
         return NecessaryConditionsReport(False, tuple(conditions), tuple(notes), None, node_vec)
 
-    try:
-        r = r_vector(b)
-    except CapacityError as exc:
-        notes.append(f"orbit-vector-match skipped: {exc}")
-        return NecessaryConditionsReport(True, tuple(conditions), tuple(notes), None, node_vec)
-    cs = solve_constraints(v if v is not None else v_matrix(b.n), r)
+    cs = solve_constraints(v if v is not None else v_matrix(b.n), r_vector(b))
     if not cs.admissible:
         conditions.append(ConditionResult(
             "orbit-vector-match", False,

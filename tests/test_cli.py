@@ -1,5 +1,7 @@
 """CLI subcommands: exit codes, JSON determinism, file handling."""
+import hashlib
 import json
+from itertools import product
 
 import pytest
 
@@ -313,6 +315,52 @@ def test_analyze_json_output_is_byte_identical(tmp_path, capsys):
     assert out1 == out2
 
 
+# SHA-256 of `--format json` stdout for fixed inputs.  The symlag/1 schema
+# promises these bytes across versions; changing them needs a schema bump.
+PINNED_JSON_DIGESTS = {
+    "vmatrix-1": "9ab7621fba24aa8733d958b76b07b36c220c816d73e8220899d23cf95b9e9eff",
+    "vmatrix-2": "3cd652d972f0b759855ed1bfe3e63bb7dec85d9607cf37dfb7a385a7031e1bcf",
+    "vmatrix-3": "e24fa593e9070dc18c922ef70c0e2879609dc728faa4e8bcceb261e199ee0b41",
+    "vmatrix-4": "fa04dac2b0ec05bd749ee5d875ed994007f8d69f3422e1a4bc970b73fd1151d4",
+    "vmatrix-5": "757cb0764420b267194636c0ecd989e07ce878cef99cda13d5ea708ff346003f",
+    "vmatrix-6": "2f5a7d159d4a0cb5155892af63cc3a101a7e6c6d38e9909a295bf845020d6503",
+    "vmatrix-7": "14e18049ea06bad6a5a8869e6e9df0fceccf73573db44b193f946543f5039c63",
+    "vmatrix-8": "403f0a7ef691b2b27e9763d5b4c7037ce16f45880e92f58cfb0a33aab217c972",
+    "vmatrix-9": "ab4274471bfe1d8a9506c7944f5589baddd70c3c31eb87389d44ba33e0c1bbd5",
+    "kmatrix-1": "33d5dd9f236b523545e0ea414dcc7f3f9f25cab90537177ad14f1dd73b3c012c",
+    "kmatrix-2": "2278dd4a9fb78a603da719e75a24573a36255fe6cd5ed7662ed4a2438fe40406",
+    "kmatrix-3": "1dd87a1cc2f5eba1337f8d74fb07d3e913875f50fc05ae0f2ed435312ca9dbab",
+    "kmatrix-4": "ed37d89575e403bd238c00a3abac7888c4038d9b223fb96aa9075e820fb61737",
+    "kmatrix-5": "d289ef8a842906417fa21c85748e8553b5e7c592ab14aec9c0d489f3655a2b22",
+    "kmatrix-6": "92511aac6220292ccbf6c56cf4517282fc3d9c777b51347330cd4e1f4e5a857c",
+    "kmatrix-7": "4621fe9be7eb8ba451f7691a5a14291b0c7ce00056f55e8fd2cd74925e7431e4",
+    "kmatrix-8": "0ea442d8d4de74600fefb6c16819fdbbfbe27f8f706921c62ec7a6e54764e4f7",
+    "kmatrix-9": "443a1abf4ec965a69db45aee1f8718d319ded0e2fc2df210ec7c674d62ea46a9",
+    "solve-td-4-3": "41fcc04c35d4ecd6f65106b93783f90675ca9b9a98e66cae9ba4db7d207c89d0",
+    "analyze-unisolvent": "bcd74a649f499e204b11dafe8fb3ef710b1fa42eb6434ce60f19c68b3e57699f",
+    "analyze-singular": "a27dadbde6c6637ef574b44cbc07a2e294d1e3497521907a76b2ef58e0c84cdf",
+}
+
+
+def _pinned_argv(name, tmp_path):
+    command, _, arg = name.partition("-")
+    if command in ("vmatrix", "kmatrix"):
+        return [command, "--n", arg]
+    if command == "solve":
+        exponents = [list(e) for e in product(range(4), repeat=4) if sum(e) <= 3]
+        basis = write_json(tmp_path / "td43.json", {"n": 4, "functions": [{"exponents": e} for e in exponents]})
+        return ["solve", "--basis", basis]
+    basis = write_json(tmp_path / "basis.json", BASIS_38)
+    values = (0, 1, 2, 3) if arg == "unisolvent" else (2, 1, 1, [7, 4])
+    return ["analyze", "--basis", basis, "--nodes", case3_file(tmp_path, *values)]
+
+
+@pytest.mark.parametrize("name", PINNED_JSON_DIGESTS)
+def test_json_stdout_matches_pinned_digest(name, tmp_path, capsys):
+    _, out, _ = run(capsys, _pinned_argv(name, tmp_path) + ["--format", "json"])
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_JSON_DIGESTS[name]
+
+
 def test_pipeline_coherence_analyze_solve_classify(tmp_path, capsys):
     basis = write_json(tmp_path / "basis.json", BASIS_38)
     nodes = case3_file(tmp_path, 0, 1, 2, 3)
@@ -322,21 +370,6 @@ def test_pipeline_coherence_analyze_solve_classify(tmp_path, capsys):
     _, classify_out, _ = run(capsys, ["classify", "--nodes", nodes, "--format", "json"])
     solved = [int(x) for x in json.loads(solve_out)["solution"]]
     assert solved == json.loads(classify_out)["orbit_vector"]
-
-
-# -- environment ------------------------------------------------------------------------
-
-def test_enum_limit_env_is_honored(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("SYMLAG_ENUM_LIMIT", "12")
-    code, _, _ = run(capsys, ["types", "--n", "3"])
-    assert code == 0
-
-
-def test_enum_limit_env_rejects_junk(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("SYMLAG_ENUM_LIMIT", "many")
-    code, _, err = run(capsys, ["types", "--n", "3"])
-    assert code == 2
-    assert "SYMLAG_ENUM_LIMIT" in err
 
 
 # -- remaining error paths ----------------------------------------------------
