@@ -59,13 +59,18 @@ def _echelon(m: list[list[int]]) -> tuple[list[int], list[int], int, int]:
     return pivots, cols, sign, lead
 
 
+def integer_determinant(m: list[list[int]]) -> int:
+    """Determinant of a square integer matrix, eliminated in place."""
+    pivots, _, sign, _ = _echelon(m)
+    if len(pivots) < len(m):
+        return 0
+    return sign * pivots[-1] if pivots else 1
+
+
 def exact_determinant(rows: Matrix) -> Fraction:
     """Determinant of a square rational matrix."""
     cleared, mults = _cleared(rows)
-    pivots, _, sign, _ = _echelon(cleared)
-    if len(pivots) < len(rows):
-        return Fraction(0)
-    return Fraction(sign * (pivots[-1] if pivots else 1), prod(mults))
+    return Fraction(integer_determinant(cleared), prod(mults))
 
 
 def leading_principal_minors(rows: Matrix) -> list[Fraction]:

@@ -8,19 +8,27 @@ same coordinate action used for points, and evaluation satisfies
 (sigma f)(x) = f(sigma^{-1} x).
 
 Unisolvence of a (basis, nodes) pair is decided by the determinant of the
-evaluation matrix f_i(a_j): exact fraction-free elimination on the rational
-path, pivoted elimination with a relative smallness threshold on the
-floating path.  Before any determinant work, cheap necessary conditions
-run: equal counts, equal orbit counts, and the orbit vector forced by the
-exact linear system V X = r.
+evaluation matrix f_i(a_j).  On the exact path the matrix is evaluated over
+the integers (points cleared by the lcm of their denominators, functions by
+that of their coefficients) and split into one block per character of the
+group generated by the swaps (1 2), (3 4), ... that preserve both sets;
+each block goes through the fraction-free kernel of _linalg, and the
+blocks' determinants give the exact determinant.  Inputs whose determinant
+would exceed MAX_DETERMINANT_BITS are refused before evaluation.  The
+floating path uses pivoted elimination with a relative smallness threshold.
+Before any determinant work, cheap necessary conditions run: equal counts,
+equal orbit counts, and the orbit vector forced by the exact linear system
+V X = r.
 """
 from __future__ import annotations
 
 import json
 import random
 import re
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm, prod
 from typing import Iterable, Sequence
 
 from . import _linalg
@@ -29,6 +37,7 @@ from .errors import (
     DimensionMismatchError,
     NotSymmetricError,
     SizeMismatchError,
+    SymlagError,
 )
 from .nodeset import NodeSet, Point, orbit_vector
 from .symcore import (
@@ -319,10 +328,9 @@ def solve_constraints(v: VMatrix, r: Sequence[int]) -> ConstraintSystem:
 
 @dataclass(frozen=True)
 class UnisolvenceReport:
-    """Evaluation matrix f_i(a_j), its determinant, and the verdict."""
+    """Size of the evaluation matrix f_i(a_j), its determinant, and the verdict."""
 
     size: int
-    entries: tuple[tuple, ...]
     determinant: Fraction | float
     verdict: str
     mode: str
@@ -333,9 +341,243 @@ class UnisolvenceReport:
         return self.verdict == VERDICT_UNISOLVENT
 
 
+# Exact evaluation refuses a (basis, nodes) pair whose determinant is
+# estimated to need more bits than this: N times the bits of the largest
+# cleared matrix entry.
+MAX_DETERMINANT_BITS = 1 << 18
+
+
+def _log2_bound(x: int) -> int:
+    """An integer upper bound on log2 |x|; 0 when |x| <= 1."""
+    return max(abs(x) - 1, 0).bit_length()
+
+
+def _cleared_points(
+    functions: Sequence[BasisFunction], points: Sequence[Point]
+) -> tuple[list[tuple[list[int], int]], int]:
+    """Each point as (integer coordinates, q), q the lcm of its coordinate
+    denominators, and the largest total degree D of the functions.
+
+    Raises SymlagError, before any power is taken, when N times the
+    estimated bits of the largest cleared entry s_i q_j^D f_i(a_j) exceeds
+    MAX_DETERMINANT_BITS.
+    """
+    dims = {p.n for p in points}
+    for f in functions:
+        if dims - {f.n}:
+            bad = next(p for p in points if p.n != f.n)
+            raise DimensionMismatchError(f"point of dimension {bad.n}, function of dimension {f.n}")
+    cleared = []
+    for p in points:
+        q = lcm(*(c.denominator for c in p.coords))
+        cleared.append(([c.numerator * (q // c.denominator) for c in p.coords], q))
+    degree = max((m.degree for f in functions for m, _ in f.terms), default=0)
+    if functions and points:
+        coord_bits = [max(_log2_bound(xs[i]) for xs, _ in cleared) for i in range(functions[0].n)]
+        entry_bits = degree * max(_log2_bound(q) for _, q in cleared) + max(
+            sum(e * b for e, b in zip(m.exponents, coord_bits)) for f in functions for m, _ in f.terms
+        )
+        estimate = max(len(functions), len(points)) * entry_bits
+        if estimate > MAX_DETERMINANT_BITS:
+            raise SymlagError(
+                f"exact evaluation would need about {estimate} bits, above the limit of "
+                f"{MAX_DETERMINANT_BITS}; lower the basis degree or the size of the node coordinates"
+            )
+    return cleared, degree
+
+
+def _powers(x: int, exponents: Iterable[int]) -> dict[int, int]:
+    """x^e for each e given, and only those."""
+    out, acc, prev = {}, 1, 0
+    for e in sorted(exponents):
+        acc *= x ** (e - prev)
+        out[e], prev = acc, e
+    return out
+
+
+def _integer_rows(
+    functions: Sequence[BasisFunction], cleared: Sequence[tuple[list[int], int]], degree: int
+) -> tuple[list[list[int]], list[int]]:
+    """Rows s_i q_j^D f_i(a_j) over the cleared points, and the row scales s_i
+    (the lcm of f_i's coefficient denominators)."""
+    rows_terms, scales = [], []
+    used, shifts = defaultdict(set), set()
+    for f in functions:
+        s = lcm(*(c.denominator for _, c in f.terms))
+        scales.append(s)
+        terms = []
+        for m, c in f.terms:
+            factors = [(i, e) for i, e in enumerate(m.exponents) if e]
+            for i, e in factors:
+                used[i].add(e)
+            shifts.add(degree - m.degree)
+            terms.append((int(c * s), factors, degree - m.degree))
+        rows_terms.append(terms)
+    columns = [
+        ([_powers(x, used[i]) for i, x in enumerate(xs)], _powers(q, shifts))
+        for xs, q in cleared
+    ]
+    rows = [
+        [sum(c * prod(pw[i][e] for i, e in factors) * qp[shift] for c, factors, shift in terms)
+         for pw, qp in columns]
+        for terms in rows_terms
+    ]
+    return rows, scales
+
+
 def vandermonde_matrix(functions: Sequence[BasisFunction], points: Sequence[Point]) -> list[list[Fraction]]:
     """Exact evaluation matrix with rows f_i and columns a_j."""
-    return [[f.evaluate(p) for p in points] for f in functions]
+    cleared, degree = _cleared_points(functions, points)
+    rows, scales = _integer_rows(functions, cleared, degree)
+    columns = [q**degree for _, q in cleared]
+    return [[Fraction(x, s * t) for x, t in zip(row, columns)] for row, s in zip(rows, scales)]
+
+
+def _pair_swap_maps(items: Sequence, n: int) -> list[list[int] | None]:
+    """The index maps of the swaps (1 2), (3 4), ... on distinct ``items``;
+    None for a swap that does not map the items onto themselves."""
+    index = {x: i for i, x in enumerate(items)}
+    maps = []
+    for i in range(1, n, 2):
+        tau = Permutation.transposition(n, i, i + 1)
+        image = [index.get(x.permuted(tau)) for x in items]
+        maps.append(None if None in image else image)
+    return maps
+
+
+def _orbits(maps: Sequence[list[int]], size: int) -> list[tuple[list[int], list[int], list[int]]]:
+    """Orbits of the group A generated by commuting involutions (index maps).
+
+    An element of A is a bitmask over the generators.  Each orbit is
+    (members, stabilizer, free): ``stabilizer`` lists the elements of A
+    fixing the first member, ``free`` the generator bits whose span
+    complements it, and members[u] is the image of the first member under
+    the free generators named by the bits of u.
+    """
+    seen = [False] * size
+    out = []
+    for x in range(size):
+        if seen[x]:
+            continue
+        at = [x]
+        for g in maps:
+            at += [g[y] for y in at]
+        stabilizer = [h for h, y in enumerate(at) if y == x]
+        span, free = set(stabilizer), []
+        for b in range(len(maps)):
+            if 1 << b not in span:
+                free.append(b)
+                span |= {h ^ 1 << b for h in span}
+        members = [
+            at[sum(1 << b for j, b in enumerate(free) if u >> j & 1)] for u in range(1 << len(free))
+        ]
+        for y in members:
+            seen[y] = True
+        out.append((members, stabilizer, free))
+    return out
+
+
+def _character_key(c: int, stabilizer: Sequence[int], free: Sequence[int]) -> int | None:
+    """Where the character c of A sits among the characters of an orbit:
+    its values on the free generators as bits, or None if c is not trivial
+    on the stabilizer."""
+    if any((c & h).bit_count() & 1 for h in stabilizer):
+        return None
+    return sum((c >> b & 1) << j for j, b in enumerate(free))
+
+
+def _permutation_sign(order: Sequence[int]) -> int:
+    """Sign of the permutation of 0..N-1 written as the sequence ``order``."""
+    return -1 if (len(order) - len(Permutation(tuple(i + 1 for i in order)).cycles())) & 1 else 1
+
+
+def _adapted_basis_determinant(orbits, keys) -> int:
+    """Determinant of the symmetry-adapted basis of one side.
+
+    Its columns, in character-major order, are the vectors sum_u chi(g_u)
+    e_{members[u]}, one per (character, orbit) with the character trivial
+    on the orbit's stabilizer; ``keys[c][o]`` is _character_key for
+    character c and orbit o.  Grouped by orbit it is block diagonal, one
+    Sylvester block [(-1)^popcount(u & w)] of order 2^m per orbit, whose
+    determinant is 1, -2 and 2^(m 2^(m-1)) for m = 0, 1 and m >= 2.
+    """
+    rows = [y for members, _, _ in orbits for y in members]
+    at = {}
+    for by_orbit in keys:
+        for o, w in enumerate(by_orbit):
+            if w is not None:
+                at[o, w] = len(at)
+    columns = [at[o, w] for o, (members, _, _) in enumerate(orbits) for w in range(len(members))]
+    det = _permutation_sign(rows) * _permutation_sign(columns)
+    for _, _, free in orbits:
+        m = len(free)
+        det *= (1, -2)[m] if m < 2 else 2 ** (m << (m - 1))
+    return det
+
+
+def _walsh(values: list[int]) -> list[int]:
+    """[sum_u (-1)^popcount(u & w) values[u] for w], by the fast transform."""
+    v, h = list(values), 1
+    while h < len(v):
+        for i in range(0, len(v), 2 * h):
+            for j in range(i, i + h):
+                v[j], v[j + h] = v[j] + v[j + h], v[j] - v[j + h]
+        h *= 2
+    return v
+
+
+def _split_determinant(functions: Sequence[BasisFunction], points: Sequence[Point]) -> Fraction:
+    """Exact det [f_i(a_j)] over integers, one symmetry block at a time.
+
+    The swaps (1 2), (3 4), ... that map both the functions and the points
+    onto themselves generate A = (Z/2)^k, and M[g f, g a] = M[f, a].  In the
+    symmetry-adapted bases of both sides M becomes block diagonal with one
+    block per character chi of A (Fassler & Stiefel 1992):
+    B_chi[f, a] = sum_u chi(g_u) M[f, g_u a] over orbit representatives on
+    whose stabilizers chi is trivial.  A non-square or rank-deficient block
+    means det M = 0; otherwise det M is the product of the block
+    determinants, corrected by the bases' determinants and the integer
+    scales, all exact.  With k = 0 this is one Bareiss pass on M.
+    """
+    cleared, degree = _cleared_points(functions, points)
+    if len(set(functions)) < len(functions) or len(set(points)) < len(points):
+        return Fraction(0)
+    n = functions[0].n
+    maps = [
+        (fm, pm)
+        for fm, pm in zip(_pair_swap_maps(functions, n), _pair_swap_maps(points, n))
+        if fm is not None and pm is not None
+    ]
+    f_orbits = _orbits([fm for fm, _ in maps], len(functions))
+    p_orbits = _orbits([pm for _, pm in maps], len(points))
+    f_keys = [[_character_key(c, stab, free) for _, stab, free in f_orbits] for c in range(1 << len(maps))]
+    p_keys = [[_character_key(c, stab, free) for _, stab, free in p_orbits] for c in range(1 << len(maps))]
+    blocks = [
+        ([r for r, w in enumerate(fk) if w is not None], [(a, w) for a, w in enumerate(pk) if w is not None])
+        for fk, pk in zip(f_keys, p_keys)
+    ]
+    if any(len(rows) != len(cols) for rows, cols in blocks):
+        return Fraction(0)
+
+    reps, scales = _integer_rows([functions[members[0]] for members, _, _ in f_orbits], cleared, degree)
+    spectra = [[_walsh([row[b] for b in members]) for members, _, _ in p_orbits] for row in reps]
+    det = 1
+    for rows, cols in blocks:
+        block_det = _linalg.integer_determinant([[spectra[r][a][w] for a, w in cols] for r in rows])
+        if block_det == 0:
+            return Fraction(0)
+        det *= block_det
+    # in the adapted bases, row (chi, f) of the block-diagonal matrix is
+    # |orbit of f| times row f of B_chi, once for each of |orbit of f| characters
+    for members, _, _ in f_orbits:
+        det *= len(members) ** len(members)
+    row_scale = prod(s ** len(members) for s, (members, _, _) in zip(scales, f_orbits))
+    column_scale = prod(q for _, q in cleared) ** degree
+    return Fraction(
+        det,
+        _adapted_basis_determinant(f_orbits, f_keys) * _adapted_basis_determinant(p_orbits, p_keys)
+        * row_scale * column_scale,
+    )
 
 
 def vandermonde(
@@ -346,10 +588,10 @@ def vandermonde(
 ) -> UnisolvenceReport:
     """Determinant test for unisolvence.
 
-    Exact mode: fraction-free elimination; unisolvent iff the determinant is
-    not zero.  Float mode: pivoted elimination; |det| below ``det_tol``
-    relative to the product of row norms is reported numerically
-    indeterminate rather than silently passed either way.
+    Exact mode: the integer, symmetry-split determinant of _split_determinant;
+    unisolvent iff it is not zero.  Float mode: pivoted elimination; |det|
+    below ``det_tol`` relative to the product of row norms is reported
+    numerically indeterminate rather than silently passed either way.
     """
     functions = tuple(basis.functions if isinstance(basis, BasisSet) else basis)
     points = tuple(nodes.points if isinstance(nodes, NodeSet) else nodes)
@@ -361,13 +603,10 @@ def vandermonde(
     if not functions:
         raise ValueError("need at least one function and one node")
     if mode == "exact":
-        matrix = vandermonde_matrix(functions, points)
-        det = _linalg.exact_determinant(matrix)
+        det = _split_determinant(functions, points)
         verdict = VERDICT_UNISOLVENT if det != 0 else VERDICT_SINGULAR
         return UnisolvenceReport(
-            size=len(functions),
-            entries=tuple(tuple(row) for row in matrix),
-            determinant=det, verdict=verdict, mode="exact", det_tol=None,
+            size=len(functions), determinant=det, verdict=verdict, mode="exact", det_tol=None,
         )
     if mode != "float":
         raise ValueError(f"unknown mode {mode!r}")
@@ -383,9 +622,7 @@ def vandermonde(
     else:
         verdict = VERDICT_UNISOLVENT
     return UnisolvenceReport(
-        size=len(functions),
-        entries=tuple(tuple(row) for row in matrix_f),
-        determinant=det_f, verdict=verdict, mode="float", det_tol=det_tol,
+        size=len(functions), determinant=det_f, verdict=verdict, mode="float", det_tol=det_tol,
     )
 
 
@@ -485,7 +722,8 @@ def verify_linear_independence(b: BasisSet, seed: int = 0, batches: int = 3) -> 
             Point(tuple(Fraction(rng.randint(-99, 99), rng.randint(1, 20)) for _ in range(b.n)))
             for _ in range(2 * n_funcs)
         ]
-        rows = [[f.evaluate(p) for p in points] for f in b.functions]
+        # rank is blind to the nonzero row and column scales of the integer rows
+        rows, _ = _integer_rows(b.functions, *_cleared_points(b.functions, points))
         if _linalg.exact_rank(rows) == n_funcs:
             return True
     return False

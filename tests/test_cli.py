@@ -1,7 +1,8 @@
 """CLI subcommands: exit codes, JSON determinism, file handling."""
 import hashlib
 import json
-from itertools import product
+import time
+from itertools import permutations, product
 
 import pytest
 
@@ -306,6 +307,25 @@ def test_analyze_snap_tol_pipeline(tmp_path, capsys):
     assert payload["snaps"]  # every snapped coordinate is reported
 
 
+def test_analyze_huge_exponents_exit_2_quickly(tmp_path, capsys):
+    basis = write_json(tmp_path / "basis.json", ["x1^999999999", "x2^999999999"])
+    nodes = write_json(tmp_path / "nodes.json", {"n": 2, "points": [[1, 2], [2, 1]]})
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["analyze", "--basis", basis, "--nodes", nodes])
+    assert time.perf_counter() - start < 5
+    assert code == 2 and out == ""
+    assert err.startswith("error: exact evaluation would need about") and err.count("\n") == 1
+
+
+def test_analyze_huge_exponents_on_zero_one_nodes(tmp_path, capsys):
+    basis = write_json(tmp_path / "basis.json", ["x1^999999999", "x2^999999999"])
+    nodes = write_json(tmp_path / "nodes.json", {"n": 2, "points": [[0, 1], [1, 0]]})
+    code, out, _ = run(capsys, ["analyze", "--basis", basis, "--nodes", nodes, "--format", "json"])
+    payload = json.loads(out)
+    assert code == 0
+    assert payload["verdict"] == "unisolvent" and payload["determinant"] == [1, 1]
+
+
 def test_analyze_json_output_is_byte_identical(tmp_path, capsys):
     basis = write_json(tmp_path / "basis.json", BASIS_38)
     nodes = case3_file(tmp_path, 0, 1, 2, 3)
@@ -339,7 +359,23 @@ PINNED_JSON_DIGESTS = {
     "solve-td-4-3": "41fcc04c35d4ecd6f65106b93783f90675ca9b9a98e66cae9ba4db7d207c89d0",
     "analyze-unisolvent": "bcd74a649f499e204b11dafe8fb3ef710b1fa42eb6434ce60f19c68b3e57699f",
     "analyze-singular": "a27dadbde6c6637ef574b44cbc07a2e294d1e3497521907a76b2ef58e0c84cdf",
+    "analyze-td-4-3": "e554503cd4386b421679a5a8545f0c733bcf12df6b8c2b569d56b0763f4ed171",
 }
+
+
+# one orbit representative per orbit of the vector (1, 4, 1, 1, 0) that
+# V X = r forces for total degree (4, 3); zero, negative and fractional values
+TD43_ORBITS = [
+    ("1/2", "1/2", "1/2", "1/2"),
+    (0, 1, 1, 1), (2, -1, -1, -1), (-3, "1/3", "1/3", "1/3"), ("5/2", 2, 2, 2),
+    (-2, -2, 3, 3),
+    (1, "-1/2", 4, 4),
+]
+
+
+def _td43_basis(tmp_path):
+    exponents = [list(e) for e in product(range(4), repeat=4) if sum(e) <= 3]
+    return write_json(tmp_path / "td43.json", {"n": 4, "functions": [{"exponents": e} for e in exponents]})
 
 
 def _pinned_argv(name, tmp_path):
@@ -347,9 +383,13 @@ def _pinned_argv(name, tmp_path):
     if command in ("vmatrix", "kmatrix"):
         return [command, "--n", arg]
     if command == "solve":
-        exponents = [list(e) for e in product(range(4), repeat=4) if sum(e) <= 3]
-        basis = write_json(tmp_path / "td43.json", {"n": 4, "functions": [{"exponents": e} for e in exponents]})
-        return ["solve", "--basis", basis]
+        return ["solve", "--basis", _td43_basis(tmp_path)]
+    if arg == "td-4-3":
+        # the sorted node set interleaves the orbits, so the determinant's
+        # sign depends on how the symmetry blocks are put back in order
+        points = sorted({p for rep in TD43_ORBITS for p in permutations(rep)}, key=str)
+        nodes = write_json(tmp_path / "td43-nodes.json", {"n": 4, "points": [list(p) for p in points]})
+        return ["analyze", "--basis", _td43_basis(tmp_path), "--nodes", nodes]
     basis = write_json(tmp_path / "basis.json", BASIS_38)
     values = (0, 1, 2, 3) if arg == "unisolvent" else (2, 1, 1, [7, 4])
     return ["analyze", "--basis", basis, "--nodes", case3_file(tmp_path, *values)]
