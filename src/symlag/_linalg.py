@@ -4,13 +4,13 @@ The exact routines clear rational rows to integers and run `_echelon`, a
 Bareiss pass whose divisions are all exact.  Its pivots give the
 determinant, the rank, the leading principal minors (without row swaps the
 k-th pivot is the k-th leading minor, Bareiss 1968) and, on [A | b], the
-triangular system of an exact solve.  The single float routine is the
-pivoted-elimination determinant used by the floating Vandermonde path.
+triangular system of an exact solve.  All arithmetic is over the integers
+and the rationals.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm, prod, sqrt
+from math import lcm, prod
 from typing import Sequence
 
 from .errors import SingularMatrixError
@@ -112,30 +112,3 @@ def exact_rank(rows: Matrix) -> int:
     """Rank of a rational matrix of any shape."""
     return len(_echelon(_cleared(rows)[0])[0])
 
-
-def float_determinant(rows: Sequence[Sequence[float]]) -> tuple[float, float]:
-    """Pivoted-elimination determinant plus a scale for relative thresholds.
-
-    Returns (det, scale) where scale is the product of row 2-norms of the
-    input (Hadamard bound), so |det|/scale is a dimensionless smallness
-    measure; scale 0 means a zero row.
-    """
-    m = [[float(x) for x in row] for row in rows]
-    n = len(m)
-    scale = 1.0
-    for row in m:
-        scale *= sqrt(sum(x * x for x in row))
-    det = 1.0
-    for k in range(n):
-        pivot = max(range(k, n), key=lambda r: abs(m[r][k]))
-        if m[pivot][k] == 0.0:
-            return 0.0, scale
-        if pivot != k:
-            m[k], m[pivot] = m[pivot], m[k]
-            det = -det
-        det *= m[k][k]
-        for r in range(k + 1, n):
-            f = m[r][k] / m[k][k]
-            for c in range(k, n):
-                m[r][c] -= f * m[k][c]
-    return det, scale

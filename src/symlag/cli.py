@@ -1,15 +1,16 @@
 """Command-line front end: every analysis as a subcommand, JSON or table output.
 
 Exit codes: 0 success (for analyze: unisolvent; for solve: admissible; for
-equiv: equivalent), 1 negative verdict, 2 input or usage error.  JSON output
-is byte-deterministic for identical inputs.
+equiv: equivalent), 1 negative verdict, 2 input or usage error.  Every input
+error, whichever subcommand meets it, reaches ``main`` and is printed as one
+``error:`` line.  JSON output is byte-deterministic for identical inputs, and
+analyze's determinant is always exact.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 
@@ -17,14 +18,6 @@ from . import charmat, interp, nodeset, symcore
 from .errors import SymlagError
 
 SCHEMA = "symlag/1"
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    fmt: str
-    snap_tol: Fraction | None
-    det_tol: float
-    float_mode: bool
 
 
 def _positive_int(text: str) -> int:
@@ -39,41 +32,21 @@ def _positive_int(text: str) -> int:
 
 def _positive_fraction(text: str) -> Fraction:
     try:
-        value = Fraction(Decimal(text))
-    except (InvalidOperation, ValueError):
+        decimal = Decimal(text)
+        if abs(decimal.adjusted()) > nodeset.MAX_DECIMAL_EXPONENT:
+            raise argparse.ArgumentTypeError(
+                f"decimal exponent of {text!r} exceeds {nodeset.MAX_DECIMAL_EXPONENT} in size"
+            )
+        value = Fraction(decimal)
+    except (InvalidOperation, ValueError, OverflowError):  # OverflowError: infinity
         raise argparse.ArgumentTypeError(f"{text!r} is not a number")
     if value <= 0:
         raise argparse.ArgumentTypeError("tolerance must be strictly positive")
     return value
 
 
-def _positive_float(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a number")
-    if value <= 0:
-        raise argparse.ArgumentTypeError("threshold must be strictly positive")
-    return value
-
-
-def _config(args) -> RunConfig:
-    return RunConfig(
-        fmt=getattr(args, "format", "table"),
-        snap_tol=getattr(args, "snap_tol", None),
-        det_tol=getattr(args, "det_tol", 1e-9),
-        float_mode=getattr(args, "float_mode", False),
-    )
-
-
 def _snaps_json(snaps) -> list[dict]:
     return [{"original": s.original, "snapped": str(s.snapped), "delta": str(s.delta)} for s in snaps]
-
-
-def _det_json(det):
-    if isinstance(det, Fraction):
-        return [det.numerator, det.denominator]
-    return det
 
 
 def _emit(payload: dict, lines: list[str], fmt: str) -> None:
@@ -100,7 +73,6 @@ def _matrix_lines(title: str, types, entries) -> list[str]:
 # -- subcommands -------------------------------------------------------------
 
 def cmd_types(args) -> int:
-    cfg = _config(args)
     types = symcore.enumerate_types(args.n)
     rows = [
         {
@@ -119,12 +91,11 @@ def cmd_types(args) -> int:
             f"{row['rank']:>4}  {_type_str(t):<{4 + 3 * args.n}}  "
             f"{row['orbit_size']:>10}  {row['stabilizer_order']:>10}"
         )
-    _emit(payload, lines, cfg.fmt)
+    _emit(payload, lines, args.format)
     return 0
 
 
 def cmd_vmatrix(args) -> int:
-    cfg = _config(args)
     v = charmat.v_matrix(args.n)
     minors = v.leading_principal_minors()
     det = minors[-1]  # the last leading minor is det V
@@ -140,12 +111,11 @@ def cmd_vmatrix(args) -> int:
     lines = _matrix_lines(f"V matrix for n={args.n} (v[i][j] = <chi_i, chi_j>)", v.types, v.entries)
     lines.append(f"determinant: {det}")
     lines.append(f"leading principal minors: {minors} (all positive: {all(m > 0 for m in minors)})")
-    _emit(payload, lines, cfg.fmt)
+    _emit(payload, lines, args.format)
     return 0
 
 
 def cmd_kmatrix(args) -> int:
-    cfg = _config(args)
     k = charmat.k_matrix(args.n)
     det = k.determinant()
     payload = {
@@ -162,21 +132,12 @@ def cmd_kmatrix(args) -> int:
     )
     lines.append(f"lower triangular: {k.is_lower_triangular()}, diagonal: {list(k.diagonal())}")
     lines.append(f"determinant: {det}")
-    _emit(payload, lines, cfg.fmt)
+    _emit(payload, lines, args.format)
     return 0
 
 
-def _load_nodes(path, cfg: RunConfig):
-    return nodeset.load_node_set(path, snap_tol=cfg.snap_tol)
-
-
 def cmd_classify(args) -> int:
-    cfg = _config(args)
-    try:
-        nodes, snaps = _load_nodes(args.nodes, cfg)
-    except (OSError, ValueError, SymlagError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    nodes, snaps = nodeset.load_node_set(args.nodes, snap_tol=args.snap_tol)
     vector = nodes.orbit_vector()
     payload = {
         "schema": SCHEMA,
@@ -200,7 +161,7 @@ def cmd_classify(args) -> int:
         lines.append(f"  type {_type_str(o.type)}  size {len(o.points):>3}  representative {o.rep}")
     for s in snaps:
         lines.append(f"  note: {s.describe()}")
-    _emit(payload, lines, cfg.fmt)
+    _emit(payload, lines, args.format)
     return 0
 
 
@@ -218,14 +179,9 @@ def _orbit_template(types, solution) -> list[dict]:
 
 
 def cmd_solve(args) -> int:
-    cfg = _config(args)
-    try:
-        basis = interp.load_basis(args.basis, n=args.n)
-        v = charmat.v_matrix(basis.n)
-        r = interp.r_vector(basis)
-    except (OSError, ValueError, SymlagError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    basis = interp.load_basis(args.basis, n=args.n)
+    v = charmat.v_matrix(basis.n)
+    r = interp.r_vector(basis)
     cs = interp.solve_constraints(v, r)
     notes = interp.unmatched_orbit_notes(basis)
     payload = {
@@ -252,19 +208,14 @@ def cmd_solve(args) -> int:
         lines.append(f"infeasible: no symmetric unisolvent node set exists ({cs.reason})")
     for note in notes:
         lines.append(f"note: {note}")
-    _emit(payload, lines, cfg.fmt)
+    _emit(payload, lines, args.format)
     return 0 if cs.admissible else 1
 
 
 def cmd_equiv(args) -> int:
-    cfg = _config(args)
-    try:
-        nodes_a, snaps_a = _load_nodes(args.nodes_a, cfg)
-        nodes_b, snaps_b = _load_nodes(args.nodes_b, cfg)
-        result = nodeset.equivalent(nodes_a, nodes_b)
-    except (OSError, ValueError, SymlagError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    nodes_a, snaps_a = nodeset.load_node_set(args.nodes_a, snap_tol=args.snap_tol)
+    nodes_b, snaps_b = nodeset.load_node_set(args.nodes_b, snap_tol=args.snap_tol)
+    result = nodeset.equivalent(nodes_a, nodes_b)
     payload = {
         "schema": SCHEMA,
         "command": "equiv",
@@ -288,31 +239,22 @@ def cmd_equiv(args) -> int:
         lines.append("equivariant bijection:")
         for x, y in result.bijection:
             lines.append(f"  {x} -> {y}")
-    _emit(payload, lines, cfg.fmt)
+    _emit(payload, lines, args.format)
     return 0 if result.equivalent else 1
 
 
 def cmd_analyze(args) -> int:
-    cfg = _config(args)
-    try:
-        basis = interp.load_basis(args.basis, n=args.n)
-        nodes, snaps = _load_nodes(args.nodes, cfg)
-        if basis.n != nodes.n:
-            raise SymlagError(f"basis lives in R^{basis.n} but nodes in R^{nodes.n}")
-    except (OSError, ValueError, SymlagError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    basis = interp.load_basis(args.basis, n=args.n)
+    nodes, snaps = nodeset.load_node_set(args.nodes, snap_tol=args.snap_tol)
+    if basis.n != nodes.n:
+        raise SymlagError(f"basis lives in R^{basis.n} but nodes in R^{nodes.n}")
 
     screen = interp.check_necessary_conditions(basis, nodes)
-    report = None
+    det = None
     if screen.passed:
-        report = interp.vandermonde(
-            basis, nodes,
-            mode="float" if cfg.float_mode else "exact",
-            det_tol=cfg.det_tol,
-        )
-        verdict = report.verdict
-        reason = None if report.unisolvent else f"determinant test: {report.verdict}"
+        report = interp.vandermonde(basis, nodes)
+        det, verdict = report.determinant, report.verdict
+        reason = None if report.unisolvent else f"determinant test: {verdict}"
     else:
         violation = screen.first_violation()
         verdict = "necessary-conditions-failed"
@@ -324,8 +266,9 @@ def cmd_analyze(args) -> int:
         "n": basis.n,
         "verdict": verdict,
         "reason": reason,
-        "determinant": _det_json(report.determinant) if report is not None else None,
-        "determinant_mode": report.mode if report is not None else None,
+        "determinant": [det.numerator, det.denominator] if det is not None else None,
+        # kept so that symlag/1 keeps its bytes; the determinant is always exact
+        "determinant_mode": "exact" if det is not None else None,
         "conditions": [
             {"name": c.name, "passed": c.passed, "detail": c.detail}
             for c in screen.conditions
@@ -342,13 +285,12 @@ def cmd_analyze(args) -> int:
         lines.append(f"  note: {note}")
     for s in snaps:
         lines.append(f"  note: {s.describe()}")
-    if report is not None:
-        det = str(report.determinant) if isinstance(report.determinant, Fraction) else repr(report.determinant)
-        lines.append(f"determinant ({report.mode}): {det}")
+    if det is not None:
+        lines.append(f"determinant (exact): {det}")
     lines.append(f"verdict: {verdict}")
     if reason:
         lines.append(f"reason: {reason}")
-    _emit(payload, lines, cfg.fmt)
+    _emit(payload, lines, args.format)
     return 0 if verdict == interp.VERDICT_UNISOLVENT else 1
 
 
@@ -405,10 +347,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nodes", required=True)
     p.add_argument("--n", type=_positive_int, default=None)
     p.add_argument("--snap-tol", type=_positive_fraction, default=None, dest="snap_tol")
-    p.add_argument("--det-tol", type=_positive_float, default=1e-9, dest="det_tol",
-                   help="relative smallness threshold for the float determinant")
-    p.add_argument("--float", action="store_true", dest="float_mode",
-                   help="use the floating determinant path instead of exact arithmetic")
     _add_common(p)
     p.set_defaults(handler=cmd_analyze)
 
@@ -419,7 +357,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except SymlagError as exc:
+    except (OSError, ValueError, SymlagError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -7,18 +7,17 @@ variables sends the monomial x^e to x^(e') with e'[j] = e[sigma(j)], the
 same coordinate action used for points, and evaluation satisfies
 (sigma f)(x) = f(sigma^{-1} x).
 
-Unisolvence of a (basis, nodes) pair is decided by the determinant of the
-evaluation matrix f_i(a_j).  On the exact path the matrix is evaluated over
-the integers (points cleared by the lcm of their denominators, functions by
+Unisolvence of a (basis, nodes) pair is decided by the exact determinant
+of the evaluation matrix f_i(a_j).  The matrix is evaluated over the
+integers (points cleared by the lcm of their denominators, functions by
 that of their coefficients) and split into one block per character of the
 group generated by the swaps (1 2), (3 4), ... that preserve both sets;
 each block goes through the fraction-free kernel of _linalg, and the
-blocks' determinants give the exact determinant.  Inputs whose determinant
-would exceed MAX_DETERMINANT_BITS are refused before evaluation.  The
-floating path uses pivoted elimination with a relative smallness threshold.
-Before any determinant work, cheap necessary conditions run: equal counts,
-equal orbit counts, and the orbit vector forced by the exact linear system
-V X = r.
+blocks' determinants give the determinant: the pair is unisolvent exactly
+when it is not zero.  Inputs whose determinant would exceed
+MAX_DETERMINANT_BITS are refused before evaluation.  Before any determinant
+work, cheap necessary conditions run: equal counts, equal orbit counts, and
+the orbit vector forced by the exact linear system V X = r.
 """
 from __future__ import annotations
 
@@ -53,7 +52,6 @@ from .symcore import (
 
 VERDICT_UNISOLVENT = "unisolvent"
 VERDICT_SINGULAR = "singular"
-VERDICT_INDETERMINATE = "numerically-indeterminate"
 
 
 @dataclass(frozen=True)
@@ -80,13 +78,6 @@ class Monomial:
         for c, e in zip(coords, self.exponents):
             if e:
                 value *= Fraction(c) ** e
-        return value
-
-    def evaluate_float(self, coords: Sequence[float]) -> float:
-        value = 1.0
-        for c, e in zip(coords, self.exponents):
-            if e:
-                value *= float(c) ** e
         return value
 
     def permuted(self, sigma: Permutation) -> "Monomial":
@@ -173,9 +164,6 @@ class BasisFunction:
         if len(coords) != self.n:
             raise DimensionMismatchError(f"point of dimension {len(coords)}, function of dimension {self.n}")
         return sum((c * m.evaluate(coords) for m, c in self.terms), Fraction(0))
-
-    def evaluate_float(self, coords: Sequence[float]) -> float:
-        return sum(float(c) * m.evaluate_float(coords) for m, c in self.terms)
 
     def permuted(self, sigma: Permutation) -> "BasisFunction":
         return BasisFunction.from_terms((m.permuted(sigma), c) for m, c in self.terms)
@@ -328,13 +316,11 @@ def solve_constraints(v: VMatrix, r: Sequence[int]) -> ConstraintSystem:
 
 @dataclass(frozen=True)
 class UnisolvenceReport:
-    """Size of the evaluation matrix f_i(a_j), its determinant, and the verdict."""
+    """Size of the evaluation matrix f_i(a_j), its exact determinant, and the verdict."""
 
     size: int
-    determinant: Fraction | float
+    determinant: Fraction
     verdict: str
-    mode: str
-    det_tol: float | None
 
     @property
     def unisolvent(self) -> bool:
@@ -584,15 +570,14 @@ def vandermonde(
     basis: BasisSet | Sequence[BasisFunction],
     nodes: NodeSet | Sequence[Point],
     mode: str = "exact",
-    det_tol: float = 1e-9,
 ) -> UnisolvenceReport:
     """Determinant test for unisolvence.
 
-    Exact mode: the integer, symmetry-split determinant of _split_determinant;
-    unisolvent iff it is not zero.  Float mode: pivoted elimination; |det|
-    below ``det_tol`` relative to the product of row norms is reported
-    numerically indeterminate rather than silently passed either way.
+    The integer, symmetry-split determinant of _split_determinant; the pair
+    is unisolvent iff it is not zero.  ``mode`` accepts only "exact".
     """
+    if mode != "exact":
+        raise ValueError(f"unknown mode {mode!r}")
     functions = tuple(basis.functions if isinstance(basis, BasisSet) else basis)
     points = tuple(nodes.points if isinstance(nodes, NodeSet) else nodes)
     if len(functions) != len(points):
@@ -602,28 +587,9 @@ def vandermonde(
         )
     if not functions:
         raise ValueError("need at least one function and one node")
-    if mode == "exact":
-        det = _split_determinant(functions, points)
-        verdict = VERDICT_UNISOLVENT if det != 0 else VERDICT_SINGULAR
-        return UnisolvenceReport(
-            size=len(functions), determinant=det, verdict=verdict, mode="exact", det_tol=None,
-        )
-    if mode != "float":
-        raise ValueError(f"unknown mode {mode!r}")
-    if det_tol <= 0:
-        raise ValueError("det_tol must be positive")
-    coords = [[float(c) for c in p.coords] for p in points]
-    matrix_f = [[f.evaluate_float(x) for x in coords] for f in functions]
-    det_f, scale = _linalg.float_determinant(matrix_f)
-    if det_f == 0.0 or scale == 0.0:
-        verdict = VERDICT_SINGULAR
-    elif abs(det_f) < det_tol * scale:
-        verdict = VERDICT_INDETERMINATE
-    else:
-        verdict = VERDICT_UNISOLVENT
-    return UnisolvenceReport(
-        size=len(functions), determinant=det_f, verdict=verdict, mode="float", det_tol=det_tol,
-    )
+    det = _split_determinant(functions, points)
+    verdict = VERDICT_UNISOLVENT if det != 0 else VERDICT_SINGULAR
+    return UnisolvenceReport(size=len(functions), determinant=det, verdict=verdict)
 
 
 @dataclass(frozen=True)
@@ -745,13 +711,18 @@ def basis_function_from_json(entry, n: int | None = None) -> BasisFunction:
         if not isinstance(term, dict) or "exponents" not in term:
             raise ValueError(f"basis term {term!r} needs an 'exponents' array")
         exps = term["exponents"]
+        # `type(...) is int` also turns away JSON true and false
+        if not (isinstance(exps, list) and all(type(e) is int for e in exps)):
+            raise ValueError(f"exponents must be an array of integers, got {exps!r}")
         if n is not None and len(exps) != n:
             raise DimensionMismatchError(f"exponents {exps!r} have length {len(exps)}, expected {n}")
         coeff = term.get("coeff", [1, 1])
-        if isinstance(coeff, int):
+        if type(coeff) is int:
             coeff = [coeff, 1]
-        if not (isinstance(coeff, list) and len(coeff) == 2 and all(isinstance(v, int) for v in coeff)):
+        if not (isinstance(coeff, list) and len(coeff) == 2 and all(type(v) is int for v in coeff)):
             raise ValueError(f"coefficient must be [num, den], got {coeff!r}")
+        if coeff[1] == 0:
+            raise ValueError(f"coefficient {coeff!r} has a zero denominator")
         terms.append((Monomial(tuple(exps)), Fraction(coeff[0], coeff[1])))
     return BasisFunction.from_terms(terms)
 
@@ -775,11 +746,9 @@ def basis_from_json(obj, n: int | None = None) -> BasisSet:
         # infer from the first explicit exponent vector, else the largest
         # variable index used by the shorthand strings
         for entry in entries:
-            if isinstance(entry, list) and entry and isinstance(entry[0], dict):
-                n = len(entry[0].get("exponents", []))
-                break
-            if isinstance(entry, dict) and "exponents" in entry:
-                n = len(entry["exponents"])
+            term = entry[0] if isinstance(entry, list) and entry else entry
+            if isinstance(term, dict) and isinstance(term.get("exponents"), list):
+                n = len(term["exponents"])
                 break
         else:
             indices = [0]

@@ -13,11 +13,12 @@ vectors agree; ``equivalent`` also constructs the bijection explicitly.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .errors import DimensionMismatchError, DuplicatePointError, NotSymmetricError
+from .errors import DimensionMismatchError, DuplicatePointError, NotSymmetricError, SymlagError
 from .symcore import (
     OrbitType,
     Permutation,
@@ -270,8 +271,24 @@ class SnapEvent:
         return f"snapped {self.original} -> {self.snapped} (|delta| = {abs(self.delta)})"
 
 
+# Snapping gives up after this many continued-fraction terms.  Coordinates
+# written to a dozen digits and snapped at 1e-6 take at most 5; a walk this
+# long means a tolerance far finer than the input's own precision.
+MAX_SNAP_STEPS = 1000
+
+# Largest |exponent| accepted in a decimal string such as "1e-5": the value
+# is built as an exact rational, so "1e999999999" would need 10^999999999.
+MAX_DECIMAL_EXPONENT = 10_000
+
+_DECIMAL_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)")
+
+
 def simplest_rational_between(lo: Fraction, hi: Fraction) -> Fraction:
-    """The fraction with the smallest denominator in [lo, hi] (Stern-Brocot walk)."""
+    """The fraction with the smallest denominator in [lo, hi] (Stern-Brocot walk).
+
+    Walks the continued fraction shared by both endpoints, keeping the last
+    two convergents p/q; raises SymlagError after MAX_SNAP_STEPS terms.
+    """
     if hi < lo:
         raise ValueError("empty interval")
     if lo == hi:
@@ -280,13 +297,18 @@ def simplest_rational_between(lo: Fraction, hi: Fraction) -> Fraction:
         return Fraction(0)
     if hi < 0:
         return -simplest_rational_between(-hi, -lo)
-    floor_lo = lo.numerator // lo.denominator
-    if Fraction(floor_lo) >= lo:
-        return Fraction(floor_lo)
-    if Fraction(floor_lo + 1) <= hi:
-        return Fraction(floor_lo + 1)
-    # both endpoints inside (floor, floor+1): recurse on reciprocals
-    return floor_lo + 1 / simplest_rational_between(1 / (hi - floor_lo), 1 / (lo - floor_lo))
+    p, q, p_prev, q_prev = 1, 0, 0, 1
+    for _ in range(MAX_SNAP_STEPS):
+        floor_lo = lo.numerator // lo.denominator
+        last = floor_lo if floor_lo >= lo else floor_lo + 1
+        if last <= hi:
+            return Fraction(last * p + p_prev, last * q + q_prev)
+        # both endpoints inside (floor, floor+1): continue on the reciprocals
+        p, q, p_prev, q_prev = floor_lo * p + p_prev, floor_lo * q + q_prev, p, q
+        lo, hi = 1 / (hi - floor_lo), 1 / (lo - floor_lo)
+    raise SymlagError(
+        f"snapping needs more than {MAX_SNAP_STEPS} continued-fraction terms; use a larger tolerance"
+    )
 
 
 def parse_rational(value, snap_tol: Fraction | None = None) -> tuple[Fraction, SnapEvent | None]:
@@ -301,13 +323,22 @@ def parse_rational(value, snap_tol: Fraction | None = None) -> tuple[Fraction, S
     if isinstance(value, int):
         return Fraction(value), None
     if isinstance(value, (list, tuple)):
-        if len(value) != 2 or not all(isinstance(v, int) for v in value):
+        # `type(v) is int` also turns away JSON true and false
+        if len(value) != 2 or not all(type(v) is int for v in value):
             raise ValueError(f"rational pair must be [num, den], got {value!r}")
+        if value[1] == 0:
+            raise ValueError(f"rational pair {value!r} has a zero denominator")
         return Fraction(value[0], value[1]), None
     if isinstance(value, float):
         exact = Fraction(repr(value))
     elif isinstance(value, str):
-        exact = Fraction(value)
+        exponent = _DECIMAL_EXPONENT.search(value)
+        if exponent is not None and abs(int(exponent.group(1))) > MAX_DECIMAL_EXPONENT:
+            raise ValueError(f"decimal exponent of {value!r} exceeds {MAX_DECIMAL_EXPONENT} in size")
+        try:
+            exact = Fraction(value)
+        except ZeroDivisionError:
+            raise ValueError(f"coordinate {value!r} has a zero denominator") from None
     else:
         raise ValueError(f"invalid coordinate {value!r}")
     if snap_tol is None:

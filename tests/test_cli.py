@@ -124,6 +124,16 @@ def test_snap_tol_must_be_positive(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("tol", ["inf", "nan", "1e-999999999"])
+def test_snap_tol_must_be_a_finite_number_of_bounded_size(tol, capsys):
+    start = time.perf_counter()
+    with pytest.raises(SystemExit) as exc:
+        main(["classify", "--nodes", "x.json", "--snap-tol", tol])
+    assert time.perf_counter() - start < 5
+    assert exc.value.code == 2
+    assert "error: argument --snap-tol" in capsys.readouterr().err
+
+
 # -- solve --------------------------------------------------------------------------
 
 def test_solve_quadratic_basis(tmp_path, capsys):
@@ -267,29 +277,14 @@ def test_analyze_duplicate_points_is_input_error(tmp_path, capsys):
     assert "duplicate" in err
 
 
-def test_analyze_float_path(tmp_path, capsys):
+@pytest.mark.parametrize("option", [["--float"], ["--det-tol", "1e-9"]])
+def test_analyze_float_options_are_unknown(option, tmp_path, capsys):
     basis = write_json(tmp_path / "basis.json", BASIS_38)
     nodes = case3_file(tmp_path, 1, 0, 0, 1)
-    code, out, _ = run(
-        capsys, ["analyze", "--basis", basis, "--nodes", nodes, "--float", "--format", "json"]
-    )
-    payload = json.loads(out)
-    assert code == 0
-    assert payload["determinant_mode"] == "float"
-    assert isinstance(payload["determinant"], float)
-
-
-def test_analyze_float_huge_tolerance_is_indeterminate(tmp_path, capsys):
-    basis = write_json(tmp_path / "basis.json", BASIS_38)
-    nodes = case3_file(tmp_path, 1, 0, 0, 1)
-    code, out, _ = run(
-        capsys,
-        ["analyze", "--basis", basis, "--nodes", nodes, "--float", "--det-tol", "1.0",
-         "--format", "json"],
-    )
-    payload = json.loads(out)
-    assert code == 1
-    assert payload["verdict"] == "numerically-indeterminate"
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", "--basis", basis, "--nodes", nodes, *option])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(option)}" in capsys.readouterr().err
 
 
 def test_analyze_snap_tol_pipeline(tmp_path, capsys):
@@ -335,8 +330,9 @@ def test_analyze_json_output_is_byte_identical(tmp_path, capsys):
     assert out1 == out2
 
 
-# SHA-256 of `--format json` stdout for fixed inputs.  The symlag/1 schema
-# promises these bytes across versions; changing them needs a schema bump.
+# SHA-256 of `--format json` and `--format table` stdout for fixed inputs.
+# The symlag/1 schema promises the JSON bytes across versions; changing them
+# needs a schema bump.
 PINNED_JSON_DIGESTS = {
     "vmatrix-1": "9ab7621fba24aa8733d958b76b07b36c220c816d73e8220899d23cf95b9e9eff",
     "vmatrix-2": "3cd652d972f0b759855ed1bfe3e63bb7dec85d9607cf37dfb7a385a7031e1bcf",
@@ -360,6 +356,21 @@ PINNED_JSON_DIGESTS = {
     "analyze-unisolvent": "bcd74a649f499e204b11dafe8fb3ef710b1fa42eb6434ce60f19c68b3e57699f",
     "analyze-singular": "a27dadbde6c6637ef574b44cbc07a2e294d1e3497521907a76b2ef58e0c84cdf",
     "analyze-td-4-3": "e554503cd4386b421679a5a8545f0c733bcf12df6b8c2b569d56b0763f4ed171",
+    "types-4": "21fdfbc0ec2021b5de1432e4cd331cd27e625e722e4e5ef75eb81b22d85fa194",
+    "classify-exact": "0a27819485672feb01b3688039e1c8540bb010a41f40b1df0f34f6aa520100c3",
+    "classify-snapped": "c7e8a423c077c1cd319c5f21925e2e38d9ce1ccc5d03661b0e734a6b78e745cb",
+    "equiv-td-4-3": "dde61b4e426fa5fa52eb4e16ab29c4b3cfeab6df94e305a295d5c96c3d64dfae",
+}
+
+PINNED_TABLE_DIGESTS = {
+    "solve-td-4-3": "35f1c3ad8e97f5386011a8f84a4f4fdf7f93b33178a8e06f66c4fdf862057d85",
+    "analyze-unisolvent": "63a3790f91124149da81bc02248e595accedcb4ae899e970f8e2b57955987e39",
+    "analyze-singular": "8fdf4da39f8b01938357a422cb6145ad07c9e78b003077ed2d98429eaefc347c",
+    "analyze-td-4-3": "679e313d879207e00e7c54fc354e9497d8ed470c45c44920e65826315a9034ae",
+    "types-4": "09efbc00fe91120912913e06b8d160f2081648d596edf95d2a2fcceccb22ed21",
+    "classify-exact": "e5be949c14645b0b9cf55c0452c8b6ae1c8362934b24ca748c04cfc09f42bc61",
+    "classify-snapped": "13f9fcbb35e10d55d279a3c28e27138f0eb47aa001a56de73786cf538ada9edc",
+    "equiv-td-4-3": "e5dab104c791a53d177bccc4901aaf78bea50ccab97271cb4871ad471519753b",
 }
 
 
@@ -378,18 +389,39 @@ def _td43_basis(tmp_path):
     return write_json(tmp_path / "td43.json", {"n": 4, "functions": [{"exponents": e} for e in exponents]})
 
 
+# the same orbit vector with other values, and TD43_ORBITS written as
+# decimals that --snap-tol 1e-6 snaps back onto it
+TD43_OTHER_ORBITS = [
+    (-1, -1, -1, -1),
+    (5, 0, 0, 0), ("1/7", 3, 3, 3), (-4, 2, 2, 2), (6, "-5/3", "-5/3", "-5/3"),
+    (7, 7, "1/4", "1/4"),
+    (0, 8, -6, -6),
+]
+TD43_DECIMAL = {"1/2": "0.5", "1/3": "0.3333333", "5/2": "2.4999999", "-1/2": "-0.5000001"}
+
+
+def _td43_nodes(tmp_path, orbits=TD43_ORBITS, name="td43-nodes.json"):
+    # the sorted node set interleaves the orbits, so the determinant's
+    # sign depends on how the symmetry blocks are put back in order
+    points = sorted({p for rep in orbits for p in permutations(rep)}, key=str)
+    return write_json(tmp_path / name, {"n": 4, "points": [list(p) for p in points]})
+
+
 def _pinned_argv(name, tmp_path):
     command, _, arg = name.partition("-")
-    if command in ("vmatrix", "kmatrix"):
+    if command in ("vmatrix", "kmatrix", "types"):
         return [command, "--n", arg]
     if command == "solve":
         return ["solve", "--basis", _td43_basis(tmp_path)]
+    if command == "classify" and arg == "exact":
+        return ["classify", "--nodes", _td43_nodes(tmp_path)]
+    if command == "classify":
+        decimal = [tuple(TD43_DECIMAL.get(str(x), x) for x in rep) for rep in TD43_ORBITS]
+        return ["classify", "--nodes", _td43_nodes(tmp_path, decimal), "--snap-tol", "1e-6"]
+    if command == "equiv":
+        return ["equiv", _td43_nodes(tmp_path), _td43_nodes(tmp_path, TD43_OTHER_ORBITS, "td43-other.json")]
     if arg == "td-4-3":
-        # the sorted node set interleaves the orbits, so the determinant's
-        # sign depends on how the symmetry blocks are put back in order
-        points = sorted({p for rep in TD43_ORBITS for p in permutations(rep)}, key=str)
-        nodes = write_json(tmp_path / "td43-nodes.json", {"n": 4, "points": [list(p) for p in points]})
-        return ["analyze", "--basis", _td43_basis(tmp_path), "--nodes", nodes]
+        return ["analyze", "--basis", _td43_basis(tmp_path), "--nodes", _td43_nodes(tmp_path)]
     basis = write_json(tmp_path / "basis.json", BASIS_38)
     values = (0, 1, 2, 3) if arg == "unisolvent" else (2, 1, 1, [7, 4])
     return ["analyze", "--basis", basis, "--nodes", case3_file(tmp_path, *values)]
@@ -401,6 +433,12 @@ def test_json_stdout_matches_pinned_digest(name, tmp_path, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_JSON_DIGESTS[name]
 
 
+@pytest.mark.parametrize("name", PINNED_TABLE_DIGESTS)
+def test_table_stdout_matches_pinned_digest(name, tmp_path, capsys):
+    _, out, _ = run(capsys, _pinned_argv(name, tmp_path) + ["--format", "table"])
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_TABLE_DIGESTS[name]
+
+
 def test_pipeline_coherence_analyze_solve_classify(tmp_path, capsys):
     basis = write_json(tmp_path / "basis.json", BASIS_38)
     nodes = case3_file(tmp_path, 0, 1, 2, 3)
@@ -410,6 +448,79 @@ def test_pipeline_coherence_analyze_solve_classify(tmp_path, capsys):
     _, classify_out, _ = run(capsys, ["classify", "--nodes", nodes, "--format", "json"])
     solved = [int(x) for x in json.loads(solve_out)["solution"]]
     assert solved == json.loads(classify_out)["orbit_vector"]
+
+
+# -- malformed input files ---------------------------------------------------
+
+# one bad file per row, each read by every subcommand that loads its kind,
+# next to a good file of the same dimension; None stands for a file that
+# does not exist and a str for raw file text
+BAD_NODE_FILES = {
+    "missing": None,
+    "invalid-json": "{not json",
+    "points-not-array": {"points": 3},
+    "zero-denominator-pair": {"n": 1, "points": [[[1, 0]]]},
+    "zero-denominator-string": {"n": 1, "points": [["1/0"]]},
+    "boolean-in-pair": {"n": 1, "points": [[[True, 2]]]},
+    "huge-decimal-exponent": {"n": 1, "points": [["1e999999999"]]},
+    "huge-negative-decimal-exponent": {"n": 1, "points": [["-2.5E-999_999_999"]]},
+}
+BAD_BASIS_FILES = {
+    "missing": None,
+    "invalid-json": "[not json",
+    "functions-not-array": {"functions": 5},
+    "zero-denominator-coeff": [{"exponents": [1], "coeff": [1, 0]}],
+    "boolean-coeff": [{"exponents": [1], "coeff": True}],
+    "fractional-exponent": [{"exponents": [1.5]}],
+    "boolean-exponent": [{"exponents": [True]}],
+    "exponents-not-array": [{"exponents": 2}],
+}
+
+
+def _bad_file(tmp_path, name, content):
+    path = tmp_path / f"bad-{name}.json"
+    if isinstance(content, str):
+        path.write_text(content, encoding="utf-8")
+    elif content is not None:
+        write_json(path, content)
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "command, kind, name",
+    [(c, "nodes", name) for c in ("classify", "equiv", "analyze") for name in BAD_NODE_FILES]
+    + [(c, "basis", name) for c in ("solve", "analyze") for name in BAD_BASIS_FILES],
+)
+def test_malformed_file_exits_2_with_one_error_line(command, kind, name, tmp_path, capsys):
+    table = BAD_NODE_FILES if kind == "nodes" else BAD_BASIS_FILES
+    bad = _bad_file(tmp_path, name, table[name])
+    basis = write_json(tmp_path / "basis.json", ["x1"])
+    nodes = write_json(tmp_path / "nodes.json", {"n": 1, "points": [[5]]})
+    argv = {
+        "classify": ["classify", "--nodes", bad],
+        "equiv": ["equiv", nodes, bad],
+        "solve": ["solve", "--basis", bad],
+        "analyze": ["analyze", "--basis", bad if kind == "basis" else basis,
+                    "--nodes", bad if kind == "nodes" else nodes],
+    }[command]
+    start = time.perf_counter()
+    code, out, err = run(capsys, argv)
+    assert time.perf_counter() - start < 5
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_classify_hostile_snap_tol_exits_2(tmp_path, capsys):
+    # F(3001)/F(3000) to 1400 digits: snapping at 1e-1300 would take about
+    # 3000 continued-fraction terms
+    a, b = 0, 1
+    for _ in range(3001):
+        a, b = b, a + b
+    digits = str(a * 10**1400 // (b - a))
+    nodes = write_json(tmp_path / "hostile.json", {"n": 1, "points": [[f"{digits[:-1400]}.{digits[-1400:]}"]]})
+    code, out, err = run(capsys, ["classify", "--nodes", nodes, "--snap-tol", "1e-1300"])
+    assert code == 2 and out == ""
+    assert err.startswith("error: snapping needs more than") and err.count("\n") == 1
 
 
 # -- remaining error paths ----------------------------------------------------

@@ -29,7 +29,7 @@ from symlag import (
     verify_linear_independence,
 )
 from symlag import _linalg
-from symlag.interp import VERDICT_INDETERMINATE, VERDICT_SINGULAR, VERDICT_UNISOLVENT
+from symlag.interp import VERDICT_SINGULAR, VERDICT_UNISOLVENT
 
 from conftest import (
     case1_set,
@@ -261,16 +261,11 @@ def test_vandermonde_row_column_permutations_flip_sign_only():
         assert vandermonde(fs, pts).verdict == VERDICT_UNISOLVENT
 
 
-def test_vandermonde_float_mode():
-    unisolvent = vandermonde(quadratic_basis(), case3_set(1, 0, 0, 1), mode="float")
-    assert unisolvent.verdict == VERDICT_UNISOLVENT
-    singular = vandermonde(
-        quadratic_basis(), case3_set(2, 1, 1, Fraction(7, 4)), mode="float"
-    )
-    assert singular.verdict in (VERDICT_SINGULAR, VERDICT_INDETERMINATE)
-    # a huge threshold demotes even a healthy determinant to indeterminate
-    hedged = vandermonde(quadratic_basis(), case3_set(1, 0, 0, 1), mode="float", det_tol=1.0)
-    assert hedged.verdict == VERDICT_INDETERMINATE
+def test_vandermonde_accepts_only_the_exact_mode():
+    report = vandermonde(quadratic_basis(), case3_set(1, 0, 0, 1), mode="exact")
+    assert report.verdict == VERDICT_UNISOLVENT and isinstance(report.determinant, Fraction)
+    with pytest.raises(ValueError):
+        vandermonde(quadratic_basis(), case3_set(1, 0, 0, 1), mode="float")
 
 
 # -- necessary conditions ----------------------------------------------------------------

@@ -25,7 +25,7 @@ from symlag import (
     v_matrix,
     validate_symmetric,
 )
-from symlag.errors import DimensionMismatchError, DuplicatePointError
+from symlag.errors import DimensionMismatchError, DuplicatePointError, SymlagError
 from symlag.symcore import Permutation, adjacent_transpositions
 
 from conftest import (
@@ -306,6 +306,25 @@ def test_simplest_rational_is_minimal_denominator():
             lo_num = (center - tol) * den
             hi_num = (center + tol) * den
             assert math.floor(hi_num) < lo_num
+
+
+def _fibonacci_ratio(k):
+    """F(k+1)/F(k), whose continued fraction has k terms."""
+    a, b = 0, 1
+    for _ in range(k):
+        a, b = b, a + b
+    return Fraction(b, a)
+
+
+def test_simplest_rational_walks_a_long_continued_fraction():
+    x = _fibonacci_ratio(990)
+    assert simplest_rational_between(x, x + Fraction(1, x.denominator**3)) == x
+
+
+def test_simplest_rational_gives_up_on_a_longer_one():
+    x = _fibonacci_ratio(3000)
+    with pytest.raises(SymlagError, match="continued-fraction terms"):
+        simplest_rational_between(x, x + Fraction(1, x.denominator**3))
 
 
 # -- JSON ingestion ----------------------------------------------------------------------
