@@ -31,7 +31,6 @@ from .interp import (
     Monomial,
     NecessaryConditionsReport,
     UnisolvenceReport,
-    act_on_function,
     basis_from_json,
     basis_orbit_count_under_stabilizer,
     check_necessary_conditions,

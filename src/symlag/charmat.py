@@ -157,9 +157,6 @@ class VMatrix:
     def size(self) -> int:
         return len(self.types)
 
-    def row(self, i: int) -> tuple[int, ...]:
-        return self.entries[i]
-
     def is_symmetric(self) -> bool:
         return all(
             self.entries[i][j] == self.entries[j][i]
@@ -172,10 +169,6 @@ class VMatrix:
 
     def leading_principal_minors(self) -> list[int]:
         return [int(m) for m in _linalg.leading_principal_minors(self.entries)]
-
-    def is_positive_definite(self) -> bool:
-        """Sylvester's criterion on exact integer minors."""
-        return all(m > 0 for m in self.leading_principal_minors())
 
     def to_json_dict(self) -> dict:
         return {

@@ -27,6 +27,8 @@ def _positive_int(text: str) -> int:
         raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
     if value < 1:
         raise argparse.ArgumentTypeError("must be a positive integer")
+    if value > symcore.MAX_DIMENSION:
+        raise argparse.ArgumentTypeError(f"must be at most {symcore.MAX_DIMENSION}, the largest supported dimension")
     return value
 
 

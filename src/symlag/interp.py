@@ -32,22 +32,18 @@ from typing import Iterable, Sequence
 
 from . import _linalg
 from .charmat import VMatrix, v_matrix
-from .errors import (
-    DimensionMismatchError,
-    NotSymmetricError,
-    SizeMismatchError,
-    SymlagError,
-)
+from .errors import DimensionMismatchError, SizeMismatchError, SymlagError
 from .nodeset import NodeSet, Point, orbit_vector
 from .symcore import (
     OrbitType,
     Permutation,
-    adjacent_transpositions,
     apply_to_point,
+    check_dimension,
     enumerate_types,
-    orbit_partition,
     orbit_size,
-    stabilizer_generators,
+    stabilizer_orbit_count,
+    swap_images,
+    symmetric_orbit_classes,
 )
 
 VERDICT_UNISOLVENT = "unisolvent"
@@ -99,7 +95,8 @@ _MONO_FACTOR = re.compile(r"^x(\d+)(?:\^(\d+))?$")
 def monomial_from_string(text: str, n: int | None = None) -> Monomial:
     """Parse shorthand like 'x1^2*x3' (or '1' for the constant monomial).
 
-    Unless given, n is the largest variable index mentioned.
+    Unless given, n is the largest variable index mentioned; either way it
+    may not exceed MAX_DIMENSION, checked before the vector is built.
     """
     body = text.replace(" ", "")
     if not body:
@@ -117,6 +114,7 @@ def monomial_from_string(text: str, n: int | None = None) -> Monomial:
     dim = n if n is not None else max(exps, default=1)
     if exps and max(exps) > dim:
         raise ValueError(f"monomial {text!r} uses x{max(exps)} but n = {dim}")
+    check_dimension(dim, f"the dimension of monomial {text!r}")
     return Monomial(tuple(exps.get(i, 0) for i in range(1, dim + 1)))
 
 
@@ -190,14 +188,6 @@ class BasisFunction:
         return " + ".join(parts)
 
 
-def act_on_function(sigma: Permutation, f: BasisFunction) -> BasisFunction:
-    """(sigma f)(x) = f(sigma^{-1} x); on monomials this permutes exponents
-    by the same rule points use, so the action laws match apply_to_point's."""
-    if sigma.n != f.n:
-        raise DimensionMismatchError(f"permutation of size {sigma.n}, function of dimension {f.n}")
-    return f.permuted(sigma)
-
-
 @dataclass(frozen=True)
 class BasisSet:
     """A validated symmetric set of basis functions with its S_n-orbit decomposition.
@@ -238,34 +228,26 @@ def validate_symmetric_basis(functions: Iterable[BasisFunction], n: int | None =
         raise ValueError("duplicate basis function in input")
 
     ordered = sorted(fs, key=BasisFunction.sort_key)
-    index = set(ordered)
-    gens = adjacent_transpositions(dim)
-    for g in gens:
-        for f in ordered:
-            if f.permuted(g) not in index:
-                raise NotSymmetricError(f, g, kind="function")
     orbits = tuple(
-        tuple(group)
-        for group in orbit_partition(ordered, gens, lambda g, f: f.permuted(g))
+        tuple(ordered[i] for i in members)
+        for members in symmetric_orbit_classes(ordered, dim, kind="function")
     )
     return BasisSet(n=dim, functions=tuple(ordered), orbits=orbits)
 
 
 def basis_orbit_count_under_stabilizer(b: BasisSet, t: OrbitType) -> int:
     """Orbits of the basis functions under the stabilizer of a class-t point
-    (union-find over the stabilizer's generator images)."""
+    (union-find over the swap images of the stabilizer's generators)."""
     if b.n != t.n:
         raise DimensionMismatchError(f"basis of dimension {b.n}, type of dimension {t.n}")
-    if not b.functions:
-        return 0
-    gens = stabilizer_generators(t)
-    return len(orbit_partition(b.functions, gens, lambda g, f: f.permuted(g)))
+    return stabilizer_orbit_count(swap_images(b.functions, b.n), t, len(b))
 
 
 def r_vector(b: BasisSet) -> tuple[int, ...]:
     """r[i] = number of basis-function orbits under the class-(i+1) stabilizer,
-    ranks in the descending type order."""
-    return tuple(basis_orbit_count_under_stabilizer(b, t) for t in enumerate_types(b.n))
+    ranks in the descending type order; the functions are permuted once."""
+    maps = swap_images(b.functions, b.n)
+    return tuple(stabilizer_orbit_count(maps, t, len(b)) for t in enumerate_types(b.n))
 
 
 @dataclass(frozen=True)
@@ -419,18 +401,6 @@ def vandermonde_matrix(functions: Sequence[BasisFunction], points: Sequence[Poin
     return [[Fraction(x, s * t) for x, t in zip(row, columns)] for row, s in zip(rows, scales)]
 
 
-def _pair_swap_maps(items: Sequence, n: int) -> list[list[int] | None]:
-    """The index maps of the swaps (1 2), (3 4), ... on distinct ``items``;
-    None for a swap that does not map the items onto themselves."""
-    index = {x: i for i, x in enumerate(items)}
-    maps = []
-    for i in range(1, n, 2):
-        tau = Permutation.transposition(n, i, i + 1)
-        image = [index.get(x.permuted(tau)) for x in items]
-        maps.append(None if None in image else image)
-    return maps
-
-
 def _orbits(maps: Sequence[list[int]], size: int) -> list[tuple[list[int], list[int], list[int]]]:
     """Orbits of the group A generated by commuting involutions (index maps).
 
@@ -529,11 +499,9 @@ def _split_determinant(functions: Sequence[BasisFunction], points: Sequence[Poin
     if len(set(functions)) < len(functions) or len(set(points)) < len(points):
         return Fraction(0)
     n = functions[0].n
-    maps = [
-        (fm, pm)
-        for fm, pm in zip(_pair_swap_maps(functions, n), _pair_swap_maps(points, n))
-        if fm is not None and pm is not None
-    ]
+    # (1 2), (3 4), ... are every other adjacent transposition
+    f_swaps, p_swaps = (list(swap_images(items, n).values())[::2] for items in (functions, points))
+    maps = [(fm, pm) for fm, pm in zip(f_swaps, p_swaps) if None not in fm and None not in pm]
     f_orbits = _orbits([fm for fm, _ in maps], len(functions))
     p_orbits = _orbits([pm for _, pm in maps], len(points))
     f_keys = [[_character_key(c, stab, free) for _, stab, free in f_orbits] for c in range(1 << len(maps))]
@@ -735,6 +703,7 @@ def basis_from_json(obj, n: int | None = None) -> BasisSet:
         if entries is None:
             raise ValueError("basis file needs a 'functions' array")
         if declared is not None:
+            check_dimension(declared, 'the basis file\'s "n"')
             if n is not None and n != declared:
                 raise DimensionMismatchError(f"basis file says n={declared}, caller says n={n}")
             n = declared
@@ -756,6 +725,8 @@ def basis_from_json(obj, n: int | None = None) -> BasisSet:
                 if isinstance(entry, str) and entry.replace(" ", "") != "1":
                     indices += [int(m) for m in re.findall(r"x(\d+)", entry)]
             n = max(indices) or None
+    if n is not None:
+        check_dimension(n, "the basis dimension")
     functions = [basis_function_from_json(entry, n) for entry in entries]
     return validate_symmetric_basis(functions, n=n)
 

@@ -1,8 +1,10 @@
 """Rational points, symmetric node sets, orbit vectors, and equivalence.
 
 Coordinates are exact rationals because the whole classification rides on
-exact equality patterns between coordinates; a float ingestion path exists
-but must go through explicit, reported snapping (``parse_rational``).
+exact equality patterns between coordinates.  JSON numbers and decimal
+strings are read exactly (a float as its shortest repr); ``--snap-tol``
+optionally moves each onto a nearby simple rational and reports it
+(``parse_rational``).
 
 A validated :class:`NodeSet` is immutable: points sorted lexicographically,
 orbits discovered greedily in that order, each orbit tagged with its type.
@@ -18,16 +20,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .errors import DimensionMismatchError, DuplicatePointError, NotSymmetricError, SymlagError
+from .errors import DimensionMismatchError, DuplicatePointError, SymlagError
 from .symcore import (
     OrbitType,
     Permutation,
-    adjacent_transpositions,
     apply_to_point,
+    check_dimension,
     enumerate_types,
-    orbit_partition,
     orbit_size,
-    stabilizer_generators,
+    stabilizer_orbit_count,
+    swap_images,
+    symmetric_orbit_classes,
     type_rank,
     unique_arrangements,
 )
@@ -134,7 +137,7 @@ def validate_symmetric(points: Iterable[Point | Sequence], n: int | None = None)
     Closure against the adjacent transpositions suffices: a finite set closed
     under generators is closed under everything they generate.  Raises
     NotSymmetricError with an (x, transposition) witness on failure and
-    DuplicatePointError on repeated coordinates.  ``n`` is only needed for
+    DuplicatePointError on repeated points.  ``n`` is only needed for
     the empty set.
     """
     pts: list[Point] = []
@@ -156,15 +159,9 @@ def validate_symmetric(points: Iterable[Point | Sequence], n: int | None = None)
         raise DuplicatePointError(f"duplicate point {dup}")
 
     ordered = sorted(pts)
-    index = set(ordered)
-    gens = adjacent_transpositions(dim)
-    for g in gens:
-        for p in ordered:
-            if p.permuted(g) not in index:
-                raise NotSymmetricError(p, g, kind="point")
-
     orbits = []
-    for group in orbit_partition(ordered, gens, lambda g, p: p.permuted(g)):
+    for members in symmetric_orbit_classes(ordered, dim, kind="point"):
+        group = [ordered[i] for i in members]
         t = classify_point(group[0])
         if len(group) != orbit_size(t):
             raise AssertionError("orbit decomposition does not match orbit size")
@@ -246,15 +243,12 @@ def equivalent(s1: NodeSet, s2: NodeSet) -> EquivalenceResult:
 def subgroup_orbit_count(s: NodeSet, t: OrbitType) -> int:
     """Number of orbits of the node set under the stabilizer of a class-t point.
 
-    Union-find over the stabilizer's generator images (per-block adjacent
-    transpositions); equals row rank(t) of V dotted with the orbit vector.
+    Union-find over the swap images of the stabilizer's generators; equals
+    row rank(t) of V dotted with the orbit vector.
     """
     if s.n != t.n:
         raise DimensionMismatchError(f"node set of dimension {s.n}, type of dimension {t.n}")
-    if not s.points:
-        return 0
-    gens = stabilizer_generators(t)
-    return len(orbit_partition(s.points, gens, lambda g, p: p.permuted(g)))
+    return stabilizer_orbit_count(swap_images(s.points, s.n), t, len(s.points))
 
 
 # -- ingestion ---------------------------------------------------------------
@@ -359,6 +353,8 @@ def node_set_from_json(obj, snap_tol: Fraction | None = None, n: int | None = No
     """
     if isinstance(obj, dict):
         declared = obj.get("n")
+        if declared is not None:
+            check_dimension(declared, 'the node file\'s "n"')
         raw_points = obj.get("points")
         if raw_points is None:
             raise ValueError("node file needs a 'points' array")
@@ -380,6 +376,7 @@ def node_set_from_json(obj, snap_tol: Fraction | None = None, n: int | None = No
             if event is not None:
                 snaps.append(event)
         points.append(Point(tuple(coords)))
+        check_dimension(points[-1].n, "a point's dimension")
     if dim is not None:
         for p in points:
             if p.n != dim:

@@ -510,6 +510,47 @@ def test_malformed_file_exits_2_with_one_error_line(command, kind, name, tmp_pat
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+# a dimension read from a file must be an int from 1 to MAX_DIMENSION = 24
+BAD_DIMENSION_FILES = {
+    "nodes-n-string": ("nodes", {"n": "2", "points": [[1, 2], [2, 1]]}, 'the node file\'s "n" must be a positive integer'),
+    "nodes-n-float": ("nodes", {"n": 2.0, "points": [[1, 2], [2, 1]]}, 'the node file\'s "n" must be a positive integer'),
+    "nodes-n-true": ("nodes", {"n": True, "points": [[1]]}, 'the node file\'s "n" must be a positive integer'),
+    "nodes-n-zero": ("nodes", {"n": 0, "points": []}, 'the node file\'s "n" must be a positive integer'),
+    "nodes-n-25": ("nodes", {"n": 25, "points": [[1] * 25]}, 'the node file\'s "n" is 25'),
+    "nodes-point-25": ("nodes", {"points": [[1] * 25]}, "a point's dimension is 25"),
+    "basis-n-string": ("basis", {"n": "2", "functions": ["x1", "x2"]}, 'the basis file\'s "n" must be a positive integer'),
+    "basis-n-float": ("basis", {"n": 2.0, "functions": ["x1", "x2"]}, 'the basis file\'s "n" must be a positive integer'),
+    "basis-n-true": ("basis", {"n": True, "functions": ["x1"]}, 'the basis file\'s "n" must be a positive integer'),
+    "basis-n-25": ("basis", {"n": 25, "functions": ["x1"]}, 'the basis file\'s "n" is 25'),
+    "basis-exponents-25": ("basis", [{"exponents": [1] + [0] * 24}], "the basis dimension is 25"),
+    "basis-index-huge": ("basis", ["x99999999"], "the basis dimension is 99999999"),
+    "basis-index-huge-later": ("basis", ["x1", "x99999999"], "the basis dimension is 99999999"),
+}
+
+
+@pytest.mark.parametrize("name", BAD_DIMENSION_FILES)
+def test_bad_dimension_exits_2_with_one_error_line(name, tmp_path, capsys):
+    kind, content, message = BAD_DIMENSION_FILES[name]
+    bad = write_json(tmp_path / "bad.json", content)
+    argv = ["classify", "--nodes", bad] if kind == "nodes" else ["solve", "--basis", bad]
+    start = time.perf_counter()
+    code, out, err = run(capsys, argv)
+    assert time.perf_counter() - start < 5
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["types", "vmatrix", "kmatrix", "solve", "analyze"])
+def test_n_flag_is_bounded_by_max_dimension(command, tmp_path, capsys):
+    files = {"solve": ["--basis", "b.json"], "analyze": ["--basis", "b.json", "--nodes", "n.json"]}
+    start = time.perf_counter()
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--n", "200", *files.get(command, [])])
+    assert time.perf_counter() - start < 5
+    assert exc.value.code == 2
+    assert "argument --n: must be at most 24" in capsys.readouterr().err
+
+
 def test_classify_hostile_snap_tol_exits_2(tmp_path, capsys):
     # F(3001)/F(3000) to 1400 digits: snapping at 1e-1300 would take about
     # 3000 continued-fraction terms

@@ -12,7 +12,6 @@ from symlag import (
     Permutation,
     Point,
     SizeMismatchError,
-    act_on_function,
     basis_from_json,
     basis_orbit_count_under_stabilizer,
     check_necessary_conditions,
@@ -73,16 +72,23 @@ def test_monomial_from_string_errors():
         monomial_from_string("x5", n=3)
 
 
+def test_monomial_from_string_bounds_the_dimension():
+    assert monomial_from_string("x24").n == 24
+    for text, n in (("x25", None), ("x99999999", None), ("x1", 10**8)):
+        with pytest.raises(ValueError, match="largest supported dimension 24"):
+            monomial_from_string(text, n=n)
+
+
 # -- the action on functions -------------------------------------------------------
 
 def test_identity_fixes_functions():
     f = BasisFunction.from_terms([((2, 1, 0), Fraction(3, 2)), ((0, 0, 1), -1)])
-    assert act_on_function(Permutation.identity(3), f) == f
+    assert f.permuted(Permutation.identity(3)) == f
 
 
 def test_swap_sends_x1_squared_to_x2_squared():
     f = BasisFunction.monomial((2, 0, 0))
-    g = act_on_function(Permutation.transposition(3, 1, 2), f)
+    g = f.permuted(Permutation.transposition(3, 1, 2))
     assert g == BasisFunction.monomial((0, 2, 0))
 
 
@@ -100,9 +106,9 @@ def test_action_composition_and_evaluation_laws():
             continue  # all terms cancelled
         a = Permutation(tuple(rng.sample(range(1, n + 1), n)))
         b = Permutation(tuple(rng.sample(range(1, n + 1), n)))
-        assert act_on_function(a.compose(b), f) == act_on_function(a, act_on_function(b, f))
+        assert f.permuted(a.compose(b)) == f.permuted(b).permuted(a)
         x = Point(tuple(rand_fraction(rng, -6, 6, 4) for _ in range(n)))
-        assert act_on_function(a, f).evaluate(x) == f.evaluate(x.permuted(a.inverse()))
+        assert f.permuted(a).evaluate(x) == f.evaluate(x.permuted(a.inverse()))
 
 
 def test_zero_polynomial_is_rejected():
@@ -457,7 +463,7 @@ def test_act_on_function_dimension_mismatch():
     from symlag.errors import DimensionMismatchError
 
     with pytest.raises(DimensionMismatchError):
-        act_on_function(Permutation.identity(2), BasisFunction.monomial((1, 0, 0)))
+        BasisFunction.monomial((1, 0, 0)).permuted(Permutation.identity(2))
 
 
 def test_evaluate_dimension_mismatch():
