@@ -41,7 +41,6 @@ from .interp import (
     validate_symmetric_basis,
     vandermonde,
     vandermonde_matrix,
-    verify_linear_independence,
 )
 from .nodeset import (
     EquivalenceResult,

@@ -107,8 +107,3 @@ def solve_exact(rows: Matrix, rhs: Sequence[Fraction | int]) -> list[Fraction]:
         x[k] = Fraction(m[k][n] - sum(m[k][j] * x[j] for j in range(k + 1, n)), m[k][k])
     return x
 
-
-def exact_rank(rows: Matrix) -> int:
-    """Rank of a rational matrix of any shape."""
-    return len(_echelon(_cleared(rows)[0])[0])
-

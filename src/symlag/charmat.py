@@ -2,8 +2,12 @@
 
 For each orbit class there is a permutation character chi: its value on a
 permutation is the number of points of that class the permutation fixes.
-Collecting those values over conjugacy classes gives the integer table K;
-averaging products of characters over the group gives the matrix
+Collecting those values over conjugacy classes gives the integer table K,
+which is the transition matrix from power sums to monomial symmetric
+functions: K[sigma][lambda] is the coefficient of m_lambda in p_sigma
+(Macdonald, Symmetric Functions and Hall Polynomials, I.6), built by the
+recursion p_sigma = p_{sigma_1} * p_{sigma without sigma_1}.  Averaging
+products of characters over the group gives the matrix
 V[i][j] = <chi_i, chi_j>, which by Burnside's lemma equals the number of
 orbits of class-i stabilizers acting on a class-j orbit.
 
@@ -11,8 +15,8 @@ Layout: K has conjugacy classes as rows and orbit-class characters as
 columns, both in the descending type order of :mod:`symlag.symcore`.  A
 class-i permutation fixes nothing in orbit class j once type_i > type_j
 (its long cycles cannot fit into the smaller equality blocks), so K is
-lower triangular, and its diagonal prod(c_l!) is positive: K is
-invertible, hence V = K^T D K / n! (D = diagonal of class sizes) is
+lower triangular, det K is the product of its diagonal prod(c_l!), and K
+is invertible; hence V = K^T D K / n! (D = diagonal of class sizes) is
 symmetric positive definite.  V's indices are both orbit classes,
 descending.
 
@@ -24,7 +28,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from math import factorial, prod
 
 from . import _linalg
 from .errors import DimensionMismatchError
@@ -34,6 +38,7 @@ from .symcore import (
     canonical_point,
     enumerate_types,
     stabilizer_elements,
+    type_rank,
     unique_arrangements,
 )
 
@@ -49,64 +54,41 @@ def class_size(t: OrbitType) -> int:
     return factorial(t.n) // denom
 
 
-@functools.lru_cache(maxsize=None)
-def _deal_options(remaining: tuple[int, ...], target: int) -> tuple[tuple[int, ...], ...]:
-    """All sub-multisets d <= remaining of cycle counts with total length target."""
-    out: list[tuple[int, ...]] = []
-    d = [0] * len(remaining)
-
-    def rec(length: int, left: int) -> None:
-        if length == 0:
-            if left == 0:
-                out.append(tuple(d))
-            return
-        for c in range(min(remaining[length - 1], left // length), -1, -1):
-            d[length - 1] = c
-            rec(length - 1, left - length * c)
-        d[length - 1] = 0
-
-    rec(len(remaining), target)
-    return tuple(out)
+def _parts(t: OrbitType) -> tuple[int, ...]:
+    """The parts of t as a partition of n, in descending order."""
+    return tuple(size for size in range(t.n, 0, -1) for _ in range(t.counts[size - 1]))
 
 
-@functools.lru_cache(maxsize=None)
-def _deal_count(blocks: tuple[int, ...], remaining: tuple[int, ...]) -> int:
-    """Ways to deal the remaining cycle multiset onto the listed blocks.
+def _monomial_expansion(sigma: tuple[int, ...], memo: dict) -> dict[tuple[int, ...], int]:
+    """Coefficients of the power sum p_sigma in the monomial basis, keyed by
+    descending part tuples.
 
-    Cached globally: the same (block suffix, remaining cycles) subproblem
-    recurs across all entries of a K matrix, and across dimensions.
+    p_sigma = p_{sigma_1} * p_{sigma without sigma_1}, and p_k * m_nu adds k
+    to one distinct part of nu (or appends k); the coefficient of the result
+    is the multiplicity of the new part in it.  ``memo`` holds the expansions
+    of the suffixes of sigma already done.
     """
-    if not blocks:
-        return 1
-    total = 0
-    for d in _deal_options(remaining, blocks[0]):
-        ways = 1
-        for length in range(1, len(remaining) + 1):
-            if d[length - 1]:
-                ways *= comb(remaining[length - 1], d[length - 1])
-        rest = tuple(r - used for r, used in zip(remaining, d))
-        total += ways * _deal_count(blocks[1:], rest)
-    return total
+    if not sigma:
+        return {(): 1}
+    if sigma not in memo:
+        k, out = sigma[0], {}
+        for nu, coeff in _monomial_expansion(sigma[1:], memo).items():
+            for a in {0, *nu}:
+                parts = list(nu)
+                if a:
+                    parts.remove(a)
+                kappa = tuple(sorted((*parts, a + k), reverse=True))
+                out[kappa] = out.get(kappa, 0) + coeff * kappa.count(a + k)
+        memo[sigma] = out
+    return memo[sigma]
 
 
 def fixed_point_count(orbit: OrbitType, sigma: OrbitType) -> int:
     """Number of points in an orbit of type ``orbit`` fixed by any permutation
-    of cycle type ``sigma``.
-
-    A point is fixed exactly when every cycle of the permutation stays inside
-    one of the point's equal-value blocks, so the count is the number of ways
-    to deal the cycle multiset out to the blocks with exact length sums.
-    Blocks are distinguishable (they carry distinct values); equally long
-    cycles are dealt binomially.  Dynamic program over blocks; exact integers
-    throughout.
-    """
+    of cycle type ``sigma``: the entry of ``k_matrix`` at (sigma, orbit)."""
     if orbit.n != sigma.n:
         raise DimensionMismatchError(f"types of dimensions {orbit.n} and {sigma.n}")
-    n = orbit.n
-    blocks = tuple(
-        size for size in range(n, 0, -1) for _ in range(orbit.counts[size - 1])
-    )
-    return _deal_count(blocks, sigma.counts)
+    return k_matrix(orbit.n).entries[type_rank(sigma) - 1][type_rank(orbit) - 1]
 
 
 @dataclass(frozen=True)
@@ -133,8 +115,11 @@ class KMatrix:
         return tuple(self.entries[i][i] for i in range(self.size))
 
     def determinant(self) -> int:
-        det = _linalg.exact_determinant(self.entries)
-        return int(det)
+        """The product of the diagonal, which is det K because K is lower
+        triangular; ArithmeticError if it is not."""
+        if not self.is_lower_triangular():
+            raise ArithmeticError("K is not lower triangular")
+        return prod(self.diagonal())
 
     def to_json_dict(self) -> dict:
         return {
@@ -181,13 +166,20 @@ class VMatrix:
 @functools.lru_cache(maxsize=None)
 def k_matrix(n: int) -> KMatrix:
     """The fixed-point table K for dimension n; lower triangular with
-    diagonal >= 1 by construction of the type order."""
+    diagonal >= 1 by construction of the type order.
+
+    A point of type lambda is fixed by a permutation of cycle type sigma
+    exactly when every cycle stays inside one of the point's equal-value
+    blocks, so K[sigma][lambda] counts the ways to deal the cycles onto the
+    blocks with exact length sums: the coefficient of m_lambda in p_sigma.
+    """
     if n < 1:
         raise ValueError("dimension must be a positive integer")
     types = tuple(enumerate_types(n))
-    entries = tuple(
-        tuple(fixed_point_count(orbit=tj, sigma=ti) for tj in types) for ti in types
-    )
+    keys = [_parts(t) for t in types]
+    memo: dict = {}
+    rows = [_monomial_expansion(key, memo) for key in keys]
+    entries = tuple(tuple(row.get(key, 0) for key in keys) for row in rows)
     return KMatrix(n=n, types=types, entries=entries)
 
 

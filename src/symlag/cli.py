@@ -298,9 +298,27 @@ def cmd_analyze(args) -> int:
 
 # -- parser ------------------------------------------------------------------
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--format", choices=("json", "table"), default="table",
-                     help="output format (default: table)")
+# one argument: its names and its add_argument keywords
+N_REQUIRED = (("--n",), {"type": _positive_int, "required": True})
+N_OPTIONAL = (("--n",), {"type": _positive_int, "default": None})
+BASIS = (("--basis",), {"required": True})
+NODES = (("--nodes",), {"required": True})
+SNAP_TOL = (("--snap-tol",), {"type": _positive_fraction, "default": None})
+FORMAT = (("--format",), {"choices": ("json", "table"), "default": "table",
+                          "help": "output format (default: table)"})
+
+# name, help line, handler and arguments of each subcommand; --format comes last
+SUBCOMMANDS = (
+    ("types", "list all orbit types of R^n with sizes", cmd_types, (N_REQUIRED,)),
+    ("vmatrix", "Gram matrix V of permutation characters", cmd_vmatrix, (N_REQUIRED,)),
+    ("kmatrix", "fixed-point table K", cmd_kmatrix, (N_REQUIRED,)),
+    ("classify", "orbit decomposition of a node-set file", cmd_classify, (NODES, SNAP_TOL)),
+    ("solve", "solve V X = r for a symmetric basis", cmd_solve, (BASIS, N_OPTIONAL)),
+    ("equiv", "decide equivalence of two symmetric node sets", cmd_equiv,
+     ((("nodes_a",), {"metavar": "NODES_A"}), (("nodes_b",), {"metavar": "NODES_B"}), SNAP_TOL)),
+    ("analyze", "full unisolvence analysis of basis + nodes", cmd_analyze,
+     (BASIS, NODES, N_OPTIONAL, SNAP_TOL)),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -309,49 +327,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Symmetry analysis for multivariate Lagrange interpolation.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("types", help="list all orbit types of R^n with sizes")
-    p.add_argument("--n", type=_positive_int, required=True)
-    _add_common(p)
-    p.set_defaults(handler=cmd_types)
-
-    p = sub.add_parser("vmatrix", help="Gram matrix V of permutation characters")
-    p.add_argument("--n", type=_positive_int, required=True)
-    _add_common(p)
-    p.set_defaults(handler=cmd_vmatrix)
-
-    p = sub.add_parser("kmatrix", help="fixed-point table K")
-    p.add_argument("--n", type=_positive_int, required=True)
-    _add_common(p)
-    p.set_defaults(handler=cmd_kmatrix)
-
-    p = sub.add_parser("classify", help="orbit decomposition of a node-set file")
-    p.add_argument("--nodes", required=True)
-    p.add_argument("--snap-tol", type=_positive_fraction, default=None, dest="snap_tol")
-    _add_common(p)
-    p.set_defaults(handler=cmd_classify)
-
-    p = sub.add_parser("solve", help="solve V X = r for a symmetric basis")
-    p.add_argument("--basis", required=True)
-    p.add_argument("--n", type=_positive_int, default=None)
-    _add_common(p)
-    p.set_defaults(handler=cmd_solve)
-
-    p = sub.add_parser("equiv", help="decide equivalence of two symmetric node sets")
-    p.add_argument("nodes_a", metavar="NODES_A")
-    p.add_argument("nodes_b", metavar="NODES_B")
-    p.add_argument("--snap-tol", type=_positive_fraction, default=None, dest="snap_tol")
-    _add_common(p)
-    p.set_defaults(handler=cmd_equiv)
-
-    p = sub.add_parser("analyze", help="full unisolvence analysis of basis + nodes")
-    p.add_argument("--basis", required=True)
-    p.add_argument("--nodes", required=True)
-    p.add_argument("--n", type=_positive_int, default=None)
-    p.add_argument("--snap-tol", type=_positive_fraction, default=None, dest="snap_tol")
-    _add_common(p)
-    p.set_defaults(handler=cmd_analyze)
-
+    for name, help_line, handler, arguments in SUBCOMMANDS:
+        p = sub.add_parser(name, help=help_line)
+        for names, options in (*arguments, FORMAT):
+            p.add_argument(*names, **options)
+        p.set_defaults(handler=handler)
     return parser
 
 

@@ -22,7 +22,6 @@ the orbit vector forced by the exact linear system V X = r.
 from __future__ import annotations
 
 import json
-import random
 import re
 from collections import defaultdict
 from dataclasses import dataclass
@@ -192,7 +191,8 @@ class BasisFunction:
 class BasisSet:
     """A validated symmetric set of basis functions with its S_n-orbit decomposition.
 
-    Linear independence is *not* implied; see verify_linear_independence.
+    Linear independence is *not* implied; a dependent set makes every
+    evaluation matrix singular, which ``vandermonde`` reports.
     """
 
     n: int
@@ -254,9 +254,10 @@ def r_vector(b: BasisSet) -> tuple[int, ...]:
 class ConstraintSystem:
     """The exact system V X = r and its solution, classified for admissibility.
 
-    Admissible means every component is a non-negative integer; anything
-    else proves no symmetric node set can make the problem unisolvent with
-    this basis.
+    V = L^T L with L the unitriangular Kostka matrix, so det V = 1 and the
+    solution is an integer vector for every integer r.  Admissible means
+    every component is non-negative; a negative component proves no
+    symmetric node set can make the problem unisolvent with this basis.
     """
 
     v: VMatrix
@@ -282,11 +283,10 @@ def solve_constraints(v: VMatrix, r: Sequence[int]) -> ConstraintSystem:
     ]
     if any(res != 0 for res in residual):
         raise ArithmeticError("exact solve failed to reproduce the right-hand side")
+    if any(x.denominator != 1 for x in solution):
+        raise ArithmeticError("V is unimodular, yet the solution of V X = r is not integral")
     reason = None
     for k, x in enumerate(solution):
-        if x.denominator != 1:
-            reason = f"component X_{k + 1} = {x} is not an integer"
-            break
         if x < 0:
             reason = f"component X_{k + 1} = {x} is negative"
             break
@@ -638,29 +638,6 @@ def check_necessary_conditions(
     )
     conditions.append(ConditionResult("orbit-vector-match", vec_ok, detail))
     return NecessaryConditionsReport(vec_ok, tuple(conditions), tuple(notes), cs, node_vec)
-
-
-def verify_linear_independence(b: BasisSet, seed: int = 0, batches: int = 3) -> bool:
-    """Optional check that the supplied functions are linearly independent.
-
-    Evaluates the basis at 2N seeded random rational points and computes the
-    exact rank; full rank certifies independence.  Repeated rank deficiency
-    means the functions are (almost surely) dependent.
-    """
-    n_funcs = len(b.functions)
-    if n_funcs == 0:
-        return True
-    rng = random.Random(seed)
-    for _ in range(batches):
-        points = [
-            Point(tuple(Fraction(rng.randint(-99, 99), rng.randint(1, 20)) for _ in range(b.n)))
-            for _ in range(2 * n_funcs)
-        ]
-        # rank is blind to the nonzero row and column scales of the integer rows
-        rows, _ = _integer_rows(b.functions, *_cleared_points(b.functions, points))
-        if _linalg.exact_rank(rows) == n_funcs:
-            return True
-    return False
 
 
 # -- ingestion ---------------------------------------------------------------

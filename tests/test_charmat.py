@@ -2,12 +2,13 @@
 import itertools
 import random
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 
 import pytest
 
 from symlag import (
     CapacityError,
+    KMatrix,
     OrbitType,
     Permutation,
     apply_to_point,
@@ -19,6 +20,7 @@ from symlag import (
     v_entry_burnside,
     v_matrix,
 )
+from symlag import _linalg
 from symlag.errors import DimensionMismatchError
 from symlag.symcore import representative_permutation, unique_arrangements
 
@@ -127,6 +129,19 @@ def test_k_matrix_lower_triangular_with_positive_diagonal(n):
     assert k.is_lower_triangular()
     assert all(d >= 1 for d in k.diagonal())
     assert k.determinant() != 0
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_k_determinant_is_diagonal_product_and_elimination(n):
+    k = k_matrix(n)
+    factorials = prod(factorial(c) for t in k.types for c in t.counts)
+    assert k.determinant() == _linalg.exact_determinant(k.entries) == factorials
+
+
+def test_k_determinant_refuses_a_table_that_is_not_lower_triangular():
+    k = KMatrix(n=2, types=k_matrix(2).types, entries=((1, 1), (1, 2)))
+    with pytest.raises(ArithmeticError):
+        k.determinant()
 
 
 def test_k_matrix_smoke_n12():

@@ -332,7 +332,8 @@ def test_analyze_json_output_is_byte_identical(tmp_path, capsys):
 
 # SHA-256 of `--format json` and `--format table` stdout for fixed inputs.
 # The symlag/1 schema promises the JSON bytes across versions; changing them
-# needs a schema bump.
+# needs a schema bump.  vmatrix-12, vmatrix-13 and kmatrix-16 are the sizes
+# the `tables` benchmark workload runs.
 PINNED_JSON_DIGESTS = {
     "vmatrix-1": "9ab7621fba24aa8733d958b76b07b36c220c816d73e8220899d23cf95b9e9eff",
     "vmatrix-2": "3cd652d972f0b759855ed1bfe3e63bb7dec85d9607cf37dfb7a385a7031e1bcf",
@@ -343,6 +344,8 @@ PINNED_JSON_DIGESTS = {
     "vmatrix-7": "14e18049ea06bad6a5a8869e6e9df0fceccf73573db44b193f946543f5039c63",
     "vmatrix-8": "403f0a7ef691b2b27e9763d5b4c7037ce16f45880e92f58cfb0a33aab217c972",
     "vmatrix-9": "ab4274471bfe1d8a9506c7944f5589baddd70c3c31eb87389d44ba33e0c1bbd5",
+    "vmatrix-12": "2ecd088ec5dc496984f6f1b588e0e8d5679ab97d5aa58d88ac845fd65cef5e65",
+    "vmatrix-13": "cc3cf1755db2f2fda666756ce4508c3d7aebcff067eb1cacda01d085a45b3d95",
     "kmatrix-1": "33d5dd9f236b523545e0ea414dcc7f3f9f25cab90537177ad14f1dd73b3c012c",
     "kmatrix-2": "2278dd4a9fb78a603da719e75a24573a36255fe6cd5ed7662ed4a2438fe40406",
     "kmatrix-3": "1dd87a1cc2f5eba1337f8d74fb07d3e913875f50fc05ae0f2ed435312ca9dbab",
@@ -352,6 +355,7 @@ PINNED_JSON_DIGESTS = {
     "kmatrix-7": "4621fe9be7eb8ba451f7691a5a14291b0c7ce00056f55e8fd2cd74925e7431e4",
     "kmatrix-8": "0ea442d8d4de74600fefb6c16819fdbbfbe27f8f706921c62ec7a6e54764e4f7",
     "kmatrix-9": "443a1abf4ec965a69db45aee1f8718d319ded0e2fc2df210ec7c674d62ea46a9",
+    "kmatrix-16": "699862becec244bb2c98af93caff8746b36d60b6e30aa01f5f4cfb909b6ae33d",
     "solve-td-4-3": "41fcc04c35d4ecd6f65106b93783f90675ca9b9a98e66cae9ba4db7d207c89d0",
     "analyze-unisolvent": "bcd74a649f499e204b11dafe8fb3ef710b1fa42eb6434ce60f19c68b3e57699f",
     "analyze-singular": "a27dadbde6c6637ef574b44cbc07a2e294d1e3497521907a76b2ef58e0c84cdf",
@@ -363,6 +367,9 @@ PINNED_JSON_DIGESTS = {
 }
 
 PINNED_TABLE_DIGESTS = {
+    "vmatrix-12": "7cf1f24dccbcd3f6b25ffc9da8964b2272ba5b75835768b5346eed60e68e840e",
+    "vmatrix-13": "72fa9ba42a38a7429a074d760a486b5a51f41e742f8aa9e7fd12c48ef8ce69ff",
+    "kmatrix-16": "48d735cd20d38c8cbbec5f71026619184666258b48098e33042179ca630a4764",
     "solve-td-4-3": "35f1c3ad8e97f5386011a8f84a4f4fdf7f93b33178a8e06f66c4fdf862057d85",
     "analyze-unisolvent": "63a3790f91124149da81bc02248e595accedcb4ae899e970f8e2b57955987e39",
     "analyze-singular": "8fdf4da39f8b01938357a422cb6145ad07c9e78b003077ed2d98429eaefc347c",
