@@ -10,13 +10,10 @@ from .charmat import (
     KMatrix,
     VMatrix,
     class_size,
-    fixed_point_count,
     k_matrix,
-    v_entry_burnside,
     v_matrix,
 )
 from .errors import (
-    CapacityError,
     DimensionMismatchError,
     DuplicatePointError,
     NotSymmetricError,
@@ -32,7 +29,6 @@ from .interp import (
     NecessaryConditionsReport,
     UnisolvenceReport,
     basis_from_json,
-    basis_orbit_count_under_stabilizer,
     check_necessary_conditions,
     load_basis,
     monomial_from_string,
@@ -51,27 +47,21 @@ from .nodeset import (
     canonical_arrangement,
     classify_point,
     equivalent,
-    expand_orbit,
     load_node_set,
-    matching_permutation,
     node_set_from_json,
     orbit_vector,
     parse_rational,
     simplest_rational_between,
-    subgroup_orbit_count,
     validate_symmetric,
 )
 from .symcore import (
-    DEFAULT_ENUM_LIMIT,
     OrbitType,
     Permutation,
     apply_to_point,
-    canonical_point,
     compare_types,
     cycle_type,
     enumerate_types,
     orbit_size,
-    stabilizer_elements,
     stabilizer_generators,
     stabilizer_order,
     type_rank,

@@ -31,16 +31,7 @@ from fractions import Fraction
 from math import factorial, prod
 
 from . import _linalg
-from .errors import DimensionMismatchError
-from .symcore import (
-    OrbitType,
-    apply_to_point,
-    canonical_point,
-    enumerate_types,
-    stabilizer_elements,
-    type_rank,
-    unique_arrangements,
-)
+from .symcore import OrbitType, enumerate_types
 
 
 def class_size(t: OrbitType) -> int:
@@ -81,14 +72,6 @@ def _monomial_expansion(sigma: tuple[int, ...], memo: dict) -> dict[tuple[int, .
                 out[kappa] = out.get(kappa, 0) + coeff * kappa.count(a + k)
         memo[sigma] = out
     return memo[sigma]
-
-
-def fixed_point_count(orbit: OrbitType, sigma: OrbitType) -> int:
-    """Number of points in an orbit of type ``orbit`` fixed by any permutation
-    of cycle type ``sigma``: the entry of ``k_matrix`` at (sigma, orbit)."""
-    if orbit.n != sigma.n:
-        raise DimensionMismatchError(f"types of dimensions {orbit.n} and {sigma.n}")
-    return k_matrix(orbit.n).entries[type_rank(sigma) - 1][type_rank(orbit) - 1]
 
 
 @dataclass(frozen=True)
@@ -214,25 +197,3 @@ def v_matrix(n: int) -> VMatrix:
                 )
             rows[i][j] = rows[j][i] = int(value)
     return VMatrix(n=n, types=k.types, entries=tuple(tuple(row) for row in rows))
-
-
-def v_entry_burnside(i: int, j: int, n: int, enum_limit: int | None = None) -> int:
-    """Independent oracle for V[i][j] (1-based ranks): count orbits of the
-    class-i stabilizer acting on the explicit class-j orbit by Burnside's
-    average-fixed-points formula.
-
-    Enumerates the stabilizer, so it inherits stabilizer_elements' capacity
-    guard; meant for small n.
-    """
-    types = enumerate_types(n)
-    if not (1 <= i <= len(types) and 1 <= j <= len(types)):
-        raise ValueError(f"ranks must lie in 1..{len(types)}")
-    stab = stabilizer_elements(types[i - 1], enum_limit)
-    orbit = list(unique_arrangements(canonical_point(types[j - 1])))
-    total_fixed = 0
-    for sigma in stab:
-        total_fixed += sum(1 for y in orbit if apply_to_point(sigma, y) == y)
-    count = Fraction(total_fixed, len(stab))
-    if count.denominator != 1:
-        raise ArithmeticError("Burnside average is not an integer; bug in enumeration")
-    return int(count)

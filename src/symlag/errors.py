@@ -34,11 +34,6 @@ class SizeMismatchError(SymlagError, ValueError):
     """Basis size and node count differ (unisolvence needs them equal)."""
 
 
-class CapacityError(SymlagError, RuntimeError):
-    """An operation that enumerates all n! permutations was asked for an n
-    above its configured limit."""
-
-
 class SingularMatrixError(SymlagError, ArithmeticError):
     """An exact linear solve hit a singular matrix that the theory promises
     is invertible; indicates a bug, not bad input."""

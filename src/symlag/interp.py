@@ -34,7 +34,6 @@ from .charmat import VMatrix, v_matrix
 from .errors import DimensionMismatchError, SizeMismatchError, SymlagError
 from .nodeset import NodeSet, Point, orbit_vector
 from .symcore import (
-    OrbitType,
     Permutation,
     apply_to_point,
     check_dimension,
@@ -235,14 +234,6 @@ def validate_symmetric_basis(functions: Iterable[BasisFunction], n: int | None =
     return BasisSet(n=dim, functions=tuple(ordered), orbits=orbits)
 
 
-def basis_orbit_count_under_stabilizer(b: BasisSet, t: OrbitType) -> int:
-    """Orbits of the basis functions under the stabilizer of a class-t point
-    (union-find over the swap images of the stabilizer's generators)."""
-    if b.n != t.n:
-        raise DimensionMismatchError(f"basis of dimension {b.n}, type of dimension {t.n}")
-    return stabilizer_orbit_count(swap_images(b.functions, b.n), t, len(b))
-
-
 def r_vector(b: BasisSet) -> tuple[int, ...]:
     """r[i] = number of basis-function orbits under the class-(i+1) stabilizer,
     ranks in the descending type order; the functions are permuted once."""
@@ -260,7 +251,6 @@ class ConstraintSystem:
     symmetric node set can make the problem unisolvent with this basis.
     """
 
-    v: VMatrix
     r: tuple[int, ...]
     solution: tuple[Fraction, ...]
     admissible: bool
@@ -291,7 +281,7 @@ def solve_constraints(v: VMatrix, r: Sequence[int]) -> ConstraintSystem:
             reason = f"component X_{k + 1} = {x} is negative"
             break
     return ConstraintSystem(
-        v=v, r=tuple(int(x) for x in r), solution=solution,
+        r=tuple(int(x) for x in r), solution=solution,
         admissible=reason is None, reason=reason,
     )
 
@@ -590,9 +580,7 @@ def unmatched_orbit_notes(b: BasisSet) -> list[str]:
     ]
 
 
-def check_necessary_conditions(
-    b: BasisSet, s: NodeSet, v: VMatrix | None = None
-) -> NecessaryConditionsReport:
+def check_necessary_conditions(b: BasisSet, s: NodeSet) -> NecessaryConditionsReport:
     """Cheapest-first screen: (1) equal counts, (2) equal S_n-orbit counts,
     (3) node orbit vector equals the unique solution of V X = r(basis).
 
@@ -622,7 +610,7 @@ def check_necessary_conditions(
     if not counts_ok:
         return NecessaryConditionsReport(False, tuple(conditions), tuple(notes), None, node_vec)
 
-    cs = solve_constraints(v if v is not None else v_matrix(b.n), r_vector(b))
+    cs = solve_constraints(v_matrix(b.n), r_vector(b))
     if not cs.admissible:
         conditions.append(ConditionResult(
             "orbit-vector-match", False,

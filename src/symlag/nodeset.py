@@ -28,11 +28,8 @@ from .symcore import (
     check_dimension,
     enumerate_types,
     orbit_size,
-    stabilizer_orbit_count,
-    swap_images,
     symmetric_orbit_classes,
     type_rank,
-    unique_arrangements,
 )
 
 
@@ -76,11 +73,6 @@ def classify_point(x: Point) -> OrbitType:
     for m in multiplicity.values():
         counts[m - 1] += 1
     return OrbitType(tuple(counts))
-
-
-def expand_orbit(x: Point) -> set[Point]:
-    """All distinct coordinate permutations of x; size orbit_size(classify_point(x))."""
-    return {Point(arr) for arr in unique_arrangements(x.coords)}
 
 
 def canonical_arrangement(x: Point) -> Point:
@@ -177,23 +169,6 @@ def orbit_vector(s: NodeSet) -> tuple[int, ...]:
     return tuple(counts)
 
 
-def matching_permutation(src: Point, dst: Point) -> Permutation:
-    """Some sigma with apply_to_point(sigma, src) == dst (same multiset of values)."""
-    if src.n != dst.n:
-        raise DimensionMismatchError("points of different dimensions")
-    used = [False] * src.n
-    images = []
-    for value in dst.coords:
-        for k, (taken, sv) in enumerate(zip(used, src.coords)):
-            if not taken and sv == value:
-                used[k] = True
-                images.append(k + 1)
-                break
-        else:
-            raise ValueError(f"{src} and {dst} are not rearrangements of each other")
-    return Permutation(tuple(images))
-
-
 @dataclass(frozen=True)
 class EquivalenceResult:
     """Outcome of comparing two symmetric node sets."""
@@ -212,8 +187,9 @@ def equivalent(s1: NodeSet, s2: NodeSet) -> EquivalenceResult:
 
     The actions are equivalent iff the orbit vectors agree.  The witness maps
     sigma * (canonical rep of an orbit of s1) to sigma * (canonical rep of the
-    matched same-type orbit of s2); canonical reps share stabilizers, so the
-    image does not depend on the choice of sigma.
+    matched same-type orbit of s2).  The two reps share their equality pattern
+    position by position, so that map replaces each coordinate value of the
+    first rep by the value in the same position of the second, whatever sigma.
     """
     if s1.n != s2.n:
         raise DimensionMismatchError(f"node sets of dimensions {s1.n} and {s2.n}")
@@ -233,22 +209,11 @@ def equivalent(s1: NodeSet, s2: NodeSet) -> EquivalenceResult:
     grouped_b = by_type(s2)
     for t, orbits_a in by_type(s1).items():
         for oa, ob in zip(orbits_a, grouped_b[t]):
+            value = dict(zip(oa.rep.coords, ob.rep.coords))
             for x in oa.points:
-                sigma = matching_permutation(oa.rep, x)
-                pairs.append((x, ob.rep.permuted(sigma)))
+                pairs.append((x, Point(tuple(value[c] for c in x.coords))))
     pairs.sort()
     return EquivalenceResult(True, va, vb, tuple(pairs))
-
-
-def subgroup_orbit_count(s: NodeSet, t: OrbitType) -> int:
-    """Number of orbits of the node set under the stabilizer of a class-t point.
-
-    Union-find over the swap images of the stabilizer's generators; equals
-    row rank(t) of V dotted with the orbit vector.
-    """
-    if s.n != t.n:
-        raise DimensionMismatchError(f"node set of dimension {s.n}, type of dimension {t.n}")
-    return stabilizer_orbit_count(swap_images(s.points, s.n), t, len(s.points))
 
 
 # -- ingestion ---------------------------------------------------------------

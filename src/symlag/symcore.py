@@ -19,21 +19,17 @@ Everything here is a pure function on immutable values.
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from math import factorial
-from typing import Iterable, Iterator, Sequence, TypeVar
+from typing import Iterable, Sequence, TypeVar
 
-from .errors import CapacityError, DimensionMismatchError, NotSymmetricError
+from .errors import DimensionMismatchError, NotSymmetricError
 
 T = TypeVar("T")
 
-#: permutation enumeration guard for stabilizer_elements (n! growth)
-DEFAULT_ENUM_LIMIT = 10
-
 #: Largest dimension n accepted from input.  V at n = 24 has 1575 classes
-#: and takes about 90 s to build on a 2-vCPU machine.
+#: and takes 40-45 s to build (K 2.3-2.5 s, V 38-42 s) on a 2-vCPU Xeon
+#: with Python 3.11.
 MAX_DIMENSION = 24
 
 
@@ -253,29 +249,9 @@ def canonical_blocks(t: OrbitType) -> list[list[int]]:
     return blocks
 
 
-def canonical_point(t: OrbitType) -> tuple[Fraction, ...]:
-    """A representative of type t with block values 1, 2, 3, ... in block order.
-
-    Type (1,1,0) gives (1, 2, 2); type (3,0,0) gives (1, 2, 3).
-    """
-    coords: list[Fraction] = []
-    for value, block in enumerate(canonical_blocks(t), start=1):
-        coords.extend([Fraction(value)] * len(block))
-    return tuple(coords)
-
-
-def representative_permutation(t: OrbitType) -> Permutation:
-    """A permutation of cycle type t, with cycles on consecutive labels."""
-    images = list(range(1, t.n + 1))
-    for block in canonical_blocks(t):
-        for k, label in enumerate(block):
-            images[label - 1] = block[(k + 1) % len(block)]
-    return Permutation(tuple(images))
-
-
 def stabilizer_generators(t: OrbitType) -> list[Permutation]:
-    """Generators of stab(canonical_point(t)): adjacent transpositions inside
-    each equal-value block.  Empty for the free type (trivial stabilizer)."""
+    """Generators of the stabilizer of the canonical point of type t: adjacent
+    transpositions inside each equal-value block.  Empty for the free type (trivial stabilizer)."""
     gens = []
     for block in canonical_blocks(t):
         for a, b in zip(block, block[1:]):
@@ -283,59 +259,9 @@ def stabilizer_generators(t: OrbitType) -> list[Permutation]:
     return gens
 
 
-def stabilizer_elements(t: OrbitType, enum_limit: int | None = None) -> list[Permutation]:
-    """All of stab(canonical_point(t)), by filtering the n! permutations.
-
-    Deliberately the dumb enumeration: it is the independent oracle the
-    Burnside cross-checks lean on.  Guarded by ``enum_limit`` (default
-    ``DEFAULT_ENUM_LIMIT``) because of the factorial cost.
-    """
-    limit = DEFAULT_ENUM_LIMIT if enum_limit is None else enum_limit
-    if t.n > limit:
-        raise CapacityError(
-            f"stabilizer enumeration needs {t.n}! permutations; limit is n <= {limit}"
-        )
-    x = canonical_point(t)
-    elements = []
-    for images in itertools.permutations(range(1, t.n + 1)):
-        p = Permutation(images)
-        if apply_to_point(p, x) == x:
-            elements.append(p)
-    return elements
-
-
 def adjacent_transpositions(n: int) -> list[Permutation]:
     """The standard generating set {(i i+1)} of S_n (empty for n = 1)."""
     return [Permutation.transposition(n, i, i + 1) for i in range(1, n)]
-
-
-def unique_arrangements(values: Sequence[T]) -> Iterator[tuple[T, ...]]:
-    """All distinct orderings of a multiset, each exactly once, in lex order.
-
-    The count equals the multinomial coefficient, i.e. the orbit size of a
-    point with these coordinate values.
-    """
-    counts: dict[T, int] = {}
-    for v in values:
-        counts[v] = counts.get(v, 0) + 1
-    keys = sorted(counts)
-    slots: list[T] = [values[0]] * len(values) if values else []
-
-    def rec(depth: int) -> Iterator[tuple[T, ...]]:
-        if depth == len(slots):
-            yield tuple(slots)
-            return
-        for v in keys:
-            if counts[v]:
-                counts[v] -= 1
-                slots[depth] = v
-                yield from rec(depth + 1)
-                counts[v] += 1
-
-    if not values:
-        yield ()
-        return
-    yield from rec(0)
 
 
 def swap_images(items: Sequence, n: int) -> dict[Permutation, list[int | None]]:
@@ -388,6 +314,6 @@ def symmetric_orbit_classes(items: Sequence, n: int, kind: str) -> list[list[int
 
 
 def stabilizer_orbit_count(maps: dict[Permutation, list[int]], t: OrbitType, size: int) -> int:
-    """Orbits of ``size`` items under stab(canonical_point(t)), given their
-    swap_images (which must not hold None)."""
+    """Orbits of ``size`` items under the stabilizer of the canonical point of
+    type t, given their swap_images (which must not hold None)."""
     return len(orbit_classes([maps[g] for g in stabilizer_generators(t)], size))

@@ -10,12 +10,13 @@ from symlag import (
     BasisFunction,
     Point,
     enumerate_types,
-    expand_orbit,
     orbit_size,
     validate_symmetric,
     validate_symmetric_basis,
 )
 from symlag.symcore import canonical_blocks
+
+from oracles import expand_orbit
 
 # the symmetric quadratic basis {x^2, y^2, z^2, xy, yz, zx} of R^3
 QUADRATIC_EXPONENTS = [(2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 0), (0, 1, 1), (1, 0, 1)]

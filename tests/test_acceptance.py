@@ -3,7 +3,6 @@
 Each test prints a single [PASS] line (visible with ``pytest -s`` or in the
 captured output section); a failed assertion marks the criterion red.
 """
-import itertools
 import random
 import time
 from fractions import Fraction
@@ -11,7 +10,6 @@ from fractions import Fraction
 from symlag import (
     BasisFunction,
     Permutation,
-    Point,
     apply_to_point,
     enumerate_types,
     k_matrix,
@@ -19,13 +17,12 @@ from symlag import (
     r_vector,
     solve_constraints,
     stabilizer_order,
-    v_entry_burnside,
     v_matrix,
-    validate_symmetric_basis,
     vandermonde,
 )
 from symlag.interp import VERDICT_UNISOLVENT
 
+from oracles import v_entry_burnside
 from conftest import (
     case1_set,
     case2_set,

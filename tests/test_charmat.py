@@ -7,22 +7,18 @@ from math import factorial, prod
 import pytest
 
 from symlag import (
-    CapacityError,
     KMatrix,
     OrbitType,
     Permutation,
-    apply_to_point,
-    canonical_point,
     class_size,
     enumerate_types,
-    fixed_point_count,
     k_matrix,
-    v_entry_burnside,
+    type_rank,
     v_matrix,
 )
 from symlag import _linalg
-from symlag.errors import DimensionMismatchError
-from symlag.symcore import representative_permutation, unique_arrangements
+
+from oracles import fixed_point_count, kostka_matrix, v_entry_burnside, v_kostka_gram
 
 # frozen from the enumeration oracle below (asserted equal in the n<=5 tests)
 V4 = (
@@ -41,17 +37,6 @@ V5 = (
     (1, 4, 7, 13, 18, 33, 60),
     (1, 5, 10, 20, 30, 60, 120),
 )
-
-
-def brute_fixed_points(orbit: OrbitType, sigma: OrbitType) -> int:
-    """Oracle: expand the orbit of the canonical point, take one representative
-    permutation of the class, count fixed points literally."""
-    rep = representative_permutation(sigma)
-    return sum(
-        1
-        for y in unique_arrangements(canonical_point(orbit))
-        if apply_to_point(rep, y) == y
-    )
 
 
 # -- class sizes ---------------------------------------------------------------
@@ -77,34 +62,31 @@ def test_class_sizes_sum_to_group_order(n):
     assert sum(class_size(t) for t in enumerate_types(n)) == factorial(n)
 
 
-# -- fixed_point_count ----------------------------------------------------------
+# -- K entries against fixed-point enumeration -----------------------------------
+
+def k_entry(orbit: OrbitType, sigma: OrbitType) -> int:
+    return k_matrix(orbit.n).entries[type_rank(sigma) - 1][type_rank(orbit) - 1]
+
 
 def test_fixed_point_count_examples():
     pair, idn, cyc = OrbitType((1, 1, 0)), OrbitType((3, 0, 0)), OrbitType((0, 0, 1))
-    assert fixed_point_count(pair, idn) == 3   # identity fixes the whole orbit
-    assert fixed_point_count(pair, cyc) == 0   # a 3-cycle cannot sit in blocks 1+2
-    assert fixed_point_count(pair, pair) == 1  # only (a, b, b) survives (2 3)
-
-
-def test_fixed_point_count_rejects_mixed_dimensions():
-    with pytest.raises(DimensionMismatchError):
-        fixed_point_count(OrbitType((1,)), OrbitType((2, 0)))
+    for count in (fixed_point_count, k_entry):
+        assert count(pair, idn) == 3   # identity fixes the whole orbit
+        assert count(pair, cyc) == 0   # a 3-cycle cannot sit in blocks 1+2
+        assert count(pair, pair) == 1  # only (a, b, b) survives (2 3)
 
 
 @pytest.mark.parametrize("n", range(1, 6))
 def test_fixed_point_count_matches_enumeration(n):
     for orbit in enumerate_types(n):
         for sigma in enumerate_types(n):
-            assert fixed_point_count(orbit, sigma) == brute_fixed_points(orbit, sigma)
+            assert k_entry(orbit, sigma) == fixed_point_count(orbit, sigma)
 
 
 def test_fixed_point_count_diagonal_is_product_of_factorials():
     for n in range(1, 8):
-        for t in enumerate_types(n):
-            expected = 1
-            for c in t.counts:
-                expected *= factorial(c)
-            assert fixed_point_count(t, t) == expected
+        k = k_matrix(n)
+        assert k.diagonal() == tuple(prod(factorial(c) for c in t.counts) for t in k.types)
 
 
 # -- K matrix --------------------------------------------------------------------
@@ -212,9 +194,20 @@ def test_burnside_agrees_with_character_inner_products(n):
             assert v_entry_burnside(i, j, n) == v.entries[i - 1][j - 1]
 
 
-def test_v_entry_burnside_capacity_guard():
-    with pytest.raises(CapacityError):
-        v_entry_burnside(1, 1, 5, enum_limit=4)
+# -- Kostka oracle: V = L^T L without n! ------------------------------------------
+
+@pytest.mark.parametrize("n", range(1, 14))
+def test_v_matrix_is_the_kostka_gram_matrix(n):
+    assert v_kostka_gram(n) == [list(row) for row in v_matrix(n).entries]
+
+
+@pytest.mark.parametrize("n", range(1, 14))
+def test_kostka_matrix_is_unitriangular_in_the_type_order(n):
+    # with V = L^T L, a unitriangular L makes every leading principal minor
+    # of V, and det V, equal to 1
+    table = kostka_matrix(n)
+    assert all(table[a][a] == 1 for a in range(len(table)))
+    assert all(table[a][b] == 0 for a in range(len(table)) for b in range(a))
 
 
 def test_v_entries_are_deterministic_across_orders():

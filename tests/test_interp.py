@@ -16,7 +16,6 @@ from symlag import (
     SizeMismatchError,
     VMatrix,
     basis_from_json,
-    basis_orbit_count_under_stabilizer,
     check_necessary_conditions,
     enumerate_types,
     monomial_from_string,
@@ -32,6 +31,7 @@ from symlag import (
 from symlag import _linalg
 from symlag.interp import VERDICT_SINGULAR, VERDICT_UNISOLVENT
 
+from oracles import basis_orbit_count_under_stabilizer, expand_orbit, subgroup_orbit_count
 from conftest import (
     case1_set,
     case3_set,
@@ -339,8 +339,6 @@ def test_orbit_vector_mismatch_reason_when_counts_agree():
             functions.append(BasisFunction.monomial(exps))
     basis = validate_symmetric_basis(functions)
     pts = [Point.of(v, v, v) for v in (7, 8, 9)]
-    from symlag import expand_orbit
-
     pts += list(expand_orbit(Point.of(1, 2, 3))) + list(expand_orbit(Point.of(4, 5, 6)))
     nodes = validate_symmetric(pts)
     assert nodes.orbit_vector() == (3, 0, 2)
@@ -410,8 +408,6 @@ def test_unisolvent_implies_necessary_conditions_randomized(n, draws):
                     screen = check_necessary_conditions(basis, nodes)
                     assert screen.passed, (mask, vector)
                     # both sides of the orbit-count identity, per stabilizer
-                    from symlag import subgroup_orbit_count
-
                     for t in types:
                         assert basis_orbit_count_under_stabilizer(basis, t) == \
                             subgroup_orbit_count(nodes, t)

@@ -15,7 +15,6 @@ from symlag import (
     BasisFunction,
     Permutation,
     Point,
-    expand_orbit,
     r_vector,
     solve_constraints,
     v_matrix,
@@ -26,6 +25,7 @@ from symlag import (
 from symlag import _linalg, interp
 from symlag.interp import VERDICT_SINGULAR
 
+from oracles import expand_orbit
 from conftest import case3_set, quadratic_basis, rand_fraction, random_symmetric_set
 
 # total degree d in R^n, kept to at most 35 functions
