@@ -17,7 +17,6 @@ from .errors import (
     DimensionMismatchError,
     DuplicatePointError,
     NotSymmetricError,
-    SingularMatrixError,
     SizeMismatchError,
     SymlagError,
 )
@@ -58,8 +57,6 @@ from .symcore import (
     OrbitType,
     Permutation,
     apply_to_point,
-    compare_types,
-    cycle_type,
     enumerate_types,
     orbit_size,
     stabilizer_generators,

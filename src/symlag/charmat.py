@@ -20,17 +20,22 @@ is invertible; hence V = K^T D K / n! (D = diagonal of class sizes) is
 symmetric positive definite.  V's indices are both orbit classes,
 descending.
 
-Everything is arbitrary-precision integer/rational arithmetic; there is no
-floating point in this module.
+The same factorisation solves V X = r: K^T D K X = n! r is a back
+substitution with K^T, a division by the class sizes and a forward
+substitution with K, each over the nonzero entries of K only.
+
+Everything is arbitrary-precision integer arithmetic; there is no floating
+point in this module.
 """
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from fractions import Fraction
 from math import factorial, prod
+from typing import Sequence
 
 from . import _linalg
+from .errors import DimensionMismatchError
 from .symcore import OrbitType, enumerate_types
 
 
@@ -38,6 +43,9 @@ def class_size(t: OrbitType) -> int:
     """Size of the conjugacy class with cycle type t: n! / prod(i^c_i * c_i!).
 
     Summed over all cycle types this recovers n!.
+
+    >>> [class_size(t) for t in enumerate_types(3)]
+    [2, 3, 1]
     """
     denom = 1
     for i, c in enumerate(t.counts, start=1):
@@ -133,10 +141,10 @@ class VMatrix:
         )
 
     def determinant(self) -> int:
-        return int(_linalg.exact_determinant(self.entries))
+        return _linalg.integer_determinant([list(row) for row in self.entries])
 
     def leading_principal_minors(self) -> list[int]:
-        return [int(m) for m in _linalg.leading_principal_minors(self.entries)]
+        return _linalg.leading_principal_minors(self.entries)
 
     def to_json_dict(self) -> dict:
         return {
@@ -170,8 +178,8 @@ def k_matrix(n: int) -> KMatrix:
 def v_matrix(n: int) -> VMatrix:
     """V[i][j] = <chi_i, chi_j> = (1/n!) sum_k |A_k| K[k][i] K[k][j].
 
-    Computed in exact rationals; every entry must land on an integer, and a
-    non-integer means a bug, never bad input.
+    Every sum must be a multiple of n!; a remainder means a bug, never bad
+    input, and raises ArithmeticError.
     """
     k = k_matrix(n)
     sizes = [class_size(t) for t in k.types]
@@ -190,10 +198,47 @@ def v_matrix(n: int) -> VMatrix:
     rows = [[0] * c for _ in range(c)]
     for i in range(c):
         for j in range(i, c):
-            value = Fraction(acc[i][j], total)
-            if value.denominator != 1:
+            value, rem = divmod(acc[i][j], total)
+            if rem:
                 raise ArithmeticError(
-                    f"character inner product <chi_{i+1}, chi_{j+1}> = {value} is not an integer"
+                    f"character inner product <chi_{i+1}, chi_{j+1}> = {acc[i][j]}/{total} is not an integer"
                 )
-            rows[i][j] = rows[j][i] = int(value)
+            rows[i][j] = rows[j][i] = value
     return VMatrix(n=n, types=k.types, entries=tuple(tuple(row) for row in rows))
+
+
+def _exact_quotient(num: int, den: int) -> int:
+    q, rem = divmod(num, den)
+    if rem:
+        raise ArithmeticError("V is unimodular, yet the solution of V X = r is not integral")
+    return q
+
+
+def v_solve(n: int, r: Sequence[int]) -> list[int]:
+    """The integer X with V X = r, through V = K^T D K / n!.
+
+    Solves K^T y = n! r by back substitution, divides y by the class sizes
+    D, and solves K X = D^-1 y by forward substitution, visiting only the
+    nonzero entries of K.  V is unimodular, so X is integral for integer r,
+    and so are K X = D^-1 y and y: every division is exact, and a remainder
+    raises ArithmeticError.  Entries of K above the diagonal are never
+    read; callers check V X = r against V itself.
+
+    >>> v_solve(3, (2, 4, 6))
+    [0, 2, 0]
+    """
+    k = k_matrix(n)
+    if len(r) != k.size:
+        raise DimensionMismatchError(f"r has length {len(r)}, V is {k.size} x {k.size}")
+    diagonal = k.diagonal()
+    below = [[(j, x) for j, x in enumerate(row[:i]) if x] for i, row in enumerate(k.entries)]
+    y = [factorial(n) * value for value in r]
+    for i in reversed(range(k.size)):
+        y[i] = _exact_quotient(y[i], diagonal[i])
+        for j, x in below[i]:
+            y[j] -= x * y[i]
+    solution: list[int] = []
+    for i, t in enumerate(k.types):
+        z = _exact_quotient(y[i], class_size(t))
+        solution.append(_exact_quotient(z - sum(x * solution[j] for j, x in below[i]), diagonal[i]))
+    return solution

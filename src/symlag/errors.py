@@ -32,8 +32,3 @@ class NotSymmetricError(SymlagError, ValueError):
 
 class SizeMismatchError(SymlagError, ValueError):
     """Basis size and node count differ (unisolvence needs them equal)."""
-
-
-class SingularMatrixError(SymlagError, ArithmeticError):
-    """An exact linear solve hit a singular matrix that the theory promises
-    is invertible; indicates a bug, not bad input."""

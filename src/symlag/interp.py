@@ -17,7 +17,8 @@ blocks' determinants give the determinant: the pair is unisolvent exactly
 when it is not zero.  Inputs whose determinant would exceed
 MAX_DETERMINANT_BITS are refused before evaluation.  Before any determinant
 work, cheap necessary conditions run: equal counts, equal orbit counts, and
-the orbit vector forced by the exact linear system V X = r.
+the orbit vector forced by the exact linear system V X = r, solved through
+the triangular factor K of V and checked against V.
 """
 from __future__ import annotations
 
@@ -30,7 +31,7 @@ from math import lcm, prod
 from typing import Iterable, Sequence
 
 from . import _linalg
-from .charmat import VMatrix, v_matrix
+from .charmat import VMatrix, v_matrix, v_solve
 from .errors import DimensionMismatchError, SizeMismatchError, SymlagError
 from .nodeset import NodeSet, Point, orbit_vector
 from .symcore import (
@@ -263,18 +264,18 @@ class ConstraintSystem:
 
 
 def solve_constraints(v: VMatrix, r: Sequence[int]) -> ConstraintSystem:
-    """Solve V X = r exactly over the rationals and classify the solution."""
+    """Solve V X = r exactly and classify the solution.
+
+    X comes from v_solve, through the factor K of V; V itself, built
+    independently, certifies it.  A non-integral X, or an X with V X != r,
+    raises ArithmeticError.
+    """
     if len(r) != v.size:
         raise DimensionMismatchError(f"r has length {len(r)}, V is {v.size} x {v.size}")
-    solution = tuple(_linalg.solve_exact(v.entries, list(r)))
-    residual = [
-        sum(v.entries[i][j] * solution[j] for j in range(v.size)) - r[i]
-        for i in range(v.size)
-    ]
-    if any(res != 0 for res in residual):
-        raise ArithmeticError("exact solve failed to reproduce the right-hand side")
-    if any(x.denominator != 1 for x in solution):
-        raise ArithmeticError("V is unimodular, yet the solution of V X = r is not integral")
+    xs = v_solve(v.n, r)
+    if any(sum(a * b for a, b in zip(row, xs)) != value for row, value in zip(v.entries, r)):
+        raise ArithmeticError("the X solved through K does not satisfy V X = r")
+    solution = tuple(map(Fraction, xs))
     reason = None
     for k, x in enumerate(solution):
         if x < 0:

@@ -14,6 +14,22 @@ from symlag import OrbitType, Permutation, Point, apply_to_point, enumerate_type
 from symlag.symcore import canonical_blocks
 
 
+def inverse(p: Permutation) -> Permutation:
+    """The permutation q with q(p(i)) = i."""
+    images = [0] * p.n
+    for i, v in enumerate(p.images, start=1):
+        images[v - 1] = i
+    return Permutation(tuple(images))
+
+
+def cycle_type(p: Permutation) -> OrbitType:
+    """Cycle type of a permutation; counts[i-1] = number of i-cycles."""
+    counts = [0] * p.n
+    for cycle in p.cycles():
+        counts[len(cycle) - 1] += 1
+    return OrbitType(tuple(counts))
+
+
 def canonical_point(t: OrbitType) -> tuple[Fraction, ...]:
     """A representative of type t with block values 1, 2, 3, ... in block order.
 
@@ -117,3 +133,45 @@ def v_kostka_gram(n: int) -> list[list[int]]:
     rows = kostka_matrix(n)
     c = len(rows)
     return [[sum(row[a] * row[b] for row in rows) for b in range(c)] for a in range(c)]
+
+
+# -- linear algebra over the rationals, by plain Gaussian elimination ------------
+
+def _eliminated(rows, rhs=None) -> tuple[list[list[Fraction]], int]:
+    """Upper triangular form of [rows | rhs] in Fractions by row swaps and
+    row operations, and the sign of the swaps; stops at a column with no
+    pivot, leaving a zero on the diagonal."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    if rhs is not None:
+        m = [[*row, Fraction(b)] for row, b in zip(m, rhs)]
+    sign = 1
+    for c in range(len(m)):
+        p = next((i for i in range(c, len(m)) if m[i][c] != 0), None)
+        if p is None:
+            break
+        if p != c:
+            m[c], m[p], sign = m[p], m[c], -sign
+        for row in m[c + 1:]:
+            f = row[c] / m[c][c]
+            if f:
+                row[c:] = [x - f * y for x, y in zip(row[c:], m[c][c:])]
+    return m, sign
+
+
+def fraction_determinant(rows) -> Fraction:
+    """Determinant of a square rational matrix: the product of the pivots."""
+    m, sign = _eliminated(rows)
+    det = Fraction(sign)
+    for i, row in enumerate(m):
+        det *= row[i]
+    return det
+
+
+def fraction_solve(rows, rhs) -> list[Fraction]:
+    """The solution of the invertible rational system A x = b, by back substitution."""
+    m, _ = _eliminated(rows, rhs)
+    n = len(m)
+    x = [Fraction(0)] * n
+    for k in reversed(range(n)):
+        x[k] = (m[k][n] - sum(m[k][j] * x[j] for j in range(k + 1, n))) / m[k][k]
+    return x

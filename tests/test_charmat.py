@@ -16,9 +16,17 @@ from symlag import (
     type_rank,
     v_matrix,
 )
-from symlag import _linalg
+from symlag import _linalg, charmat
+from symlag.errors import DimensionMismatchError
 
-from oracles import fixed_point_count, kostka_matrix, v_entry_burnside, v_kostka_gram
+from oracles import (
+    cycle_type,
+    fixed_point_count,
+    fraction_determinant,
+    kostka_matrix,
+    v_entry_burnside,
+    v_kostka_gram,
+)
 
 # frozen from the enumeration oracle below (asserted equal in the n<=5 tests)
 V4 = (
@@ -47,8 +55,6 @@ def test_class_size_identity_is_alone():
 
 
 def test_class_size_s3_by_listing():
-    from symlag import cycle_type
-
     tally = {}
     for images in itertools.permutations((1, 2, 3)):
         t = cycle_type(Permutation(images))
@@ -117,7 +123,8 @@ def test_k_matrix_lower_triangular_with_positive_diagonal(n):
 def test_k_determinant_is_diagonal_product_and_elimination(n):
     k = k_matrix(n)
     factorials = prod(factorial(c) for t in k.types for c in t.counts)
-    assert k.determinant() == _linalg.exact_determinant(k.entries) == factorials
+    assert k.determinant() == _linalg.integer_determinant([list(row) for row in k.entries]) == factorials
+    assert fraction_determinant(k.entries) == factorials
 
 
 def test_k_determinant_refuses_a_table_that_is_not_lower_triangular():
@@ -162,6 +169,32 @@ def test_v_matrix_border_is_all_ones(n):
     v = v_matrix(n)
     assert all(x == 1 for x in v.entries[0])
     assert all(row[0] == 1 for row in v.entries)
+
+
+def test_v_matrix_refuses_a_sum_that_n_factorial_does_not_divide(monkeypatch):
+    # with every class size 1, <chi_1, chi_1> sums to 3 over the 3 classes of S_3
+    monkeypatch.setattr(charmat, "class_size", lambda t: 1)
+    with pytest.raises(ArithmeticError, match=r"<chi_1, chi_1> = 3/6 is not an integer"):
+        charmat.v_matrix.__wrapped__(3)
+
+
+# -- V X = r through K ---------------------------------------------------------------
+
+def test_v_solve_examples():
+    assert charmat.v_solve(3, (2, 4, 6)) == [0, 2, 0]
+    assert charmat.v_solve(3, (1, 1, 2)) == [2, -2, 1]
+
+
+def test_v_solve_refuses_an_inexact_division(monkeypatch):
+    # V = (1) for n = 1; a class of size 2 would make X = 1/2
+    monkeypatch.setattr(charmat, "class_size", lambda t: 2)
+    with pytest.raises(ArithmeticError, match="not integral"):
+        charmat.v_solve(1, (1,))
+
+
+def test_v_solve_rejects_a_right_hand_side_of_the_wrong_length():
+    with pytest.raises(DimensionMismatchError):
+        charmat.v_solve(3, (1, 1))
 
 
 @pytest.mark.parametrize("n", range(1, 6))

@@ -2,7 +2,7 @@
 import hashlib
 import json
 import time
-from itertools import permutations, product
+from itertools import combinations_with_replacement, permutations
 
 import pytest
 
@@ -333,7 +333,8 @@ def test_analyze_json_output_is_byte_identical(tmp_path, capsys):
 # SHA-256 of `--format json` and `--format table` stdout for fixed inputs.
 # The symlag/1 schema promises the JSON bytes across versions; changing them
 # needs a schema bump.  vmatrix-12, vmatrix-13 and kmatrix-16 are the sizes
-# the `tables` benchmark workload runs.
+# the `tables` benchmark workload runs; solve-td-16-2 (total degree 2 in
+# R^16) runs the V X = r solve at a size where its algorithm shows.
 PINNED_JSON_DIGESTS = {
     "vmatrix-1": "9ab7621fba24aa8733d958b76b07b36c220c816d73e8220899d23cf95b9e9eff",
     "vmatrix-2": "3cd652d972f0b759855ed1bfe3e63bb7dec85d9607cf37dfb7a385a7031e1bcf",
@@ -357,6 +358,7 @@ PINNED_JSON_DIGESTS = {
     "kmatrix-9": "443a1abf4ec965a69db45aee1f8718d319ded0e2fc2df210ec7c674d62ea46a9",
     "kmatrix-16": "699862becec244bb2c98af93caff8746b36d60b6e30aa01f5f4cfb909b6ae33d",
     "solve-td-4-3": "41fcc04c35d4ecd6f65106b93783f90675ca9b9a98e66cae9ba4db7d207c89d0",
+    "solve-td-16-2": "feeb1f7a9cde0bc7d0ba08b8266cce195d6755a81302c806144c41d0cec429e7",
     "analyze-unisolvent": "bcd74a649f499e204b11dafe8fb3ef710b1fa42eb6434ce60f19c68b3e57699f",
     "analyze-singular": "a27dadbde6c6637ef574b44cbc07a2e294d1e3497521907a76b2ef58e0c84cdf",
     "analyze-td-4-3": "e554503cd4386b421679a5a8545f0c733bcf12df6b8c2b569d56b0763f4ed171",
@@ -371,6 +373,7 @@ PINNED_TABLE_DIGESTS = {
     "vmatrix-13": "72fa9ba42a38a7429a074d760a486b5a51f41e742f8aa9e7fd12c48ef8ce69ff",
     "kmatrix-16": "48d735cd20d38c8cbbec5f71026619184666258b48098e33042179ca630a4764",
     "solve-td-4-3": "35f1c3ad8e97f5386011a8f84a4f4fdf7f93b33178a8e06f66c4fdf862057d85",
+    "solve-td-16-2": "09516d29a9ad425f1c081da530a97de6ba5aa3a0dcd8e787e09112bd56115339",
     "analyze-unisolvent": "63a3790f91124149da81bc02248e595accedcb4ae899e970f8e2b57955987e39",
     "analyze-singular": "8fdf4da39f8b01938357a422cb6145ad07c9e78b003077ed2d98429eaefc347c",
     "analyze-td-4-3": "679e313d879207e00e7c54fc354e9497d8ed470c45c44920e65826315a9034ae",
@@ -391,9 +394,12 @@ TD43_ORBITS = [
 ]
 
 
-def _td43_basis(tmp_path):
-    exponents = [list(e) for e in product(range(4), repeat=4) if sum(e) <= 3]
-    return write_json(tmp_path / "td43.json", {"n": 4, "functions": [{"exponents": e} for e in exponents]})
+def _td_basis(tmp_path, n, d):
+    """The monomials of total degree at most d in R^n."""
+    exponents = [
+        [c.count(i) for i in range(n)] for k in range(d + 1) for c in combinations_with_replacement(range(n), k)
+    ]
+    return write_json(tmp_path / f"td-{n}-{d}.json", {"n": n, "functions": [{"exponents": e} for e in exponents]})
 
 
 # the same orbit vector with other values, and TD43_ORBITS written as
@@ -419,7 +425,8 @@ def _pinned_argv(name, tmp_path):
     if command in ("vmatrix", "kmatrix", "types"):
         return [command, "--n", arg]
     if command == "solve":
-        return ["solve", "--basis", _td43_basis(tmp_path)]
+        n, d = map(int, arg.split("-")[1:])
+        return ["solve", "--basis", _td_basis(tmp_path, n, d)]
     if command == "classify" and arg == "exact":
         return ["classify", "--nodes", _td43_nodes(tmp_path)]
     if command == "classify":
@@ -428,7 +435,7 @@ def _pinned_argv(name, tmp_path):
     if command == "equiv":
         return ["equiv", _td43_nodes(tmp_path), _td43_nodes(tmp_path, TD43_OTHER_ORBITS, "td43-other.json")]
     if arg == "td-4-3":
-        return ["analyze", "--basis", _td43_basis(tmp_path), "--nodes", _td43_nodes(tmp_path)]
+        return ["analyze", "--basis", _td_basis(tmp_path, 4, 3), "--nodes", _td43_nodes(tmp_path)]
     basis = write_json(tmp_path / "basis.json", BASIS_38)
     values = (0, 1, 2, 3) if arg == "unisolvent" else (2, 1, 1, [7, 4])
     return ["analyze", "--basis", basis, "--nodes", case3_file(tmp_path, *values)]

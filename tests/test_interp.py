@@ -28,10 +28,16 @@ from symlag import (
     vandermonde,
     vandermonde_matrix,
 )
-from symlag import _linalg
 from symlag.interp import VERDICT_SINGULAR, VERDICT_UNISOLVENT
 
-from oracles import basis_orbit_count_under_stabilizer, expand_orbit, subgroup_orbit_count
+from oracles import (
+    basis_orbit_count_under_stabilizer,
+    expand_orbit,
+    fraction_determinant,
+    fraction_solve,
+    inverse,
+    subgroup_orbit_count,
+)
 from conftest import (
     case1_set,
     case3_set,
@@ -110,7 +116,7 @@ def test_action_composition_and_evaluation_laws():
         b = Permutation(tuple(rng.sample(range(1, n + 1), n)))
         assert f.permuted(a.compose(b)) == f.permuted(b).permuted(a)
         x = Point(tuple(rand_fraction(rng, -6, 6, 4) for _ in range(n)))
-        assert f.permuted(a).evaluate(x) == f.evaluate(x.permuted(a.inverse()))
+        assert f.permuted(a).evaluate(x) == f.evaluate(x.permuted(inverse(a)))
 
 
 def test_zero_polynomial_is_rejected():
@@ -214,7 +220,18 @@ def test_solution_is_integral_for_every_integer_r(data):
     assert cs.admissible == all(x >= 0 for x in cs.solution)
 
 
+@pytest.mark.parametrize("n", range(1, 13))
+def test_solve_matches_rational_elimination(n):
+    # X comes from K's triangular factors; the oracle eliminates V itself
+    v, rng = v_matrix(n), random.Random(1200 + n)
+    for _ in range(2):
+        r = [rng.randint(-10**6, 10**6) for _ in range(v.size)]
+        assert list(solve_constraints(v, r).solution) == fraction_solve(v.entries, r)
+
+
 def test_non_integral_solution_is_an_arithmetic_error():
+    # V = (2) would force X = 1/2; the X solved through K for n = 1 is 1,
+    # and the check against V itself refuses it
     not_unimodular = VMatrix(n=1, types=v_matrix(1).types, entries=((2,),))
     with pytest.raises(ArithmeticError):
         solve_constraints(not_unimodular, (1,))
@@ -287,13 +304,13 @@ def test_vandermonde_row_column_permutations_flip_sign_only():
     rng = random.Random(55)
     basis = quadratic_basis()
     nodes = case3_set(0, 1, 2, 3)
-    base = _linalg.exact_determinant(vandermonde_matrix(basis.functions, nodes.points))
+    base = fraction_determinant(vandermonde_matrix(basis.functions, nodes.points))
     for _ in range(10):
         fs = list(basis.functions)
         pts = list(nodes.points)
         rng.shuffle(fs)
         rng.shuffle(pts)
-        det = _linalg.exact_determinant(vandermonde_matrix(fs, pts))
+        det = fraction_determinant(vandermonde_matrix(fs, pts))
         assert abs(det) == abs(base)
         assert vandermonde(fs, pts).verdict == VERDICT_UNISOLVENT
 
@@ -303,6 +320,43 @@ def test_vandermonde_accepts_only_the_exact_mode():
     assert report.verdict == VERDICT_UNISOLVENT and isinstance(report.determinant, Fraction)
     with pytest.raises(ValueError):
         vandermonde(quadratic_basis(), case3_set(1, 0, 0, 1), mode="float")
+
+
+# -- the theorem: unisolvent symmetric sets have the forced orbit vector -----------------
+
+def test_unisolvent_symmetric_sets_have_the_forced_orbit_vector():
+    unisolvent, other_vectors = [], []
+
+    # derandomized: the same examples on every run, so tier-1 stays reproducible
+    @settings(derandomize=True, database=None, deadline=None, max_examples=150)
+    @given(st.data())
+    def check(data):
+        n, d = data.draw(st.integers(1, 4)), data.draw(st.integers(0, 3))
+        exponents = [e for e in itertools.product(range(d + 1), repeat=n) if sum(e) <= d]
+        basis = validate_symmetric_basis([BasisFunction.monomial(e) for e in exponents])
+        forced = solve_constraints(v_matrix(n), r_vector(basis)).integer_solution()
+        # half of the draws take the forced vector, so that unisolvent sets
+        # occur; the others fill the basis's size with orbits of random types
+        types = enumerate_types(n)
+        vector, left = [0] * len(types), len(basis)
+        if data.draw(st.booleans()):
+            vector, left = list(forced), 0
+        while left:
+            k = data.draw(st.sampled_from([k for k, t in enumerate(types) if orbit_size(t) <= left]))
+            vector[k] += 1
+            left -= orbit_size(types[k])
+        nodes = random_symmetric_set(random.Random(data.draw(st.integers(0, 2**32))), vector, n)
+        if vandermonde(basis, nodes).unisolvent:
+            assert nodes.orbit_vector() == forced
+            unisolvent.append((n, d))
+        elif tuple(vector) != forced:
+            other_vectors.append((n, d))
+
+    check()
+    # the property holds vacuously unless both kinds of draw occur, also
+    # beyond the line and the plane
+    assert any(n >= 3 and d >= 2 for n, d in unisolvent), unisolvent
+    assert any(n >= 3 and d >= 2 for n, d in other_vectors), other_vectors
 
 
 # -- necessary conditions ----------------------------------------------------------------

@@ -1,17 +1,17 @@
-"""The exact elimination kernel against independent references.
+"""The integer elimination kernel against independent references.
 
-Determinants are checked against the Leibniz permutation expansion, pivot
-counts against the size of the largest nonzero minor, and solves through the
-residual A x = b.
+Rational cases are cleared to integers here, row by row; determinants and
+leading minors are then checked against the Leibniz permutation expansion
+of the rational matrix times the row multipliers, and pivot counts against
+the size of the largest nonzero minor.
 """
 from fractions import Fraction
 from itertools import combinations, permutations
-from math import prod
+from math import lcm, prod
 
 import pytest
 
 from symlag import _linalg
-from symlag.errors import SingularMatrixError
 
 F = Fraction
 
@@ -33,6 +33,16 @@ def reference_rank(a) -> int:
                 if leibniz([[a[i][j] for j in cs] for i in rs]) != 0:
                     return k
     return 0
+
+
+def cleared(a) -> tuple[list[list[int]], list[int]]:
+    """Each row times the lcm of its denominators; returns (rows, multipliers)."""
+    rows, mults = [], []
+    for row in a:
+        mult = lcm(*(F(x).denominator for x in row))
+        rows.append([int(F(x) * mult) for x in row])
+        mults.append(mult)
+    return rows, mults
 
 
 SQUARE = {
@@ -71,14 +81,21 @@ RECTANGULAR = {
 @pytest.mark.parametrize("name", SQUARE)
 def test_determinant_matches_leibniz(name):
     a = SQUARE[name]
-    assert _linalg.exact_determinant(a) == leibniz(a)
+    m, mults = cleared(a)
+    det = _linalg.integer_determinant(m)
+    assert type(det) is int
+    assert det == leibniz(a) * prod(mults)
 
 
 @pytest.mark.parametrize("name", SQUARE)
 def test_leading_minors_match_leibniz_of_each_block(name):
     a = SQUARE[name]
-    expected = [leibniz([row[:k] for row in a[:k]]) for k in range(1, len(a) + 1)]
-    assert _linalg.leading_principal_minors(a) == expected
+    m, mults = cleared(a)
+    expected = [leibniz([row[:k] for row in a[:k]]) * prod(mults[:k]) for k in range(1, len(a) + 1)]
+    minors = _linalg.leading_principal_minors(m)
+    assert all(type(x) is int for x in minors)
+    assert minors == expected
+    assert m == cleared(a)[0]  # the rows given are left as they were
 
 
 def test_zero_leading_minor_then_nonzero():
@@ -87,29 +104,8 @@ def test_zero_leading_minor_then_nonzero():
 
 @pytest.mark.parametrize("name", [*SQUARE, *RECTANGULAR])
 def test_rank_is_largest_nonzero_minor(name):
-    # the kernel finds one pivot per unit of rank, which is how the solve
-    # tells a singular system apart
+    # the kernel finds one pivot per unit of rank, which is how the
+    # determinant tells a singular matrix apart
     a = {**SQUARE, **RECTANGULAR}[name]
-    pivots, _, _, _ = _linalg._echelon(_linalg._cleared(a)[0])
+    pivots, _, _ = _linalg._echelon(cleared(a)[0])
     assert len(pivots) == reference_rank(a)
-
-
-@pytest.mark.parametrize("name", [n for n in SQUARE if leibniz(SQUARE[n]) != 0])
-def test_solve_reproduces_rhs(name):
-    a = SQUARE[name]
-    b = [F(k * k - 3, k + 1) for k in range(len(a))]
-    x = _linalg.solve_exact(a, b)
-    assert all(isinstance(v, Fraction) for v in x)
-    assert [sum(a[i][j] * x[j] for j in range(len(a))) for i in range(len(a))] == b
-
-
-@pytest.mark.parametrize("name", [n for n in SQUARE if leibniz(SQUARE[n]) == 0])
-def test_solve_singular_raises(name):
-    a = SQUARE[name]
-    with pytest.raises(SingularMatrixError):
-        _linalg.solve_exact(a, [1] * len(a))
-
-
-def test_solve_rejects_non_square():
-    with pytest.raises(ValueError):
-        _linalg.solve_exact([[1, 2]], [1])

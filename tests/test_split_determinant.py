@@ -1,9 +1,10 @@
 """The symmetry-split exact determinant against plain elimination.
 
 `vandermonde` computes det [f_i(a_j)] from integer symmetry blocks; the
-second derivation is `_linalg.exact_determinant` on the rational matrix
-`vandermonde_matrix` returns, itself checked entry by entry against
-`BasisFunction.evaluate`.  The two must agree exactly, sign included.
+second derivation is plain Gaussian elimination over the rationals
+(`oracles.fraction_determinant`) on the matrix `vandermonde_matrix`
+returns, itself checked entry by entry against `BasisFunction.evaluate`.
+The two must agree exactly, sign included.
 """
 import itertools
 import random
@@ -25,7 +26,7 @@ from symlag import (
 from symlag import _linalg, interp
 from symlag.interp import VERDICT_SINGULAR
 
-from oracles import expand_orbit
+from oracles import expand_orbit, fraction_determinant
 from conftest import case3_set, quadratic_basis, rand_fraction, random_symmetric_set
 
 # total degree d in R^n, kept to at most 35 functions
@@ -59,7 +60,7 @@ def both(functions, points):
     split = vandermonde(functions, points).determinant
     matrix = vandermonde_matrix(functions, points)
     assert matrix == [[f.evaluate(p) for p in points] for f in functions]
-    return split, _linalg.exact_determinant(matrix)
+    return split, fraction_determinant(matrix)
 
 
 def shuffled(rng, items):
@@ -171,7 +172,7 @@ def test_singular_by_a_non_square_block(monkeypatch):
     report = vandermonde(functions, pts)
     assert report.verdict == VERDICT_SINGULAR and report.determinant == 0
     assert dets == []
-    assert _linalg.exact_determinant(vandermonde_matrix(functions, pts)) == 0
+    assert fraction_determinant(vandermonde_matrix(functions, pts)) == 0
 
 
 def test_singular_by_a_zero_block(monkeypatch):
@@ -180,7 +181,7 @@ def test_singular_by_a_zero_block(monkeypatch):
     dets = _count_eliminated_blocks(monkeypatch)
     basis, nodes = quadratic_basis(), case3_set(2, 1, 1, Fraction(7, 4))
     report = vandermonde(basis, nodes)
-    assert report.determinant == 0 == _linalg.exact_determinant(vandermonde_matrix(basis.functions, nodes.points))
+    assert report.determinant == 0 == fraction_determinant(vandermonde_matrix(basis.functions, nodes.points))
     assert dets and dets[-1] == 0
 
 
