@@ -24,7 +24,6 @@ from .interp import (
     BasisFunction,
     BasisSet,
     ConstraintSystem,
-    Monomial,
     NecessaryConditionsReport,
     UnisolvenceReport,
     basis_from_json,

@@ -101,18 +101,19 @@ def cmd_vmatrix(args) -> int:
     v = charmat.v_matrix(args.n)
     minors = v.leading_principal_minors()
     det = minors[-1]  # the last leading minor is det V
+    positive_definite = all(m > 0 for m in minors)
     payload = {
         "schema": SCHEMA,
         "command": "vmatrix",
         "determinant": det,
         "leading_principal_minors": minors,
-        "positive_definite": all(m > 0 for m in minors),
+        "positive_definite": positive_definite,
         "symmetric": v.is_symmetric(),
         **v.to_json_dict(),
     }
     lines = _matrix_lines(f"V matrix for n={args.n} (v[i][j] = <chi_i, chi_j>)", v.types, v.entries)
     lines.append(f"determinant: {det}")
-    lines.append(f"leading principal minors: {minors} (all positive: {all(m > 0 for m in minors)})")
+    lines.append(f"leading principal minors: {minors} (all positive: {positive_definite})")
     _emit(payload, lines, args.format)
     return 0
 
@@ -120,19 +121,21 @@ def cmd_vmatrix(args) -> int:
 def cmd_kmatrix(args) -> int:
     k = charmat.k_matrix(args.n)
     det = k.determinant()
+    lower_triangular = k.is_lower_triangular()
+    diagonal = list(k.diagonal())
     payload = {
         "schema": SCHEMA,
         "command": "kmatrix",
         "determinant": det,
-        "lower_triangular": k.is_lower_triangular(),
-        "diagonal": list(k.diagonal()),
+        "lower_triangular": lower_triangular,
+        "diagonal": diagonal,
         **k.to_json_dict(),
     }
     lines = _matrix_lines(
         f"K matrix for n={args.n} (rows: conjugacy classes, columns: orbit classes)",
         k.types, k.entries,
     )
-    lines.append(f"lower triangular: {k.is_lower_triangular()}, diagonal: {list(k.diagonal())}")
+    lines.append(f"lower triangular: {lower_triangular}, diagonal: {diagonal}")
     lines.append(f"determinant: {det}")
     _emit(payload, lines, args.format)
     return 0
@@ -140,7 +143,7 @@ def cmd_kmatrix(args) -> int:
 
 def cmd_classify(args) -> int:
     nodes, snaps = nodeset.load_node_set(args.nodes, snap_tol=args.snap_tol)
-    vector = nodes.orbit_vector()
+    vector = nodeset.orbit_vector(nodes)
     payload = {
         "schema": SCHEMA,
         "command": "classify",
@@ -186,6 +189,7 @@ def cmd_solve(args) -> int:
     r = interp.r_vector(basis)
     cs = interp.solve_constraints(v, r)
     notes = interp.unmatched_orbit_notes(basis)
+    template = _orbit_template(v.types, cs.integer_solution()) if cs.admissible else None
     payload = {
         "schema": SCHEMA,
         "command": "solve",
@@ -195,7 +199,7 @@ def cmd_solve(args) -> int:
         "solution": [str(x) for x in cs.solution],
         "admissible": cs.admissible,
         "reason": cs.reason,
-        "template": _orbit_template(v.types, cs.integer_solution()) if cs.admissible else None,
+        "template": template,
         "notes": notes,
     }
     lines = [f"basis: {len(basis)} functions in {len(basis.orbits)} orbits (n = {basis.n})"]
@@ -203,7 +207,7 @@ def cmd_solve(args) -> int:
     lines.append("solution X: (" + ", ".join(map(str, cs.solution)) + ")")
     if cs.admissible:
         lines.append("admissible: yes — node-set template:")
-        for entry in _orbit_template(v.types, cs.integer_solution()):
+        for entry in template:
             lines.append(f"  orbit of type {tuple(entry['type'])}: pattern ({', '.join(entry['pattern'])})")
         lines.append("  (values within an orbit distinct per letter; orbits pairwise disjoint)")
     else:

@@ -1,11 +1,11 @@
 """Symbolic polynomial bases, the generalized Vandermonde test, and VX = r.
 
 Basis functions are multivariate polynomials with exact rational
-coefficients, stored as canonical term maps so that equality (and hence
-symmetry closure and orbit decomposition) is decidable.  Permuting
-variables sends the monomial x^e to x^(e') with e'[j] = e[sigma(j)], the
-same coordinate action used for points, and evaluation satisfies
-(sigma f)(x) = f(sigma^{-1} x).
+coefficients, stored as (exponent vector, coefficient) terms sorted by
+exponent vector, so that equality (and hence symmetry closure and orbit
+decomposition) is decidable.  Permuting variables sends the monomial x^e
+to x^(e') with e'[j] = e[sigma(j)], the same coordinate action used for
+points, and evaluation satisfies (sigma f)(x) = f(sigma^{-1} x).
 
 Unisolvence of a (basis, nodes) pair is decided by the exact determinant
 of the evaluation matrix f_i(a_j).  The matrix is evaluated over the
@@ -49,53 +49,25 @@ VERDICT_UNISOLVENT = "unisolvent"
 VERDICT_SINGULAR = "singular"
 
 
-@dataclass(frozen=True)
-class Monomial:
-    """x1^e1 * ... * xn^en, stored as the exponent vector."""
-
-    exponents: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "exponents", tuple(int(e) for e in self.exponents))
-        if not self.exponents or any(e < 0 for e in self.exponents):
-            raise ValueError(f"invalid exponent vector {self.exponents!r}")
-
-    @property
-    def n(self) -> int:
-        return len(self.exponents)
-
-    @property
-    def degree(self) -> int:
-        return sum(self.exponents)
-
-    def evaluate(self, coords: Sequence[Fraction]) -> Fraction:
-        value = Fraction(1)
-        for c, e in zip(coords, self.exponents):
-            if e:
-                value *= Fraction(c) ** e
-        return value
-
-    def permuted(self, sigma: Permutation) -> "Monomial":
-        return Monomial(apply_to_point(sigma, self.exponents))
-
-    def __str__(self) -> str:
-        parts = []
-        for i, e in enumerate(self.exponents, start=1):
-            if e == 1:
-                parts.append(f"x{i}")
-            elif e > 1:
-                parts.append(f"x{i}^{e}")
-        return "*".join(parts) if parts else "1"
+def _monomial_str(exponents: Sequence[int]) -> str:
+    """x1^e1 * ... * xn^en as 'x1^2*x3', or '1' for the constant monomial."""
+    parts = [f"x{i}" if e == 1 else f"x{i}^{e}" for i, e in enumerate(exponents, start=1) if e]
+    return "*".join(parts) or "1"
 
 
 _MONO_FACTOR = re.compile(r"^x(\d+)(?:\^(\d+))?$")
 
 
-def monomial_from_string(text: str, n: int | None = None) -> Monomial:
-    """Parse shorthand like 'x1^2*x3' (or '1' for the constant monomial).
+def monomial_from_string(text: str, n: int | None = None) -> tuple[int, ...]:
+    """The exponent vector of shorthand like 'x1^2*x3' (or '1' for the constant monomial).
 
     Unless given, n is the largest variable index mentioned; either way it
     may not exceed MAX_DIMENSION, checked before the vector is built.
+
+    >>> monomial_from_string("x1^2*x3")
+    (2, 0, 1)
+    >>> monomial_from_string("x2*x2", n=4)
+    (0, 2, 0, 0)
     """
     body = text.replace(" ", "")
     if not body:
@@ -114,70 +86,64 @@ def monomial_from_string(text: str, n: int | None = None) -> Monomial:
     if exps and max(exps) > dim:
         raise ValueError(f"monomial {text!r} uses x{max(exps)} but n = {dim}")
     check_dimension(dim, f"the dimension of monomial {text!r}")
-    return Monomial(tuple(exps.get(i, 0) for i in range(1, dim + 1)))
+    return tuple(exps.get(i, 0) for i in range(1, dim + 1))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class BasisFunction:
-    """A polynomial as a canonical map monomial -> nonzero rational coefficient.
+    """A polynomial as its terms (exponent vector, nonzero rational coefficient).
 
     Terms are kept sorted by exponent vector, zero coefficients dropped, so
-    two equal polynomials compare equal as values.
+    two equal polynomials compare equal as values, and functions sort by
+    their terms.
     """
 
-    terms: tuple[tuple[Monomial, Fraction], ...]
+    terms: tuple[tuple[tuple[int, ...], Fraction], ...]
 
     def __post_init__(self):
         if not self.terms:
             raise ValueError("the zero polynomial cannot be a basis function")
 
     @classmethod
-    def from_terms(cls, terms: Iterable[tuple[Monomial | Sequence[int], Fraction | int]]) -> "BasisFunction":
-        merged: dict[Monomial, Fraction] = {}
-        for mono, coeff in terms:
-            if not isinstance(mono, Monomial):
-                mono = Monomial(tuple(mono))
-            coeff = Fraction(coeff)
-            merged[mono] = merged.get(mono, Fraction(0)) + coeff
-        kept = {m: c for m, c in merged.items() if c != 0}
+    def from_terms(cls, terms: Iterable[tuple[Sequence[int], Fraction | int]]) -> "BasisFunction":
+        merged: dict[tuple[int, ...], Fraction] = {}
+        for exponents, coeff in terms:
+            exponents = tuple(int(e) for e in exponents)
+            if not exponents or any(e < 0 for e in exponents):
+                raise ValueError(f"invalid exponent vector {exponents!r}")
+            merged[exponents] = merged.get(exponents, Fraction(0)) + Fraction(coeff)
+        kept = [(e, c) for e, c in merged.items() if c != 0]
         if not kept:
             raise ValueError("all terms cancelled; the zero polynomial cannot be a basis function")
-        dims = {m.n for m in kept}
+        dims = {len(e) for e, _ in kept}
         if len(dims) != 1:
             raise DimensionMismatchError(f"terms of mixed dimensions {sorted(dims)}")
-        ordered = tuple(sorted(kept.items(), key=lambda mc: mc[0].exponents))
-        return cls(ordered)
+        return cls(tuple(sorted(kept)))
 
     @classmethod
     def monomial(cls, exponents: Sequence[int], coeff: Fraction | int = 1) -> "BasisFunction":
-        return cls.from_terms([(Monomial(tuple(exponents)), coeff)])
+        return cls.from_terms([(exponents, coeff)])
 
     @property
     def n(self) -> int:
-        return self.terms[0][0].n
-
-    def evaluate(self, point: Point | Sequence[Fraction]) -> Fraction:
-        coords = point.coords if isinstance(point, Point) else point
-        if len(coords) != self.n:
-            raise DimensionMismatchError(f"point of dimension {len(coords)}, function of dimension {self.n}")
-        return sum((c * m.evaluate(coords) for m, c in self.terms), Fraction(0))
+        return len(self.terms[0][0])
 
     def permuted(self, sigma: Permutation) -> "BasisFunction":
-        return BasisFunction.from_terms((m.permuted(sigma), c) for m, c in self.terms)
+        """x^e becomes x^(sigma e), the point action on exponent vectors.
 
-    def sort_key(self):
-        return tuple((m.exponents, c) for m, c in self.terms)
+        Distinct vectors stay distinct and coefficients are kept, so the
+        terms only need sorting again.
 
-    def to_json(self) -> list[dict]:
-        return [
-            {"exponents": list(m.exponents), "coeff": [c.numerator, c.denominator]}
-            for m, c in self.terms
-        ]
+        >>> f = BasisFunction.from_terms([((2, 0), 1), ((0, 1), 1)])
+        >>> str(f), str(f.permuted(Permutation.transposition(2, 1, 2)))
+        ('x2 + x1^2', 'x2^2 + x1')
+        """
+        return BasisFunction(tuple(sorted((apply_to_point(sigma, e), c) for e, c in self.terms)))
 
     def __str__(self) -> str:
         parts = []
-        for m, c in self.terms:
-            mono = str(m)
+        for e, c in self.terms:
+            mono = _monomial_str(e)
             if c == 1 and mono != "1":
                 parts.append(mono)
             elif mono == "1":
@@ -227,7 +193,7 @@ def validate_symmetric_basis(functions: Iterable[BasisFunction], n: int | None =
     if len(set(fs)) != len(fs):
         raise ValueError("duplicate basis function in input")
 
-    ordered = sorted(fs, key=BasisFunction.sort_key)
+    ordered = sorted(fs)
     orbits = tuple(
         tuple(ordered[i] for i in members)
         for members in symmetric_orbit_classes(ordered, dim, kind="function")
@@ -253,14 +219,14 @@ class ConstraintSystem:
     """
 
     r: tuple[int, ...]
-    solution: tuple[Fraction, ...]
+    solution: tuple[int, ...]
     admissible: bool
     reason: str | None
 
     def integer_solution(self) -> tuple[int, ...]:
         if not self.admissible:
             raise ValueError("constraint system is infeasible; no integer solution")
-        return tuple(int(x) for x in self.solution)
+        return self.solution
 
 
 def solve_constraints(v: VMatrix, r: Sequence[int]) -> ConstraintSystem:
@@ -275,7 +241,7 @@ def solve_constraints(v: VMatrix, r: Sequence[int]) -> ConstraintSystem:
     xs = v_solve(v.n, r)
     if any(sum(a * b for a, b in zip(row, xs)) != value for row, value in zip(v.entries, r)):
         raise ArithmeticError("the X solved through K does not satisfy V X = r")
-    solution = tuple(map(Fraction, xs))
+    solution = tuple(xs)
     reason = None
     for k, x in enumerate(solution):
         if x < 0:
@@ -330,11 +296,11 @@ def _cleared_points(
     for p in points:
         q = lcm(*(c.denominator for c in p.coords))
         cleared.append(([c.numerator * (q // c.denominator) for c in p.coords], q))
-    degree = max((m.degree for f in functions for m, _ in f.terms), default=0)
+    degree = max((sum(e) for f in functions for e, _ in f.terms), default=0)
     if functions and points:
         coord_bits = [max(_log2_bound(xs[i]) for xs, _ in cleared) for i in range(functions[0].n)]
         entry_bits = degree * max(_log2_bound(q) for _, q in cleared) + max(
-            sum(e * b for e, b in zip(m.exponents, coord_bits)) for f in functions for m, _ in f.terms
+            sum(k * b for k, b in zip(e, coord_bits)) for f in functions for e, _ in f.terms
         )
         estimate = max(len(functions), len(points)) * entry_bits
         if estimate > MAX_DETERMINANT_BITS:
@@ -365,12 +331,13 @@ def _integer_rows(
         s = lcm(*(c.denominator for _, c in f.terms))
         scales.append(s)
         terms = []
-        for m, c in f.terms:
-            factors = [(i, e) for i, e in enumerate(m.exponents) if e]
+        for exponents, c in f.terms:
+            factors = [(i, e) for i, e in enumerate(exponents) if e]
             for i, e in factors:
                 used[i].add(e)
-            shifts.add(degree - m.degree)
-            terms.append((int(c * s), factors, degree - m.degree))
+            shift = degree - sum(exponents)
+            shifts.add(shift)
+            terms.append((int(c * s), factors, shift))
         rows_terms.append(terms)
     columns = [
         ([_powers(x, used[i]) for i, x in enumerate(xs)], _powers(q, shifts))
@@ -635,7 +602,7 @@ def basis_function_from_json(entry, n: int | None = None) -> BasisFunction:
     """One function: either a monomial shorthand string or a list of
     {exponents: [...], coeff: [num, den]} terms (coeff defaults to 1)."""
     if isinstance(entry, str):
-        return BasisFunction.monomial(monomial_from_string(entry, n).exponents)
+        return BasisFunction.monomial(monomial_from_string(entry, n))
     if isinstance(entry, dict) and "exponents" in entry:
         entry = [entry]
     if not isinstance(entry, list) or not entry:
@@ -657,7 +624,7 @@ def basis_function_from_json(entry, n: int | None = None) -> BasisFunction:
             raise ValueError(f"coefficient must be [num, den], got {coeff!r}")
         if coeff[1] == 0:
             raise ValueError(f"coefficient {coeff!r} has a zero denominator")
-        terms.append((Monomial(tuple(exps)), Fraction(coeff[0], coeff[1])))
+        terms.append((exps, Fraction(coeff[0], coeff[1])))
     return BasisFunction.from_terms(terms)
 
 

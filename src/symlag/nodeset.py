@@ -116,9 +116,6 @@ class NodeSet:
     def __len__(self) -> int:
         return len(self.points)
 
-    def orbit_vector(self) -> tuple[int, ...]:
-        return orbit_vector(self)
-
     def to_json_dict(self) -> dict:
         return {"n": self.n, "points": [p.to_json() for p in self.points]}
 
@@ -310,25 +307,24 @@ def parse_rational(value, snap_tol: Fraction | None = None) -> tuple[Fraction, S
     return snapped, SnapEvent(original=str(value), snapped=snapped, delta=snapped - exact)
 
 
-def node_set_from_json(obj, snap_tol: Fraction | None = None, n: int | None = None) -> tuple[NodeSet, list[SnapEvent]]:
+def node_set_from_json(obj, snap_tol: Fraction | None = None) -> tuple[NodeSet, list[SnapEvent]]:
     """Build a NodeSet from the file schema {n, points: [[coord, ...], ...]}.
 
     Coordinates follow :func:`parse_rational`.  A bare list of points is also
-    accepted, with n taken from the points (or the ``n`` argument).
+    accepted, and so is a file without "n": n is then taken from the points.
     """
+    dim = None
     if isinstance(obj, dict):
-        declared = obj.get("n")
-        if declared is not None:
-            check_dimension(declared, 'the node file\'s "n"')
+        dim = obj.get("n")
+        if dim is not None:
+            check_dimension(dim, 'the node file\'s "n"')
         raw_points = obj.get("points")
         if raw_points is None:
             raise ValueError("node file needs a 'points' array")
     else:
-        declared = None
         raw_points = obj
     if not isinstance(raw_points, list):
         raise ValueError("'points' must be an array of coordinate arrays")
-    dim = declared if declared is not None else n
     snaps: list[SnapEvent] = []
     points: list[Point] = []
     for raw in raw_points:

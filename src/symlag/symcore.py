@@ -101,9 +101,6 @@ class Permutation:
         parts = ["(" + " ".join(map(str, c)) + ")" for c in self.cycles() if len(c) > 1]
         return "".join(parts) if parts else "id"
 
-    def to_json(self) -> list[int]:
-        return list(self.images)
-
 
 @functools.total_ordering
 @dataclass(frozen=True)

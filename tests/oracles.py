@@ -9,6 +9,7 @@ from __future__ import annotations
 import functools
 import itertools
 from fractions import Fraction
+from math import prod
 
 from symlag import OrbitType, Permutation, Point, apply_to_point, enumerate_types
 from symlag.symcore import canonical_blocks
@@ -95,6 +96,17 @@ def subgroup_orbit_count(s, t: OrbitType) -> int:
 def basis_orbit_count_under_stabilizer(b, t: OrbitType) -> int:
     """Orbits of a basis set under stab(canonical_point(t))."""
     return _stabilizer_orbit_count(b.functions, t)
+
+
+# -- a basis function at a point, term by term -----------------------------------
+
+def evaluate(f, point: Point) -> Fraction:
+    """f(point) in Fraction arithmetic: the oracle for the integer
+    evaluation behind vandermonde_matrix."""
+    return sum(
+        (c * prod(x**e for x, e in zip(point.coords, exponents, strict=True)) for exponents, c in f.terms),
+        Fraction(0),
+    )
 
 
 # -- V without n!: the Gram matrix of the Kostka numbers ------------------------

@@ -14,6 +14,7 @@ from symlag import (
     enumerate_types,
     k_matrix,
     orbit_size,
+    orbit_vector,
     r_vector,
     solve_constraints,
     stabilizer_order,
@@ -189,7 +190,7 @@ def test_criterion_7_unisolvent_implies_the_forced_orbit_vector():
         report = vandermonde(basis, nodes)
         if report.verdict == VERDICT_UNISOLVENT:
             certified += 1
-            assert nodes.orbit_vector() == (0, 2, 0), nodes.points
+            assert orbit_vector(nodes) == (0, 2, 0), nodes.points
     _finish(
         7,
         f"{certified} certified-unisolvent sets out of {draws} draws, "

@@ -15,11 +15,13 @@ from symlag import (
     Point,
     SizeMismatchError,
     VMatrix,
+    apply_to_point,
     basis_from_json,
     check_necessary_conditions,
     enumerate_types,
     monomial_from_string,
     orbit_size,
+    orbit_vector,
     r_vector,
     solve_constraints,
     v_matrix,
@@ -32,6 +34,7 @@ from symlag.interp import VERDICT_SINGULAR, VERDICT_UNISOLVENT
 
 from oracles import (
     basis_orbit_count_under_stabilizer,
+    evaluate,
     expand_orbit,
     fraction_determinant,
     fraction_solve,
@@ -65,10 +68,10 @@ def det_factor_product(a, b, c, d) -> Fraction:
 # -- monomial parsing -----------------------------------------------------------
 
 def test_monomial_from_string():
-    assert monomial_from_string("x1^2*x3", n=3).exponents == (2, 0, 1)
-    assert monomial_from_string("x2", n=4).exponents == (0, 1, 0, 0)
-    assert monomial_from_string("1", n=3).exponents == (0, 0, 0)
-    assert monomial_from_string("x2*x2", n=2).exponents == (0, 2)
+    assert monomial_from_string("x1^2*x3", n=3) == (2, 0, 1)
+    assert monomial_from_string("x2", n=4) == (0, 1, 0, 0)
+    assert monomial_from_string("1", n=3) == (0, 0, 0)
+    assert monomial_from_string("x2*x2", n=2) == (0, 2)
 
 
 def test_monomial_from_string_errors():
@@ -81,7 +84,7 @@ def test_monomial_from_string_errors():
 
 
 def test_monomial_from_string_bounds_the_dimension():
-    assert monomial_from_string("x24").n == 24
+    assert len(monomial_from_string("x24")) == 24
     for text, n in (("x25", None), ("x99999999", None), ("x1", 10**8)):
         with pytest.raises(ValueError, match="largest supported dimension 24"):
             monomial_from_string(text, n=n)
@@ -116,7 +119,33 @@ def test_action_composition_and_evaluation_laws():
         b = Permutation(tuple(rng.sample(range(1, n + 1), n)))
         assert f.permuted(a.compose(b)) == f.permuted(b).permuted(a)
         x = Point(tuple(rand_fraction(rng, -6, 6, 4) for _ in range(n)))
-        assert f.permuted(a).evaluate(x) == f.evaluate(x.permuted(inverse(a)))
+        assert evaluate(f.permuted(a), x) == evaluate(f, x.permuted(inverse(a)))
+
+
+def test_permuted_is_from_terms_on_the_permuted_exponents():
+    reordered = []
+
+    # derandomized: the same examples on every run, so tier-1 stays reproducible
+    @settings(derandomize=True, database=None, deadline=None, max_examples=100)
+    @given(st.data())
+    def check(data):
+        n = data.draw(st.integers(1, 5))
+        terms = data.draw(st.lists(
+            st.tuples(st.tuples(*[st.integers(0, 3)] * n), st.fractions(-3, 3, max_denominator=4).filter(bool)),
+            min_size=2, max_size=4, unique_by=lambda term: term[0],
+        ))
+        f = BasisFunction.from_terms(terms)
+        s = Permutation(tuple(data.draw(st.permutations(range(1, n + 1)))))
+        moved = [(apply_to_point(s, e), c) for e, c in f.terms]
+        # permuted skips from_terms' merge and checks, not its sort
+        expected = BasisFunction.from_terms(moved)
+        assert f.permuted(s) == expected and hash(f.permuted(s)) == hash(expected)
+        if list(expected.terms) != moved:
+            reordered.append(n)
+
+    check()
+    # vacuous unless some permutations change the order of the terms
+    assert len(reordered) >= 10, reordered
 
 
 def test_zero_polynomial_is_rejected():
@@ -216,7 +245,7 @@ def test_solution_is_integral_for_every_integer_r(data):
     v = v_matrix(data.draw(st.integers(1, 7)))
     r = data.draw(st.lists(st.integers(-50, 50), min_size=v.size, max_size=v.size))
     cs = solve_constraints(v, r)
-    assert all(x.denominator == 1 for x in cs.solution)
+    assert all(type(x) is int for x in cs.solution)
     assert cs.admissible == all(x >= 0 for x in cs.solution)
 
 
@@ -242,7 +271,7 @@ def test_cyclic_cubic_basis_is_infeasible():
     cs = solve_constraints(v_matrix(3), r_vector(basis))
     assert r_vector(basis) == (1, 1, 2)
     assert not cs.admissible
-    assert cs.solution == (Fraction(2), Fraction(-2), Fraction(1))
+    assert cs.solution == (2, -2, 1)
     assert "negative" in cs.reason
 
 
@@ -347,7 +376,7 @@ def test_unisolvent_symmetric_sets_have_the_forced_orbit_vector():
             left -= orbit_size(types[k])
         nodes = random_symmetric_set(random.Random(data.draw(st.integers(0, 2**32))), vector, n)
         if vandermonde(basis, nodes).unisolvent:
-            assert nodes.orbit_vector() == forced
+            assert orbit_vector(nodes) == forced
             unisolvent.append((n, d))
         elif tuple(vector) != forced:
             other_vectors.append((n, d))
@@ -395,7 +424,7 @@ def test_orbit_vector_mismatch_reason_when_counts_agree():
     pts = [Point.of(v, v, v) for v in (7, 8, 9)]
     pts += list(expand_orbit(Point.of(1, 2, 3))) + list(expand_orbit(Point.of(4, 5, 6)))
     nodes = validate_symmetric(pts)
-    assert nodes.orbit_vector() == (3, 0, 2)
+    assert orbit_vector(nodes) == (3, 0, 2)
     report = check_necessary_conditions(basis, nodes)
     assert not report.passed
     assert [c.passed for c in report.conditions] == [True, True, False]
@@ -509,7 +538,7 @@ def test_basis_from_json_term_lists():
 def test_basis_from_json_coefficients():
     obj = [[{"exponents": [1, 0], "coeff": [1, 2]}, {"exponents": [0, 1], "coeff": [1, 2]}]]
     basis = basis_from_json(obj)
-    assert basis.functions[0].evaluate(Point.of(2, 4)) == 3
+    assert evaluate(basis.functions[0], Point.of(2, 4)) == 3
 
 
 def test_basis_from_json_errors():
@@ -530,9 +559,3 @@ def test_act_on_function_dimension_mismatch():
     with pytest.raises(DimensionMismatchError):
         BasisFunction.monomial((1, 0, 0)).permuted(Permutation.identity(2))
 
-
-def test_evaluate_dimension_mismatch():
-    from symlag.errors import DimensionMismatchError
-
-    with pytest.raises(DimensionMismatchError):
-        BasisFunction.monomial((1, 0)).evaluate(Point.of(1, 2, 3))

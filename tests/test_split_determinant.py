@@ -3,7 +3,7 @@
 `vandermonde` computes det [f_i(a_j)] from integer symmetry blocks; the
 second derivation is plain Gaussian elimination over the rationals
 (`oracles.fraction_determinant`) on the matrix `vandermonde_matrix`
-returns, itself checked entry by entry against `BasisFunction.evaluate`.
+returns, itself checked entry by entry against `oracles.evaluate`.
 The two must agree exactly, sign included.
 """
 import itertools
@@ -26,7 +26,7 @@ from symlag import (
 from symlag import _linalg, interp
 from symlag.interp import VERDICT_SINGULAR
 
-from oracles import expand_orbit, fraction_determinant
+from oracles import evaluate, expand_orbit, fraction_determinant
 from conftest import case3_set, quadratic_basis, rand_fraction, random_symmetric_set
 
 # total degree d in R^n, kept to at most 35 functions
@@ -59,7 +59,7 @@ def forced_node_set(rng, functions):
 def both(functions, points):
     split = vandermonde(functions, points).determinant
     matrix = vandermonde_matrix(functions, points)
-    assert matrix == [[f.evaluate(p) for p in points] for f in functions]
+    assert matrix == [[evaluate(f, p) for p in points] for f in functions]
     return split, fraction_determinant(matrix)
 
 
