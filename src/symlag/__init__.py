@@ -58,7 +58,6 @@ from .symcore import (
     apply_to_point,
     enumerate_types,
     orbit_size,
-    stabilizer_generators,
     stabilizer_order,
     type_rank,
 )

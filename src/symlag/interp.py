@@ -25,7 +25,7 @@ from __future__ import annotations
 import json
 import re
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm, prod
 from typing import Iterable, Sequence
@@ -41,7 +41,6 @@ from .symcore import (
     enumerate_types,
     orbit_size,
     stabilizer_orbit_count,
-    swap_images,
     symmetric_orbit_classes,
 )
 
@@ -164,6 +163,8 @@ class BasisSet:
     n: int
     functions: tuple[BasisFunction, ...]
     orbits: tuple[tuple[BasisFunction, ...], ...]
+    # swap_images of ``functions``, in adjacent_transpositions(n) order
+    swaps: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
 
     def __len__(self) -> int:
         return len(self.functions)
@@ -180,11 +181,9 @@ def validate_symmetric_basis(functions: Iterable[BasisFunction], n: int | None =
     witness.
     """
     fs = list(functions)
-    if not fs:
-        if n is None:
-            raise ValueError("empty basis needs an explicit dimension n")
-        return BasisSet(n=n, functions=(), orbits=())
-    dim = fs[0].n
+    dim = fs[0].n if fs else n
+    if dim is None:
+        raise ValueError("empty basis needs an explicit dimension n")
     if n is not None and n != dim:
         raise DimensionMismatchError(f"functions have dimension {dim}, expected {n}")
     for f in fs:
@@ -194,18 +193,15 @@ def validate_symmetric_basis(functions: Iterable[BasisFunction], n: int | None =
         raise ValueError("duplicate basis function in input")
 
     ordered = sorted(fs)
-    orbits = tuple(
-        tuple(ordered[i] for i in members)
-        for members in symmetric_orbit_classes(ordered, dim, kind="function")
-    )
-    return BasisSet(n=dim, functions=tuple(ordered), orbits=orbits)
+    swaps, classes = symmetric_orbit_classes(ordered, dim, kind="function")
+    orbits = tuple(tuple(ordered[i] for i in members) for members in classes)
+    return BasisSet(n=dim, functions=tuple(ordered), orbits=orbits, swaps=swaps)
 
 
 def r_vector(b: BasisSet) -> tuple[int, ...]:
     """r[i] = number of basis-function orbits under the class-(i+1) stabilizer,
-    ranks in the descending type order; the functions are permuted once."""
-    maps = swap_images(b.functions, b.n)
-    return tuple(stabilizer_orbit_count(maps, t, len(b)) for t in enumerate_types(b.n))
+    ranks in the descending type order, from the swap maps validation kept."""
+    return tuple(stabilizer_orbit_count(b.swaps, t, len(b)) for t in enumerate_types(b.n))
 
 
 @dataclass(frozen=True)
@@ -359,7 +355,7 @@ def vandermonde_matrix(functions: Sequence[BasisFunction], points: Sequence[Poin
     return [[Fraction(x, s * t) for x, t in zip(row, columns)] for row, s in zip(rows, scales)]
 
 
-def _orbits(maps: Sequence[list[int]], size: int) -> list[tuple[list[int], list[int], list[int]]]:
+def _orbits(maps: Sequence[Sequence[int]], size: int) -> list[tuple[list[int], list[int], list[int]]]:
     """Orbits of the group A generated by commuting involutions (index maps).
 
     An element of A is a bitmask over the generators.  Each orbit is
@@ -440,11 +436,11 @@ def _walsh(values: list[int]) -> list[int]:
     return v
 
 
-def _split_determinant(functions: Sequence[BasisFunction], points: Sequence[Point]) -> Fraction:
+def _split_determinant(basis: BasisSet, nodes: NodeSet) -> Fraction:
     """Exact det [f_i(a_j)] over integers, one symmetry block at a time.
 
-    The swaps (1 2), (3 4), ... that map both the functions and the points
-    onto themselves generate A = (Z/2)^k, and M[g f, g a] = M[f, a].  In the
+    Both validated sets are closed under every swap, so all floor(n/2) of
+    (1 2), (3 4), ... generate A = (Z/2)^k, and M[g f, g a] = M[f, a].  In the
     symmetry-adapted bases of both sides M becomes block diagonal with one
     block per character chi of A (Fassler & Stiefel 1992):
     B_chi[f, a] = sum_u chi(g_u) M[f, g_u a] over orbit representatives on
@@ -453,17 +449,14 @@ def _split_determinant(functions: Sequence[BasisFunction], points: Sequence[Poin
     determinants, corrected by the bases' determinants and the integer
     scales, all exact.  With k = 0 this is one Bareiss pass on M.
     """
+    functions, points = basis.functions, nodes.points
     cleared, degree = _cleared_points(functions, points)
-    if len(set(functions)) < len(functions) or len(set(points)) < len(points):
-        return Fraction(0)
-    n = functions[0].n
     # (1 2), (3 4), ... are every other adjacent transposition
-    f_swaps, p_swaps = (list(swap_images(items, n).values())[::2] for items in (functions, points))
-    maps = [(fm, pm) for fm, pm in zip(f_swaps, p_swaps) if None not in fm and None not in pm]
-    f_orbits = _orbits([fm for fm, _ in maps], len(functions))
-    p_orbits = _orbits([pm for _, pm in maps], len(points))
-    f_keys = [[_character_key(c, stab, free) for _, stab, free in f_orbits] for c in range(1 << len(maps))]
-    p_keys = [[_character_key(c, stab, free) for _, stab, free in p_orbits] for c in range(1 << len(maps))]
+    f_swaps, p_swaps = basis.swaps[::2], nodes.swaps[::2]
+    f_orbits = _orbits(f_swaps, len(functions))
+    p_orbits = _orbits(p_swaps, len(points))
+    f_keys = [[_character_key(c, stab, free) for _, stab, free in f_orbits] for c in range(1 << len(f_swaps))]
+    p_keys = [[_character_key(c, stab, free) for _, stab, free in p_orbits] for c in range(1 << len(p_swaps))]
     blocks = [
         ([r for r, w in enumerate(fk) if w is not None], [(a, w) for a, w in enumerate(pk) if w is not None])
         for fk, pk in zip(f_keys, p_keys)
@@ -492,30 +485,24 @@ def _split_determinant(functions: Sequence[BasisFunction], points: Sequence[Poin
     )
 
 
-def vandermonde(
-    basis: BasisSet | Sequence[BasisFunction],
-    nodes: NodeSet | Sequence[Point],
-    mode: str = "exact",
-) -> UnisolvenceReport:
-    """Determinant test for unisolvence.
+def vandermonde(basis: BasisSet, nodes: NodeSet, mode: str = "exact") -> UnisolvenceReport:
+    """Determinant test for unisolvence of a validated basis and node set.
 
     The integer, symmetry-split determinant of _split_determinant; the pair
     is unisolvent iff it is not zero.  ``mode`` accepts only "exact".
     """
     if mode != "exact":
         raise ValueError(f"unknown mode {mode!r}")
-    functions = tuple(basis.functions if isinstance(basis, BasisSet) else basis)
-    points = tuple(nodes.points if isinstance(nodes, NodeSet) else nodes)
-    if len(functions) != len(points):
+    if len(basis) != len(nodes):
         raise SizeMismatchError(
-            f"{len(functions)} basis functions vs {len(points)} nodes; "
+            f"{len(basis)} basis functions vs {len(nodes)} nodes; "
             "unisolvence needs the dimension of the space to equal the node count"
         )
-    if not functions:
+    if not basis.functions:
         raise ValueError("need at least one function and one node")
-    det = _split_determinant(functions, points)
+    det = _split_determinant(basis, nodes)
     verdict = VERDICT_UNISOLVENT if det != 0 else VERDICT_SINGULAR
-    return UnisolvenceReport(size=len(functions), determinant=det, verdict=verdict)
+    return UnisolvenceReport(size=len(basis), determinant=det, verdict=verdict)
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -112,6 +112,8 @@ class NodeSet:
     n: int
     points: tuple[Point, ...]
     orbits: tuple[Orbit, ...]
+    # swap_images of ``points``, in adjacent_transpositions(n) order
+    swaps: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
 
     def __len__(self) -> int:
         return len(self.points)
@@ -132,11 +134,9 @@ def validate_symmetric(points: Iterable[Point | Sequence], n: int | None = None)
     pts: list[Point] = []
     for p in points:
         pts.append(p if isinstance(p, Point) else Point(tuple(Fraction(c) for c in p)))
-    if not pts:
-        if n is None:
-            raise ValueError("empty node set needs an explicit dimension n")
-        return NodeSet(n=n, points=(), orbits=())
-    dim = pts[0].n
+    dim = pts[0].n if pts else n
+    if dim is None:
+        raise ValueError("empty node set needs an explicit dimension n")
     if n is not None and n != dim:
         raise DimensionMismatchError(f"points have dimension {dim}, expected {n}")
     for p in pts:
@@ -148,14 +148,15 @@ def validate_symmetric(points: Iterable[Point | Sequence], n: int | None = None)
         raise DuplicatePointError(f"duplicate point {dup}")
 
     ordered = sorted(pts)
+    swaps, classes = symmetric_orbit_classes(ordered, dim, kind="point")
     orbits = []
-    for members in symmetric_orbit_classes(ordered, dim, kind="point"):
+    for members in classes:
         group = [ordered[i] for i in members]
         t = classify_point(group[0])
         if len(group) != orbit_size(t):
             raise AssertionError("orbit decomposition does not match orbit size")
         orbits.append(Orbit(type=t, points=tuple(group), rep=canonical_arrangement(group[0])))
-    return NodeSet(n=dim, points=tuple(ordered), orbits=tuple(orbits))
+    return NodeSet(n=dim, points=tuple(ordered), orbits=tuple(orbits), swaps=swaps)
 
 
 def orbit_vector(s: NodeSet) -> tuple[int, ...]:
@@ -175,9 +176,6 @@ class EquivalenceResult:
     vector_b: tuple[int, ...]
     bijection: tuple[tuple[Point, Point], ...] | None
 
-    def __bool__(self) -> bool:
-        return self.equivalent
-
 
 def equivalent(s1: NodeSet, s2: NodeSet) -> EquivalenceResult:
     """Decide equivalence of the two S_n-actions and build the bijection.
@@ -195,22 +193,20 @@ def equivalent(s1: NodeSet, s2: NodeSet) -> EquivalenceResult:
         return EquivalenceResult(False, va, vb, None)
 
     def by_type(s: NodeSet) -> dict[OrbitType, list[Orbit]]:
+        # validation lists the orbits in the order of their first point
         grouped: dict[OrbitType, list[Orbit]] = {}
         for orbit in s.orbits:
             grouped.setdefault(orbit.type, []).append(orbit)
-        for orbits in grouped.values():
-            orbits.sort(key=lambda o: o.points[0])
         return grouped
 
-    pairs: list[tuple[Point, Point]] = []
+    image: dict[Point, Point] = {}
     grouped_b = by_type(s2)
     for t, orbits_a in by_type(s1).items():
         for oa, ob in zip(orbits_a, grouped_b[t]):
             value = dict(zip(oa.rep.coords, ob.rep.coords))
             for x in oa.points:
-                pairs.append((x, Point(tuple(value[c] for c in x.coords))))
-    pairs.sort()
-    return EquivalenceResult(True, va, vb, tuple(pairs))
+                image[x] = Point(tuple(value[c] for c in x.coords))
+    return EquivalenceResult(True, va, vb, tuple((x, image[x]) for x in s1.points))
 
 
 # -- ingestion ---------------------------------------------------------------
@@ -327,12 +323,20 @@ def node_set_from_json(obj, snap_tol: Fraction | None = None) -> tuple[NodeSet, 
         raise ValueError("'points' must be an array of coordinate arrays")
     snaps: list[SnapEvent] = []
     points: list[Point] = []
+    # each distinct string is parsed and snapped once; only strings are
+    # keys, since true, 1 and 1.0 would share one
+    parsed: dict[str, tuple[Fraction, SnapEvent | None]] = {}
     for raw in raw_points:
         if not isinstance(raw, list):
             raise ValueError(f"point {raw!r} is not a coordinate array")
         coords = []
         for c in raw:
-            value, event = parse_rational(c, snap_tol)
+            if isinstance(c, str):
+                if c not in parsed:
+                    parsed[c] = parse_rational(c, snap_tol)
+                value, event = parsed[c]
+            else:
+                value, event = parse_rational(c, snap_tol)
             coords.append(value)
             if event is not None:
                 snaps.append(event)

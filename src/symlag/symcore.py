@@ -50,32 +50,11 @@ class Permutation:
         return len(self.images)
 
     @classmethod
-    def identity(cls, n: int) -> "Permutation":
-        return cls(tuple(range(1, n + 1)))
-
-    @classmethod
     def transposition(cls, n: int, i: int, j: int) -> "Permutation":
         """The permutation exchanging labels i and j (1-based)."""
         images = list(range(1, n + 1))
         images[i - 1], images[j - 1] = j, i
         return cls(tuple(images))
-
-    def __call__(self, label: int) -> int:
-        return self.images[label - 1]
-
-    def compose(self, other: "Permutation") -> "Permutation":
-        """Product with ``self`` applied first: ``a.compose(b)(i) == b(a(i))``.
-
-        This is the convention under which the point action is associative:
-        ``apply_to_point(a.compose(b), x) == apply_to_point(a, apply_to_point(b, x))``.
-
-        >>> a = Permutation((2, 3, 1)); b = Permutation((2, 1, 3))
-        >>> a.compose(b).images
-        (1, 3, 2)
-        """
-        if self.n != other.n:
-            raise DimensionMismatchError(f"cannot compose permutations of sizes {self.n} and {other.n}")
-        return Permutation(tuple(other.images[v - 1] for v in self.images))
 
     def cycles(self) -> tuple[tuple[int, ...], ...]:
         """Disjoint cycles, each starting at its smallest label, fixed labels included.
@@ -190,7 +169,8 @@ def apply_to_point(p: Permutation, coords: Sequence[T]) -> tuple[T, ...]:
     """Permute coordinates: slot i of the result is coords[p(i)].
 
     Works on any coordinate-like sequence (rational points, exponent
-    vectors).  Satisfies apply(a.compose(b), x) == apply(a, apply(b, x)).
+    vectors).  Satisfies apply(p, x) == apply(a, apply(b, x)) for the
+    product p(i) = b(a(i)).
     """
     if len(coords) != p.n:
         raise DimensionMismatchError(f"point of dimension {len(coords)} under permutation of size {p.n}")
@@ -222,32 +202,22 @@ def canonical_blocks(t: OrbitType) -> list[list[int]]:
     return blocks
 
 
-def stabilizer_generators(t: OrbitType) -> list[Permutation]:
-    """Generators of the stabilizer of the canonical point of type t: adjacent
-    transpositions inside each equal-value block.  Empty for the free type (trivial stabilizer)."""
-    gens = []
-    for block in canonical_blocks(t):
-        for a, b in zip(block, block[1:]):
-            gens.append(Permutation.transposition(t.n, a, b))
-    return gens
-
-
 def adjacent_transpositions(n: int) -> list[Permutation]:
     """The standard generating set {(i i+1)} of S_n (empty for n = 1)."""
     return [Permutation.transposition(n, i, i + 1) for i in range(1, n)]
 
 
-def swap_images(items: Sequence, n: int) -> dict[Permutation, list[int | None]]:
+def swap_images(items: Sequence, n: int) -> tuple[tuple[int | None, ...], ...]:
     """Index maps of the adjacent transpositions on distinct ``items``.
 
-    For each (i i+1), in ``adjacent_transpositions(n)`` order, position k
+    One map per (i i+1), in ``adjacent_transpositions(n)`` order: position k
     holds the index in ``items`` of ``items[k].permuted((i i+1))``, or None
-    where that image is not an item.  Keyed by the transposition, so the
-    maps of a stabilizer are ``[maps[g] for g in stabilizer_generators(t)]``.
-    This is the one place where a set of items is permuted.
+    where that image is not an item.  This is the one place where a set of
+    items is permuted; validation calls it once per set, and the validated
+    set keeps the maps.
     """
     index = {x: k for k, x in enumerate(items)}
-    return {tau: [index.get(x.permuted(tau)) for x in items] for tau in adjacent_transpositions(n)}
+    return tuple(tuple(index.get(x.permuted(tau)) for x in items) for tau in adjacent_transpositions(n))
 
 
 def orbit_classes(maps: Iterable[Sequence[int]], size: int) -> list[list[int]]:
@@ -272,21 +242,28 @@ def orbit_classes(maps: Iterable[Sequence[int]], size: int) -> list[list[int]]:
     return list(classes.values())
 
 
-def symmetric_orbit_classes(items: Sequence, n: int, kind: str) -> list[list[int]]:
-    """orbit_classes of distinct ``items`` under S_n, after checking closure.
+def symmetric_orbit_classes(
+    items: Sequence, n: int, kind: str
+) -> tuple[tuple[tuple[int, ...], ...], list[list[int]]]:
+    """The swap_images of distinct ``items`` and their orbit_classes under
+    S_n, after checking closure.
 
     Closure under the adjacent transpositions is closure under all of S_n.
     Raises NotSymmetricError at the first (transposition, item) pair, in
     transposition-major order, whose image is not an item.
     """
     maps = swap_images(items, n)
-    for tau, image in maps.items():
+    for tau, image in zip(adjacent_transpositions(n), maps):
         if None in image:
             raise NotSymmetricError(items[image.index(None)], tau, kind=kind)
-    return orbit_classes(maps.values(), len(items))
+    return maps, orbit_classes(maps, len(items))
 
 
-def stabilizer_orbit_count(maps: dict[Permutation, list[int]], t: OrbitType, size: int) -> int:
+def stabilizer_orbit_count(swaps: Sequence[Sequence[int]], t: OrbitType, size: int) -> int:
     """Orbits of ``size`` items under the stabilizer of the canonical point of
-    type t, given their swap_images (which must not hold None)."""
-    return len(orbit_classes([maps[g] for g in stabilizer_generators(t)], size))
+    type t, given their swap maps in ``adjacent_transpositions`` order.
+
+    The stabilizer is generated by the swaps (a a+1) inside each block of
+    ``canonical_blocks(t)``, the map at index a - 1.
+    """
+    return len(orbit_classes([swaps[a - 1] for block in canonical_blocks(t) for a in block[:-1]], size))

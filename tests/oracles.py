@@ -15,6 +15,19 @@ from symlag import OrbitType, Permutation, Point, apply_to_point, enumerate_type
 from symlag.symcore import canonical_blocks
 
 
+def identity(n: int) -> Permutation:
+    return Permutation(tuple(range(1, n + 1)))
+
+
+def compose(a: Permutation, b: Permutation) -> Permutation:
+    """The product with ``a`` applied first: label i goes to b(a(i)).
+
+    Under it the point action is associative:
+    ``apply_to_point(compose(a, b), x) == apply_to_point(a, apply_to_point(b, x))``.
+    """
+    return Permutation(tuple(b.images[v - 1] for v in a.images))
+
+
 def inverse(p: Permutation) -> Permutation:
     """The permutation q with q(p(i)) = i."""
     images = [0] * p.n
@@ -46,6 +59,14 @@ def representative_permutation(t: OrbitType) -> Permutation:
         for k, label in enumerate(block):
             images[label - 1] = block[(k + 1) % len(block)]
     return Permutation(tuple(images))
+
+
+def stabilizer_generators(t: OrbitType) -> list[Permutation]:
+    """The adjacent transpositions inside each block of the canonical point
+    of type t; empty for the free type (trivial stabilizer)."""
+    return [
+        Permutation.transposition(t.n, a, a + 1) for block in canonical_blocks(t) for a in block[:-1]
+    ]
 
 
 def unique_arrangements(values) -> list[tuple]:

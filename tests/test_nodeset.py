@@ -1,4 +1,5 @@
 """Symmetric node sets: classification, orbit vectors, equivalence, ingestion."""
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -343,6 +344,25 @@ def test_node_set_from_json_snapping_restores_symmetry_classes():
     assert len(snaps) == 3
     assert all(e.snapped == Fraction(1, 3) for e in snaps)
     assert orbit_vector(s) == (0, 1, 0)
+
+
+def test_node_set_from_json_parses_repeated_strings_like_single_ones():
+    # each distinct string is parsed once per file; the points and the snap
+    # list, one event per snapped occurrence, are those of parsing each
+    # coordinate on its own
+    free = [list(p) for p in itertools.permutations(["0.333333", "0.666667", "1.5"])]
+    pairs = [list(p) for p in set(itertools.permutations(["0.333333", "0.333333", "0.666667"]))]
+    raw = free + pairs + [["2", 2, [4, 2]]]
+    tol = Fraction(1, 10000)
+    s, snaps = node_set_from_json({"n": 3, "points": raw}, snap_tol=tol)
+    parsed = [[parse_rational(c, tol) for c in p] for p in raw]
+    assert s.points == validate_symmetric([[v for v, _ in p] for p in parsed]).points
+    assert snaps == [e for p in parsed for _, e in p if e is not None]
+    assert len(snaps) == 6 * 2 + 3 * 3 and orbit_vector(s) == (1, 1, 1)
+    # only strings share a parse: true equals 1 and 1.0 as a key
+    for points in ([[1, "1"], [True, 1]], [["1", 1.0], [1.0, True]]):
+        with pytest.raises(ValueError, match="invalid coordinate True"):
+            node_set_from_json({"points": points})
 
 
 def test_node_set_from_json_dimension_mismatch():

@@ -19,9 +19,9 @@ from symlag import (
     validate_symmetric,
     validate_symmetric_basis,
 )
+from symlag import interp, nodeset, symcore
 from symlag.cli import main
 from symlag.symcore import (
-    adjacent_transpositions,
     canonical_blocks,
     orbit_classes,
     stabilizer_orbit_count,
@@ -74,9 +74,8 @@ def function_sets(draw, monomial=False):
 
 def test_swap_images_follow_adjacent_transposition_order():
     points = [Point.of(1, 2, 3), Point.of(2, 1, 3), Point.of(1, 3, 2)]
-    maps = swap_images(points, 3)
-    assert list(maps) == adjacent_transpositions(3)
-    assert list(maps.values()) == [[1, 0, None], [2, None, 0]]
+    # (1 2) then (2 3)
+    assert swap_images(points, 3) == ((1, 0, None), (2, None, 0))
 
 
 def test_orbit_classes_order_by_smallest_member():
@@ -96,6 +95,7 @@ def test_validation_ignores_input_order_and_orbits_are_full_orbits(points):
     assert nodes.orbits == again.orbits
     assert orbit_vector(nodes) == orbit_vector(again)
     assert nodes.points == tuple(sorted(points))
+    assert nodes.swaps == swap_images(sorted(points), nodes.n)
     for orbit in nodes.orbits:
         assert set(orbit.points) == expand_orbit(orbit.rep)
 
@@ -104,15 +104,15 @@ def test_validation_ignores_input_order_and_orbits_are_full_orbits(points):
 @given(point_sets())
 def test_subgroup_orbit_count_matches_brute_force(points):
     nodes = validate_symmetric(points)
-    maps = swap_images(nodes.points, nodes.n)
     for t in enumerate_types(nodes.n):
-        assert stabilizer_orbit_count(maps, t, len(nodes)) == subgroup_orbit_count(nodes, t)
+        assert stabilizer_orbit_count(nodes.swaps, t, len(nodes)) == subgroup_orbit_count(nodes, t)
 
 
 @ENGINE
 @given(function_sets())
 def test_basis_orbit_count_matches_brute_force(functions):
     basis = validate_symmetric_basis(functions)
+    assert basis.swaps == swap_images(sorted(functions), basis.n)
     group = _all_permutations(basis.n)
     assert [set(o) for o in basis.orbits] == [
         set(f.permuted(g) for g in group) for f in (o[0] for o in basis.orbits)
@@ -163,6 +163,27 @@ def test_dropping_a_function_breaks_symmetry_with_a_true_witness(functions, data
         validate_symmetric_basis(rest)
     witness = info.value
     assert witness.item in rest and witness.item.permuted(witness.permutation) not in rest
+
+
+def test_analyze_permutes_each_set_once(tmp_path, monkeypatch, capsys):
+    # validation builds the swap maps; the r-vector and the determinant split
+    # read them from the validated sets
+    calls, images = [], symcore.swap_images
+
+    def spy(items, n):
+        calls.append(len(items))
+        return images(items, n)
+
+    # also where a module could have imported it by name
+    for module in (symcore, interp, nodeset):
+        monkeypatch.setattr(module, "swap_images", spy, raising=False)
+    exponents = [(2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 0), (0, 1, 1), (1, 0, 1)]
+    basis = _write(tmp_path / "basis.json", {"n": 3, "functions": [{"exponents": e} for e in exponents]})
+    points = [[1, 1, 0], [1, 0, 1], [0, 1, 1], [2, 2, 3], [2, 3, 2], [3, 2, 2]]
+    nodes = _write(tmp_path / "nodes.json", {"n": 3, "points": points})
+    assert main(["analyze", "--basis", basis, "--nodes", nodes]) == 0
+    assert "unisolvent" in capsys.readouterr().out
+    assert calls == [6, 6]
 
 
 # -- pinned outputs -------------------------------------------------------------

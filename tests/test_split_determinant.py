@@ -1,10 +1,11 @@
 """The symmetry-split exact determinant against plain elimination.
 
-`vandermonde` computes det [f_i(a_j)] from integer symmetry blocks; the
-second derivation is plain Gaussian elimination over the rationals
-(`oracles.fraction_determinant`) on the matrix `vandermonde_matrix`
-returns, itself checked entry by entry against `oracles.evaluate`.
-The two must agree exactly, sign included.
+`vandermonde` computes det [f_i(a_j)] of a validated basis and node set
+from integer symmetry blocks; the second derivation is plain Gaussian
+elimination over the rationals (`oracles.fraction_determinant`) on the
+matrix `vandermonde_matrix` returns for the sets' sorted functions and
+points, itself checked entry by entry against `oracles.evaluate`.  The
+two must agree exactly, sign included.
 """
 import itertools
 import random
@@ -14,11 +15,11 @@ import pytest
 
 from symlag import (
     BasisFunction,
-    Permutation,
     Point,
     r_vector,
     solve_constraints,
     v_matrix,
+    validate_symmetric,
     validate_symmetric_basis,
     vandermonde,
     vandermonde_matrix,
@@ -57,9 +58,12 @@ def forced_node_set(rng, functions):
 
 
 def both(functions, points):
-    split = vandermonde(functions, points).determinant
-    matrix = vandermonde_matrix(functions, points)
-    assert matrix == [[evaluate(f, p) for p in points] for f in functions]
+    """The split determinant of the validated sets, and plain elimination on
+    their evaluation matrix."""
+    basis, nodes = validate_symmetric_basis(functions), validate_symmetric(points)
+    split = vandermonde(basis, nodes).determinant
+    matrix = vandermonde_matrix(basis.functions, nodes.points)
+    assert matrix == [[evaluate(f, p) for p in nodes.points] for f in basis.functions]
     return split, fraction_determinant(matrix)
 
 
@@ -80,13 +84,9 @@ def test_split_matches_plain_on_shuffled_symmetric_sets(n, make_basis):
     nonzero = 0
     for _ in range(3):
         nodes = forced_node_set(rng, functions)
-        fs, pts = shuffled(rng, functions), shuffled(rng, nodes.points)
-        split, plain = both(fs, pts)
+        split, plain = both(shuffled(rng, functions), shuffled(rng, nodes.points))
         assert split == plain
         nonzero += split != 0
-        # swapping two rows flips the sign, as it must
-        fs[0], fs[-1] = fs[-1], fs[0]
-        assert vandermonde(fs, pts).determinant == (-split if len(fs) > 1 else split)
     assert nonzero
 
 
@@ -95,7 +95,8 @@ def test_split_matches_plain_with_zero_and_negative_coordinates():
     functions = [BasisFunction.monomial(e) for e in total_degree_exponents(4, 3)]
     for _ in range(4):
         nodes = forced_node_set(rng, functions)
-        # map coordinates onto a small range holding 0 and negatives
+        # map coordinates onto a small range holding 0 and negatives; the
+        # map commutes with permutations, so the image is still symmetric
         pts = [Point(tuple(Fraction(c.numerator % 7 - 3, c.denominator) for c in p.coords)) for p in nodes.points]
         split, plain = both(shuffled(rng, functions), shuffled(rng, pts))
         assert split == plain
@@ -121,37 +122,6 @@ def test_split_matches_plain_on_orbits_with_non_coordinate_stabilizers():
     assert nonzero
 
 
-SWAP12 = {n: Permutation.transposition(n, 1, 2) for n in (3, 4, 5)}
-
-
-def test_split_matches_plain_on_sets_not_closed_under_a_swap():
-    rng = random.Random(73)
-    for n in (3, 4, 5):
-        functions = [BasisFunction.monomial(e) for e in total_degree_exponents(n, 2)]
-        for _ in range(3):
-            # move one (1 2)-orbit off the set's symmetry in coordinates 3..n:
-            # closed under (1 2), no longer under (3 4)
-            pts = list(forced_node_set(rng, functions).points)
-            p = pts[rng.randrange(len(pts))]
-            q = Point(p.coords[:2] + tuple(rand_fraction(rng, 31, 60) for _ in range(n - 2)))
-            pts = [x for x in pts if x not in (p, p.permuted(SWAP12[n]))] + list({q, q.permuted(SWAP12[n])})
-            split, plain = both(functions, shuffled(rng, pts))
-            assert split == plain != 0
-        # dropping one function breaks the function side's closure instead
-        pts = list(forced_node_set(rng, functions).points)
-        odd = BasisFunction.monomial((3,) + (0,) * (n - 1))
-        fs = [odd if f == BasisFunction.monomial((2,) + (0,) * (n - 1)) else f for f in functions]
-        split, plain = both(fs, pts)
-        assert split == plain
-
-
-def test_duplicate_points_and_functions_give_zero():
-    functions = quadratic_basis().functions
-    pts = list(case3_set(0, 1, 2, 3).points)
-    assert both(functions, pts[:-1] + pts[:1]) == (0, 0)
-    assert both(functions[:-1] + functions[:1], pts) == (0, 0)
-
-
 def _count_eliminated_blocks(monkeypatch):
     dets, determinant = [], _linalg.integer_determinant
 
@@ -167,12 +137,12 @@ def test_singular_by_a_non_square_block(monkeypatch):
     # x1, x2 form one free orbit of (1 2); both nodes are fixed by it, so the
     # sign character has a row and no column
     dets = _count_eliminated_blocks(monkeypatch)
-    functions = [BasisFunction.monomial((1, 0)), BasisFunction.monomial((0, 1))]
-    pts = [Point.of(1, 1), Point.of(2, 2)]
-    report = vandermonde(functions, pts)
+    basis = validate_symmetric_basis([BasisFunction.monomial((1, 0)), BasisFunction.monomial((0, 1))])
+    nodes = validate_symmetric([Point.of(1, 1), Point.of(2, 2)])
+    report = vandermonde(basis, nodes)
     assert report.verdict == VERDICT_SINGULAR and report.determinant == 0
     assert dets == []
-    assert fraction_determinant(vandermonde_matrix(functions, pts)) == 0
+    assert fraction_determinant(vandermonde_matrix(basis.functions, nodes.points)) == 0
 
 
 def test_singular_by_a_zero_block(monkeypatch):
@@ -188,8 +158,9 @@ def test_singular_by_a_zero_block(monkeypatch):
 def test_exact_evaluation_refuses_huge_entries():
     functions = [BasisFunction.monomial((999999999, 0)), BasisFunction.monomial((0, 999999999))]
     with pytest.raises(interp.SymlagError, match="bits"):
-        vandermonde(functions, [Point.of(1, 2), Point.of(2, 1)])
+        vandermonde(validate_symmetric_basis(functions), validate_symmetric([Point.of(1, 2), Point.of(2, 1)]))
     with pytest.raises(interp.SymlagError, match="bits"):
         vandermonde_matrix(functions, [Point.of(Fraction(1, 2), 1)])
-    # 0 and 1 have no bits to grow: only the exponents that occur are raised
-    assert both(functions, [Point.of(0, 1), Point.of(1, 0)]) == (-1, -1)
+    # 0 and 1 have no bits to grow: only the exponents that occur are raised;
+    # sorted, x2^999999999 and (0, 1) come first, so the matrix is I
+    assert both(functions, [Point.of(0, 1), Point.of(1, 0)]) == (1, 1)

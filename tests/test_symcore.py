@@ -4,8 +4,10 @@ import importlib
 import itertools
 import pkgutil
 import random
+import re
 from fractions import Fraction
 from math import factorial
+from pathlib import Path
 
 import pytest
 
@@ -16,13 +18,20 @@ from symlag import (
     apply_to_point,
     enumerate_types,
     orbit_size,
-    stabilizer_generators,
     stabilizer_order,
     type_rank,
 )
 from symlag.errors import DimensionMismatchError
 
-from oracles import canonical_point, cycle_type, inverse, stabilizer_elements
+from oracles import (
+    canonical_point,
+    compose,
+    cycle_type,
+    identity,
+    inverse,
+    stabilizer_elements,
+    stabilizer_generators,
+)
 
 
 def brute_type_count(n: int) -> int:
@@ -136,7 +145,7 @@ def test_orbit_type_validates_weight():
 # -- cycle_type (the oracle the class-size tests use) ---------------------------
 
 def test_cycle_type_identity():
-    assert cycle_type(Permutation.identity(3)).counts == (3, 0, 0)
+    assert cycle_type(identity(3)).counts == (3, 0, 0)
 
 
 def test_cycle_type_transposition():
@@ -161,7 +170,7 @@ def test_cycle_types_partition_all_of_s4():
 
 def test_apply_identity_is_noop():
     x = (Fraction(3), Fraction(1, 2), Fraction(-7))
-    assert apply_to_point(Permutation.identity(3), x) == x
+    assert apply_to_point(identity(3), x) == x
 
 
 def test_apply_transposition_fixes_equal_components():
@@ -176,7 +185,7 @@ def test_apply_three_cycle():
 
 def test_apply_rejects_dimension_mismatch():
     with pytest.raises(DimensionMismatchError):
-        apply_to_point(Permutation.identity(3), (1, 2))
+        apply_to_point(identity(3), (1, 2))
 
 
 def test_action_axioms_randomized():
@@ -186,8 +195,8 @@ def test_action_axioms_randomized():
         a = Permutation(tuple(rng.sample(range(1, n + 1), n)))
         b = Permutation(tuple(rng.sample(range(1, n + 1), n)))
         x = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(n))
-        assert apply_to_point(Permutation.identity(n), x) == x
-        assert apply_to_point(a.compose(b), x) == apply_to_point(a, apply_to_point(b, x))
+        assert apply_to_point(identity(n), x) == x
+        assert apply_to_point(compose(a, b), x) == apply_to_point(a, apply_to_point(b, x))
         assert apply_to_point(inverse(a), apply_to_point(a, x)) == x
 
 
@@ -241,10 +250,10 @@ def test_canonical_point_realizes_its_type():
 
 
 def test_stabilizer_elements_examples():
-    assert stabilizer_elements(OrbitType((3, 0, 0))) == [Permutation.identity(3)]
+    assert stabilizer_elements(OrbitType((3, 0, 0))) == [identity(3)]
     assert len(stabilizer_elements(OrbitType((0, 0, 1)))) == 6
     swap23 = Permutation.transposition(3, 2, 3)
-    assert set(stabilizer_elements(OrbitType((1, 1, 0)))) == {Permutation.identity(3), swap23}
+    assert set(stabilizer_elements(OrbitType((1, 1, 0)))) == {identity(3), swap23}
 
 
 @pytest.mark.parametrize("n", range(1, 6))
@@ -257,12 +266,12 @@ def test_stabilizer_elements_count_matches_order(n):
 def test_stabilizer_generators_generate_the_full_stabilizer(n):
     for t in enumerate_types(n):
         gens = stabilizer_generators(t)
-        closure = {Permutation.identity(n)}
-        frontier = [Permutation.identity(n)]
+        closure = {identity(n)}
+        frontier = [identity(n)]
         while frontier:
             p = frontier.pop()
             for g in gens:
-                q = p.compose(g)
+                q = compose(p, g)
                 if q not in closure:
                     closure.add(q)
                     frontier.append(q)
@@ -286,3 +295,10 @@ def test_module_doctests_pass():
     results = {module.__name__: doctest.testmod(module) for module in modules}
     assert {name: r.failed for name, r in results.items() if r.failed} == {}
     assert sum(r.attempted for r in results.values()) >= 6
+
+
+def test_readme_library_example_runs(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    code = re.search(r"## Library\n\n```python\n(.*?)```", readme, re.S).group(1)
+    exec(compile(code, "README.md", "exec"), {})
+    assert capsys.readouterr().out == "(0, 2, 0)\nunisolvent\n"
