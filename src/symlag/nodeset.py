@@ -6,6 +6,16 @@ strings are read exactly (a float as its shortest repr); ``--snap-tol``
 optionally moves each onto a nearby simple rational and reports it
 (``parse_rational``).
 
+A node set is validated on the integer ranks of its distinct coordinate
+values: each value is hashed once, to find its rank among the set's sorted
+distinct values, and the duplicate check, the sort, the swap maps, the
+closure check and the orbits all run on tuples of those ranks.  Ranking
+keeps equality and order, so the result is what the same steps on the
+Fractions would give; the Points are built from the ranks at the end.
+``node_set_from_json`` ranks straight from its parse cache, one entry per
+distinct raw form (string, int or [int, int] pair), so no coordinate of
+the file is hashed as a Fraction.
+
 A validated :class:`NodeSet` is immutable: points sorted lexicographically,
 orbits discovered greedily in that order, each orbit tagged with its type.
 The orbit vector counts orbits per type rank (descending order), and two
@@ -16,11 +26,12 @@ from __future__ import annotations
 
 import json
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .errors import DimensionMismatchError, DuplicatePointError, SymlagError
+from .errors import DimensionMismatchError, DuplicatePointError, NotSymmetricError, SymlagError
 from .symcore import (
     OrbitType,
     Permutation,
@@ -64,15 +75,21 @@ class Point:
         return "(" + ", ".join(str(c) for c in self.coords) + ")"
 
 
-def classify_point(x: Point) -> OrbitType:
-    """Orbit type of a point: counts[i-1] = number of values occurring i times."""
-    multiplicity: dict[Fraction, int] = {}
-    for c in x.coords:
-        multiplicity[c] = multiplicity.get(c, 0) + 1
-    counts = [0] * x.n
-    for m in multiplicity.values():
+def _orbit_type(coords: Sequence) -> OrbitType:
+    counts = [0] * len(coords)
+    for m in Counter(coords).values():
         counts[m - 1] += 1
     return OrbitType(tuple(counts))
+
+
+def _canonical(coords: Sequence) -> list:
+    multiplicity = Counter(coords)
+    return [v for v in sorted(multiplicity, key=lambda v: (multiplicity[v], v)) for _ in range(multiplicity[v])]
+
+
+def classify_point(x: Point) -> OrbitType:
+    """Orbit type of a point: counts[i-1] = number of values occurring i times."""
+    return _orbit_type(x.coords)
 
 
 def canonical_arrangement(x: Point) -> Point:
@@ -83,13 +100,7 @@ def canonical_arrangement(x: Point) -> Point:
     position-for-position, hence share their stabilizer subgroup — which is
     what makes the equivalence bijection below well defined.
     """
-    multiplicity: dict[Fraction, int] = {}
-    for c in x.coords:
-        multiplicity[c] = multiplicity.get(c, 0) + 1
-    coords: list[Fraction] = []
-    for value in sorted(multiplicity, key=lambda v: (multiplicity[v], v)):
-        coords.extend([value] * multiplicity[value])
-    return Point(tuple(coords))
+    return Point(tuple(_canonical(x.coords)))
 
 
 @dataclass(frozen=True)
@@ -122,6 +133,58 @@ class NodeSet:
         return {"n": self.n, "points": [p.to_json() for p in self.points]}
 
 
+class _Ranks(tuple):
+    """A point as the ranks of its coordinates among its set's sorted
+    distinct values: equal, ordered and permuted exactly as the point is,
+    and permuted by ``swap_images`` through ``permuted``, as a Point is."""
+
+    __slots__ = ()
+
+    def permuted(self, sigma: Permutation) -> "_Ranks":
+        return _Ranks(apply_to_point(sigma, self))
+
+
+def _validated(rows: list[Sequence[int]], slot_values: Sequence[Fraction], n: int | None) -> NodeSet:
+    """The NodeSet of points given as rows of slots, slot k holding value
+    ``slot_values[k]`` (several slots may hold one value), validated on the
+    ranks of the values as the module docstring describes."""
+    dim = len(rows[0]) if rows else n
+    if dim is None:
+        raise ValueError("empty node set needs an explicit dimension n")
+    if n is not None and n != dim:
+        raise DimensionMismatchError(f"points have dimension {dim}, expected {n}")
+    for row in rows:
+        if len(row) != dim:
+            raise DimensionMismatchError(f"mixed dimensions {dim} and {len(row)}")
+    values = sorted(set(slot_values))
+    rank = {v: r for r, v in enumerate(values)}
+    slot_rank = [rank[v] for v in slot_values]
+    ranked = [_Ranks(map(slot_rank.__getitem__, row)) for row in rows]
+
+    def point(ranks: Sequence[int]) -> Point:
+        return Point(tuple(map(values.__getitem__, ranks)))
+
+    if len(set(ranked)) != len(ranked):
+        seen: set[_Ranks] = set()
+        dup = next(x for x in ranked if x in seen or seen.add(x))
+        raise DuplicatePointError(f"duplicate point {point(dup)}")
+
+    ranked.sort()
+    try:
+        swaps, classes = symmetric_orbit_classes(ranked, dim, kind="point")
+    except NotSymmetricError as exc:
+        raise NotSymmetricError(point(exc.item), exc.permutation, kind=exc.kind) from None
+    points = tuple(map(point, ranked))
+    orbits = []
+    for members in classes:
+        first = ranked[members[0]]
+        t = _orbit_type(first)
+        if len(members) != orbit_size(t):
+            raise AssertionError("orbit decomposition does not match orbit size")
+        orbits.append(Orbit(type=t, points=tuple(points[i] for i in members), rep=point(_canonical(first))))
+    return NodeSet(n=dim, points=points, orbits=tuple(orbits), swaps=swaps)
+
+
 def validate_symmetric(points: Iterable[Point | Sequence], n: int | None = None) -> NodeSet:
     """Check closure under coordinate permutation and decompose into orbits.
 
@@ -131,32 +194,12 @@ def validate_symmetric(points: Iterable[Point | Sequence], n: int | None = None)
     DuplicatePointError on repeated points.  ``n`` is only needed for
     the empty set.
     """
-    pts: list[Point] = []
+    slot: dict[Fraction, int] = {}  # one slot per distinct value
+    rows = []
     for p in points:
-        pts.append(p if isinstance(p, Point) else Point(tuple(Fraction(c) for c in p)))
-    dim = pts[0].n if pts else n
-    if dim is None:
-        raise ValueError("empty node set needs an explicit dimension n")
-    if n is not None and n != dim:
-        raise DimensionMismatchError(f"points have dimension {dim}, expected {n}")
-    for p in pts:
-        if p.n != dim:
-            raise DimensionMismatchError(f"mixed dimensions {dim} and {p.n}")
-    if len(set(pts)) != len(pts):
-        seen: set[Point] = set()
-        dup = next(p for p in pts if p in seen or seen.add(p))
-        raise DuplicatePointError(f"duplicate point {dup}")
-
-    ordered = sorted(pts)
-    swaps, classes = symmetric_orbit_classes(ordered, dim, kind="point")
-    orbits = []
-    for members in classes:
-        group = [ordered[i] for i in members]
-        t = classify_point(group[0])
-        if len(group) != orbit_size(t):
-            raise AssertionError("orbit decomposition does not match orbit size")
-        orbits.append(Orbit(type=t, points=tuple(group), rep=canonical_arrangement(group[0])))
-    return NodeSet(n=dim, points=tuple(ordered), orbits=tuple(orbits), swaps=swaps)
+        coords = p.coords if isinstance(p, Point) else Point(tuple(p)).coords
+        rows.append([slot.setdefault(c, len(slot)) for c in coords])
+    return _validated(rows, list(slot), n)
 
 
 def orbit_vector(s: NodeSet) -> tuple[int, ...]:
@@ -322,31 +365,43 @@ def node_set_from_json(obj, snap_tol: Fraction | None = None) -> tuple[NodeSet, 
     if not isinstance(raw_points, list):
         raise ValueError("'points' must be an array of coordinate arrays")
     snaps: list[SnapEvent] = []
-    points: list[Point] = []
-    # each distinct string is parsed and snapped once; only strings are
-    # keys, since true, 1 and 1.0 would share one
-    parsed: dict[str, tuple[Fraction, SnapEvent | None]] = {}
+    # one slot per distinct raw form, each parsed and snapped once; only
+    # strings, plain ints and [int, int] pairs are keys, since true, 1 and
+    # 1.0 would share one
+    slot: dict = {}
+    slot_values: list[Fraction] = []
+    slot_events: list[SnapEvent | None] = []
+    rows: list[list[int]] = []
     for raw in raw_points:
         if not isinstance(raw, list):
             raise ValueError(f"point {raw!r} is not a coordinate array")
-        coords = []
+        row = []
         for c in raw:
-            if isinstance(c, str):
-                if c not in parsed:
-                    parsed[c] = parse_rational(c, snap_tol)
-                value, event = parsed[c]
+            if type(c) is list:
+                key = tuple(c) if len(c) == 2 and type(c[0]) is int and type(c[1]) is int else None
             else:
+                key = c if type(c) is str or type(c) is int else None
+            k = slot.get(key)
+            if k is None:
                 value, event = parse_rational(c, snap_tol)
-            coords.append(value)
-            if event is not None:
-                snaps.append(event)
-        points.append(Point(tuple(coords)))
-        check_dimension(points[-1].n, "a point's dimension")
+                k = len(slot_values)
+                slot_values.append(value)
+                slot_events.append(event)
+                if key is not None:
+                    slot[key] = k
+            row.append(k)
+            if slot_events[k] is not None:
+                snaps.append(slot_events[k])
+        if not row:
+            raise ValueError("a point needs at least one coordinate")
+        check_dimension(len(row), "a point's dimension")
+        rows.append(row)
     if dim is not None:
-        for p in points:
-            if p.n != dim:
-                raise DimensionMismatchError(f"point {p} has dimension {p.n}, file says {dim}")
-    return validate_symmetric(points, n=dim), snaps
+        for row in rows:
+            if len(row) != dim:
+                point = Point(tuple(slot_values[k] for k in row))
+                raise DimensionMismatchError(f"point {point} has dimension {point.n}, file says {dim}")
+    return _validated(rows, slot_values, dim), snaps
 
 
 def load_node_set(path, snap_tol: Fraction | None = None) -> tuple[NodeSet, list[SnapEvent]]:

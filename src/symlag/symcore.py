@@ -174,7 +174,7 @@ def apply_to_point(p: Permutation, coords: Sequence[T]) -> tuple[T, ...]:
     """
     if len(coords) != p.n:
         raise DimensionMismatchError(f"point of dimension {len(coords)} under permutation of size {p.n}")
-    return tuple(coords[v - 1] for v in p.images)
+    return tuple([coords[v - 1] for v in p.images])
 
 
 def stabilizer_order(t: OrbitType) -> int:

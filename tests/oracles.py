@@ -11,8 +11,20 @@ import itertools
 from fractions import Fraction
 from math import prod
 
-from symlag import OrbitType, Permutation, Point, apply_to_point, enumerate_types
-from symlag.symcore import canonical_blocks
+from symlag import (
+    NodeSet,
+    Orbit,
+    OrbitType,
+    Permutation,
+    Point,
+    apply_to_point,
+    canonical_arrangement,
+    classify_point,
+    enumerate_types,
+    orbit_size,
+)
+from symlag.errors import DimensionMismatchError, DuplicatePointError, NotSymmetricError
+from symlag.symcore import adjacent_transpositions, canonical_blocks, orbit_classes, swap_images
 
 
 def identity(n: int) -> Permutation:
@@ -117,6 +129,41 @@ def subgroup_orbit_count(s, t: OrbitType) -> int:
 def basis_orbit_count_under_stabilizer(b, t: OrbitType) -> int:
     """Orbits of a basis set under stab(canonical_point(t))."""
     return _stabilizer_orbit_count(b.functions, t)
+
+
+# -- symmetry validation on the Points themselves -------------------------------
+
+def validate_points(points, n: int | None = None) -> NodeSet:
+    """validate_symmetric without the ranks: sort the Points, permute them
+    with swap_images and union-find their orbits, comparing and hashing
+    the Fractions throughout.  Raises what validate_symmetric raises, with
+    the same messages."""
+    pts = [p if isinstance(p, Point) else Point(tuple(Fraction(c) for c in p)) for p in points]
+    dim = pts[0].n if pts else n
+    if dim is None:
+        raise ValueError("empty node set needs an explicit dimension n")
+    if n is not None and n != dim:
+        raise DimensionMismatchError(f"points have dimension {dim}, expected {n}")
+    for p in pts:
+        if p.n != dim:
+            raise DimensionMismatchError(f"mixed dimensions {dim} and {p.n}")
+    seen: set[Point] = set()
+    for p in pts:
+        if p in seen:
+            raise DuplicatePointError(f"duplicate point {p}")
+        seen.add(p)
+    ordered = sorted(pts)
+    swaps = swap_images(ordered, dim)
+    for tau, image in zip(adjacent_transpositions(dim), swaps):
+        if None in image:
+            raise NotSymmetricError(ordered[image.index(None)], tau, kind="point")
+    orbits = []
+    for members in orbit_classes(swaps, len(ordered)):
+        group = tuple(ordered[i] for i in members)
+        t = classify_point(group[0])
+        assert len(group) == orbit_size(t), "orbit decomposition does not match orbit size"
+        orbits.append(Orbit(type=t, points=group, rep=canonical_arrangement(group[0])))
+    return NodeSet(n=dim, points=tuple(ordered), orbits=tuple(orbits), swaps=swaps)
 
 
 # -- a basis function at a point, term by term -----------------------------------

@@ -335,6 +335,9 @@ def test_analyze_json_output_is_byte_identical(tmp_path, capsys):
 # needs a schema bump.  vmatrix-12, vmatrix-13 and kmatrix-16 are the sizes
 # the `tables` benchmark workload runs; solve-td-16-2 (total degree 2 in
 # R^16) runs the V X = r solve at a size where its algorithm shows.
+# classify-n5-* and equiv-n5 validate 492 points in R^5 whose coordinate
+# values recur across orbits and types; their digests were taken before
+# node sets were validated on the ranks of their coordinates.
 PINNED_JSON_DIGESTS = {
     "vmatrix-1": "9ab7621fba24aa8733d958b76b07b36c220c816d73e8220899d23cf95b9e9eff",
     "vmatrix-2": "3cd652d972f0b759855ed1bfe3e63bb7dec85d9607cf37dfb7a385a7031e1bcf",
@@ -366,6 +369,9 @@ PINNED_JSON_DIGESTS = {
     "classify-exact": "0a27819485672feb01b3688039e1c8540bb010a41f40b1df0f34f6aa520100c3",
     "classify-snapped": "c7e8a423c077c1cd319c5f21925e2e38d9ce1ccc5d03661b0e734a6b78e745cb",
     "equiv-td-4-3": "dde61b4e426fa5fa52eb4e16ab29c4b3cfeab6df94e305a295d5c96c3d64dfae",
+    "classify-n5-exact": "628b916d2b505f355a1c8546b1227ce87fbb012bdf05b146e6fa91a385b01dcc",
+    "classify-n5-snapped": "6b532e325362d86f8637487a89b403833e5dd97baeacbe8eb17919e0d5d3cfa5",
+    "equiv-n5": "977c870ac09f7281f79166fa2221867d64788acd80ffe2797ce5cf63b657e095",
 }
 
 PINNED_TABLE_DIGESTS = {
@@ -381,6 +387,9 @@ PINNED_TABLE_DIGESTS = {
     "classify-exact": "e5be949c14645b0b9cf55c0452c8b6ae1c8362934b24ca748c04cfc09f42bc61",
     "classify-snapped": "13f9fcbb35e10d55d279a3c28e27138f0eb47aa001a56de73786cf538ada9edc",
     "equiv-td-4-3": "e5dab104c791a53d177bccc4901aaf78bea50ccab97271cb4871ad471519753b",
+    "classify-n5-exact": "91fdacb333c07d5c70a04d5efd2aa8a807d453b9859463fb673e67eda0846191",
+    "classify-n5-snapped": "979e7af8f0e5fadcc37befc29e26eba6946f6feaeb8a4b2d3627891f4698eeb1",
+    "equiv-n5": "df3289c9fa5d025d8485dd88c54f4470744829746008e7a74fd1d8538b595699",
 }
 
 
@@ -413,11 +422,27 @@ TD43_OTHER_ORBITS = [
 TD43_DECIMAL = {"1/2": "0.5", "1/3": "0.3333333", "5/2": "2.4999999", "-1/2": "-0.5000001"}
 
 
-def _td43_nodes(tmp_path, orbits=TD43_ORBITS, name="td43-nodes.json"):
+# two orbits of each of the 7 types of R^5; most values recur across orbits
+# and types, so one coordinate value stands in many equality patterns
+N5_ORBITS = [
+    (2, 2, 2, 2, 2), ("-1/3", "-1/3", "-1/3", "-1/3", "-1/3"),
+    (0, 2, 2, 2, 2), ("5/2", -1, -1, -1, -1),
+    (0, 0, 2, 2, 2), ("-1/3", "-1/3", 1, 1, 1),
+    (1, 0, 2, 2, 2), (-1, "5/2", 0, 0, 0),
+    (2, 0, 0, 1, 1), ("1/2", "1/2", -1, -1, "5/2"),
+    (0, 1, 2, "-1/3", "-1/3"), ("5/2", "1/2", -1, 2, 2),
+    (0, 1, 2, -1, "5/2"), ("-1/3", "1/2", 1, 2, 0),
+]
+N5_RELABEL = {2: 7, "-1/3": "1/5", 0: -2, "5/2": 4, -1: "3/7", 1: 1, "1/2": -5}
+N5_OTHER_ORBITS = [tuple(N5_RELABEL[x] for x in rep) for rep in N5_ORBITS]
+N5_DECIMAL = {"-1/3": "-0.3333333", "5/2": "2.4999999", "1/2": "0.5000001"}
+
+
+def _orbit_nodes(tmp_path, orbits=TD43_ORBITS, name="td43-nodes.json"):
     # the sorted node set interleaves the orbits, so the determinant's
     # sign depends on how the symmetry blocks are put back in order
     points = sorted({p for rep in orbits for p in permutations(rep)}, key=str)
-    return write_json(tmp_path / name, {"n": 4, "points": [list(p) for p in points]})
+    return write_json(tmp_path / name, {"n": len(orbits[0]), "points": [list(p) for p in points]})
 
 
 def _pinned_argv(name, tmp_path):
@@ -427,15 +452,19 @@ def _pinned_argv(name, tmp_path):
     if command == "solve":
         n, d = map(int, arg.split("-")[1:])
         return ["solve", "--basis", _td_basis(tmp_path, n, d)]
-    if command == "classify" and arg == "exact":
-        return ["classify", "--nodes", _td43_nodes(tmp_path)]
+    if arg.startswith("n5"):
+        orbits, other, decimal = N5_ORBITS, N5_OTHER_ORBITS, N5_DECIMAL
+    else:
+        orbits, other, decimal = TD43_ORBITS, TD43_OTHER_ORBITS, TD43_DECIMAL
+    if command == "classify" and arg.endswith("exact"):
+        return ["classify", "--nodes", _orbit_nodes(tmp_path, orbits)]
     if command == "classify":
-        decimal = [tuple(TD43_DECIMAL.get(str(x), x) for x in rep) for rep in TD43_ORBITS]
-        return ["classify", "--nodes", _td43_nodes(tmp_path, decimal), "--snap-tol", "1e-6"]
+        spelled = [tuple(decimal.get(str(x), x) for x in rep) for rep in orbits]
+        return ["classify", "--nodes", _orbit_nodes(tmp_path, spelled), "--snap-tol", "1e-6"]
     if command == "equiv":
-        return ["equiv", _td43_nodes(tmp_path), _td43_nodes(tmp_path, TD43_OTHER_ORBITS, "td43-other.json")]
+        return ["equiv", _orbit_nodes(tmp_path, orbits), _orbit_nodes(tmp_path, other, "other.json")]
     if arg == "td-4-3":
-        return ["analyze", "--basis", _td_basis(tmp_path, 4, 3), "--nodes", _td43_nodes(tmp_path)]
+        return ["analyze", "--basis", _td_basis(tmp_path, 4, 3), "--nodes", _orbit_nodes(tmp_path)]
     basis = write_json(tmp_path / "basis.json", BASIS_38)
     values = (0, 1, 2, 3) if arg == "unisolvent" else (2, 1, 1, [7, 4])
     return ["analyze", "--basis", basis, "--nodes", case3_file(tmp_path, *values)]

@@ -1,7 +1,9 @@
 """Symmetric node sets: classification, orbit vectors, equivalence, ingestion."""
 import itertools
+import json
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -23,9 +25,9 @@ from symlag import (
     validate_symmetric,
 )
 from symlag.errors import DimensionMismatchError, DuplicatePointError, SymlagError
-from symlag.symcore import adjacent_transpositions
+from symlag.symcore import adjacent_transpositions, canonical_blocks
 
-from oracles import expand_orbit, subgroup_orbit_count
+from oracles import expand_orbit, subgroup_orbit_count, validate_points
 
 from conftest import (
     case1_set,
@@ -118,6 +120,85 @@ def test_validate_points_are_sorted_deterministically():
     s1 = validate_symmetric(pts)
     s2 = validate_symmetric(list(reversed(pts)))
     assert s1.points == s2.points == tuple(sorted(s1.points))
+
+
+# -- the ranked validation against the Point oracle --------------------------------
+
+# few values, so that they recur across orbits and types
+RANKED_POOL = [Fraction(v) for v in ("-2", "-3/2", "-1/3", "0", "1/2", "1", "7/4", "3")]
+
+
+def _spellings(v: Fraction) -> list:
+    """Raw JSON forms of v that node_set_from_json reads exactly."""
+    num, den = v.numerator, v.denominator
+    forms = [[num, den], [2 * num, 2 * den], [-num, -den], f"{num}/{den}"]
+    if den == 1:
+        forms += [num, str(num)]
+    if 100 % den == 0:
+        forms += [float(v), str(float(v))]
+    return forms
+
+
+def _random_point_sets(rng: random.Random, n: int) -> list[list[Point]]:
+    """A symmetric set with values drawn from RANKED_POOL, and the same set
+    with one point dropped and with one point repeated."""
+    types = enumerate_types(n)
+    points: set[tuple[Fraction, ...]] = set()
+    for _ in range(rng.randint(1, 4)):
+        blocks = canonical_blocks(rng.choice(types))
+        rep = [v for v, block in zip(rng.sample(RANKED_POOL, len(blocks)), blocks) for _ in block]
+        points |= set(itertools.permutations(rep))
+    full = [Point(p) for p in points]
+    rng.shuffle(full)
+    dropped = full[:]
+    del dropped[rng.randrange(len(dropped))]
+    repeated = full[:]
+    repeated.insert(rng.randrange(len(full) + 1), rng.choice(full))
+    return [full, dropped, repeated]
+
+
+def _outcome(build):
+    try:
+        s = build()
+    except SymlagError as exc:
+        return type(exc), str(exc)
+    return s.points, [(o.type, o.points, o.rep) for o in s.orbits], s.swaps
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_ranked_validation_matches_the_point_oracle(seed):
+    rng = random.Random(seed)
+    n = rng.randint(1, 5)
+    for points in _random_point_sets(rng, n):
+        expected = _outcome(lambda: validate_points(points, n))
+        assert _outcome(lambda: validate_symmetric(points, n)) == expected
+        raw = [[rng.choice(_spellings(c)) for c in p.coords] for p in points]
+        assert _outcome(lambda: node_set_from_json({"n": n, "points": raw})[0]) == expected
+
+
+def test_mixed_raw_forms_share_one_rank():
+    half = ["1/2", "0.5", [1, 2], [2, 4], 0.5]
+    partners = [1, 3, -1, 0, 2]
+    # each form of 1/2 meets the next one in the orbit of its partner, so
+    # the set is symmetric only if all five read as one value
+    raw = [[h, w] for h, w in zip(half, partners)] + [[w, h] for h, w in zip(half[1:] + half[:1], partners)]
+    s, snaps = node_set_from_json({"points": raw})
+    assert snaps == [] and orbit_vector(s) == (0, 5)
+    exact = [(Fraction(1, 2), w) for w in partners] + [(w, Fraction(1, 2)) for w in partners]
+    assert s.points == validate_points(exact).points
+    # the same point in two forms is a duplicate
+    for a, b in itertools.combinations(half, 2):
+        with pytest.raises(DuplicatePointError, match=r"^duplicate point \(1/2, 1\)$"):
+            node_set_from_json({"points": [[a, 1], [1, a], [b, 1]]})
+    # neither true nor [true, 2] shares a key with 1 or [1, 2]
+    for bad, message in ((True, "invalid coordinate True"),
+                         ([True, 2], "rational pair must be [num, den], got [True, 2]")):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            node_set_from_json({"points": [[1, [1, 2]], [[1, 2], 1], [1, bad], [bad, 1]]})
+    # one snap event per snapped occurrence, whatever the other forms
+    raw = [["0.5000001", 1], [1, "0.5000001"], [[1, 2], 2], [2, "0.5"]]
+    s, snaps = node_set_from_json({"points": raw}, snap_tol=Fraction(1, 10**6))
+    assert [e.original for e in snaps] == ["0.5000001", "0.5000001"] and orbit_vector(s) == (0, 2)
 
 
 # -- orbit_vector --------------------------------------------------------------------
@@ -359,10 +440,34 @@ def test_node_set_from_json_parses_repeated_strings_like_single_ones():
     assert s.points == validate_symmetric([[v for v, _ in p] for p in parsed]).points
     assert snaps == [e for p in parsed for _, e in p if e is not None]
     assert len(snaps) == 6 * 2 + 3 * 3 and orbit_vector(s) == (1, 1, 1)
-    # only strings share a parse: true equals 1 and 1.0 as a key
+    # true shares no parse: it equals 1 and 1.0 as a key
     for points in ([[1, "1"], [True, 1]], [["1", 1.0], [1.0, True]]):
         with pytest.raises(ValueError, match="invalid coordinate True"):
             node_set_from_json({"points": points})
+
+
+def test_node_set_from_json_hashes_per_distinct_raw_form_not_per_coordinate(monkeypatch):
+    # nine free orbits in R^5 over 8 values, each spelled two ways: at most
+    # 16 distinct raw forms among 5,400 coordinates
+    rng = random.Random(5)
+    values = [Fraction(v) for v in ("-2", "-1/3", "0", "1/2", "1", "7/4", "3", "5")]
+    points = sorted(p for rep in list(itertools.combinations(values, 5))[:9] for p in itertools.permutations(rep))
+    raw = [[rng.choice([[v.numerator, v.denominator], f"{v.numerator}/{v.denominator}"]) for v in p] for p in points]
+    distinct = {json.dumps(c) for p in raw for c in p}
+    assert len(points) == 1080 and len(distinct) <= 16
+    calls = 0
+    fraction_hash = Fraction.__hash__
+
+    def counting_hash(self):
+        nonlocal calls
+        calls += 1
+        return fraction_hash(self)
+
+    monkeypatch.setattr(Fraction, "__hash__", counting_hash)
+    s, _ = node_set_from_json({"n": 5, "points": raw})
+    monkeypatch.undo()
+    assert s.points == tuple(Point(p) for p in points)
+    assert calls <= 3 * len(distinct)
 
 
 def test_node_set_from_json_dimension_mismatch():
