@@ -42,8 +42,6 @@ from .nodeset import (
     Orbit,
     Point,
     SnapEvent,
-    canonical_arrangement,
-    classify_point,
     equivalent,
     load_node_set,
     node_set_from_json,

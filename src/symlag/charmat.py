@@ -20,9 +20,10 @@ is invertible; hence V = K^T D K / n! (D = diagonal of class sizes) is
 symmetric positive definite.  V's indices are both orbit classes,
 descending.
 
-The same factorisation solves V X = r: K^T D K X = n! r is a back
-substitution with K^T, a division by the class sizes and a forward
-substitution with K, each over the nonzero entries of K only.
+The same factorisation solves V X = r without building V: K^T D K X = n! r
+is a back substitution with K^T, a division by the class sizes and a
+forward substitution with K, over the nonzero entries of K only, and
+K^T (D (K X)) == n! r certifies X.
 
 Everything is arbitrary-precision integer arithmetic; there is no floating
 point in this module.
@@ -215,14 +216,14 @@ def _exact_quotient(num: int, den: int) -> int:
 
 
 def v_solve(n: int, r: Sequence[int]) -> list[int]:
-    """The integer X with V X = r, through V = K^T D K / n!.
+    """The integer X with V X = r, through V = K^T D K / n!, never building V.
 
     Solves K^T y = n! r by back substitution, divides y by the class sizes
-    D, and solves K X = D^-1 y by forward substitution, visiting only the
-    nonzero entries of K.  V is unimodular, so X is integral for integer r,
-    and so are K X = D^-1 y and y: every division is exact, and a remainder
-    raises ArithmeticError.  Entries of K above the diagonal are never
-    read; callers check V X = r against V itself.
+    D, and solves K X = D^-1 y by forward substitution, over the nonzero
+    entries of K on and below its diagonal.  V is unimodular, so X is
+    integral for integer r, and so are K X = D^-1 y and y: every division
+    is exact.  K^T (D (K X)) == n! r, over every nonzero entry of K, then
+    certifies X.  A remainder or a failed certificate raises ArithmeticError.
 
     >>> v_solve(3, (2, 4, 6))
     [0, 2, 0]
@@ -230,15 +231,25 @@ def v_solve(n: int, r: Sequence[int]) -> list[int]:
     k = k_matrix(n)
     if len(r) != k.size:
         raise DimensionMismatchError(f"r has length {len(r)}, V is {k.size} x {k.size}")
+    nonzero = [[(j, x) for j, x in enumerate(row) if x] for row in k.entries]
     diagonal = k.diagonal()
-    below = [[(j, x) for j, x in enumerate(row[:i]) if x] for i, row in enumerate(k.entries)]
-    y = [factorial(n) * value for value in r]
+    sizes = [class_size(t) for t in k.types]
+    target = [factorial(n) * value for value in r]
+    y = list(target)
     for i in reversed(range(k.size)):
         y[i] = _exact_quotient(y[i], diagonal[i])
-        for j, x in below[i]:
-            y[j] -= x * y[i]
+        for j, x in nonzero[i]:
+            if j < i:
+                y[j] -= x * y[i]
     solution: list[int] = []
-    for i, t in enumerate(k.types):
-        z = _exact_quotient(y[i], class_size(t))
-        solution.append(_exact_quotient(z - sum(x * solution[j] for j, x in below[i]), diagonal[i]))
+    for i, row in enumerate(nonzero):
+        z = _exact_quotient(y[i], sizes[i]) - sum(x * solution[j] for j, x in row if j < i)
+        solution.append(_exact_quotient(z, diagonal[i]))
+    check = [0] * k.size
+    for size, row in zip(sizes, nonzero):
+        weighted = size * sum(x * solution[j] for j, x in row)
+        for j, x in row:
+            check[j] += x * weighted
+    if check != target:
+        raise ArithmeticError("the X solved through K does not satisfy K^T D K X = n! r")
     return solution

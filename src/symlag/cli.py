@@ -185,11 +185,10 @@ def _orbit_template(types, solution) -> list[dict]:
 
 def cmd_solve(args) -> int:
     basis = interp.load_basis(args.basis, n=args.n)
-    v = charmat.v_matrix(basis.n)
-    r = interp.r_vector(basis)
-    cs = interp.solve_constraints(v, r)
+    k = charmat.k_matrix(basis.n)
+    cs = interp.solve_constraints(k, interp.r_vector(basis))
     notes = interp.unmatched_orbit_notes(basis)
-    template = _orbit_template(v.types, cs.integer_solution()) if cs.admissible else None
+    template = _orbit_template(k.types, cs.integer_solution()) if cs.admissible else None
     payload = {
         "schema": SCHEMA,
         "command": "solve",

@@ -17,8 +17,8 @@ blocks' determinants give the determinant: the pair is unisolvent exactly
 when it is not zero.  Inputs whose determinant would exceed
 MAX_DETERMINANT_BITS are refused before evaluation.  Before any determinant
 work, cheap necessary conditions run: equal counts, equal orbit counts, and
-the orbit vector forced by the exact linear system V X = r, solved through
-the triangular factor K of V and checked against V.
+the orbit vector forced by the exact linear system V X = r, solved and
+certified through the triangular factor K of V, without building V.
 """
 from __future__ import annotations
 
@@ -31,7 +31,7 @@ from math import lcm, prod
 from typing import Iterable, Sequence
 
 from . import _linalg
-from .charmat import VMatrix, v_matrix, v_solve
+from .charmat import KMatrix, k_matrix, v_solve
 from .errors import DimensionMismatchError, SizeMismatchError, SymlagError
 from .nodeset import NodeSet, Point, orbit_vector
 from .symcore import (
@@ -225,23 +225,19 @@ class ConstraintSystem:
         return self.solution
 
 
-def solve_constraints(v: VMatrix, r: Sequence[int]) -> ConstraintSystem:
-    """Solve V X = r exactly and classify the solution.
+def solve_constraints(k: KMatrix, r: Sequence[int]) -> ConstraintSystem:
+    """Solve V X = r exactly for the dimension of ``k`` and classify the solution.
 
-    X comes from v_solve, through the factor K of V; V itself, built
-    independently, certifies it.  A non-integral X, or an X with V X != r,
-    raises ArithmeticError.
+    Only ``k.n`` is read: X comes from v_solve, which solves and certifies
+    it through the factor K of V, so any table of that dimension (K, or V
+    itself) may be passed.  A non-integral or uncertified X raises
+    ArithmeticError, an r of the wrong length DimensionMismatchError.
     """
-    if len(r) != v.size:
-        raise DimensionMismatchError(f"r has length {len(r)}, V is {v.size} x {v.size}")
-    xs = v_solve(v.n, r)
-    if any(sum(a * b for a, b in zip(row, xs)) != value for row, value in zip(v.entries, r)):
-        raise ArithmeticError("the X solved through K does not satisfy V X = r")
-    solution = tuple(xs)
+    solution = tuple(v_solve(k.n, r))
     reason = None
-    for k, x in enumerate(solution):
+    for i, x in enumerate(solution):
         if x < 0:
-            reason = f"component X_{k + 1} = {x} is negative"
+            reason = f"component X_{i + 1} = {x} is negative"
             break
     return ConstraintSystem(
         r=tuple(int(x) for x in r), solution=solution,
@@ -565,7 +561,7 @@ def check_necessary_conditions(b: BasisSet, s: NodeSet) -> NecessaryConditionsRe
     if not counts_ok:
         return NecessaryConditionsReport(False, tuple(conditions), tuple(notes), None, node_vec)
 
-    cs = solve_constraints(v_matrix(b.n), r_vector(b))
+    cs = solve_constraints(k_matrix(b.n), r_vector(b))
     if not cs.admissible:
         conditions.append(ConditionResult(
             "orbit-vector-match", False,

@@ -76,6 +76,7 @@ class Point:
 
 
 def _orbit_type(coords: Sequence) -> OrbitType:
+    """Orbit type of a point: counts[i-1] = number of values occurring i times."""
     counts = [0] * len(coords)
     for m in Counter(coords).values():
         counts[m - 1] += 1
@@ -83,16 +84,6 @@ def _orbit_type(coords: Sequence) -> OrbitType:
 
 
 def _canonical(coords: Sequence) -> list:
-    multiplicity = Counter(coords)
-    return [v for v in sorted(multiplicity, key=lambda v: (multiplicity[v], v)) for _ in range(multiplicity[v])]
-
-
-def classify_point(x: Point) -> OrbitType:
-    """Orbit type of a point: counts[i-1] = number of values occurring i times."""
-    return _orbit_type(x.coords)
-
-
-def canonical_arrangement(x: Point) -> Point:
     """The orbit representative in canonical block order: values grouped by
     ascending multiplicity, ties by value, e.g. (b,c,d,d,c,d,a) -> (a,b,c,c,d,d,d).
 
@@ -100,7 +91,8 @@ def canonical_arrangement(x: Point) -> Point:
     position-for-position, hence share their stabilizer subgroup — which is
     what makes the equivalence bijection below well defined.
     """
-    return Point(tuple(_canonical(x.coords)))
+    multiplicity = Counter(coords)
+    return [v for v in sorted(multiplicity, key=lambda v: (multiplicity[v], v)) for _ in range(multiplicity[v])]
 
 
 @dataclass(frozen=True)

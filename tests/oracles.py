@@ -18,8 +18,6 @@ from symlag import (
     Permutation,
     Point,
     apply_to_point,
-    canonical_arrangement,
-    classify_point,
     enumerate_types,
     orbit_size,
 )
@@ -84,6 +82,23 @@ def stabilizer_generators(t: OrbitType) -> list[Permutation]:
 def unique_arrangements(values) -> list[tuple]:
     """All distinct orderings of a multiset, in lexicographic order."""
     return sorted(set(itertools.permutations(values)))
+
+
+def point_type(x: Point) -> OrbitType:
+    """Orbit type of a point, each value's multiplicity counted along the
+    coordinates: counts[i-1] = number of values occurring i times."""
+    counts = [0] * x.n
+    for value in set(x.coords):
+        counts[x.coords.count(value) - 1] += 1
+    return OrbitType(tuple(counts))
+
+
+def canonical_arrangement(x: Point) -> Point:
+    """The arrangement of x whose values come in blocks of ascending
+    multiplicity, equal multiplicities by ascending value: the layout of
+    canonical_point, so (2,3,4,4,3,4,1) becomes (1,2,3,3,4,4,4)."""
+    blocks = sorted((x.coords.count(value), value) for value in set(x.coords))
+    return Point(tuple(value for size, value in blocks for _ in range(size)))
 
 
 def expand_orbit(x: Point) -> set[Point]:
@@ -160,7 +175,7 @@ def validate_points(points, n: int | None = None) -> NodeSet:
     orbits = []
     for members in orbit_classes(swaps, len(ordered)):
         group = tuple(ordered[i] for i in members)
-        t = classify_point(group[0])
+        t = point_type(group[0])
         assert len(group) == orbit_size(t), "orbit decomposition does not match orbit size"
         orbits.append(Orbit(type=t, points=group, rep=canonical_arrangement(group[0])))
     return NodeSet(n=dim, points=tuple(ordered), orbits=tuple(orbits), swaps=swaps)

@@ -6,6 +6,7 @@ from itertools import combinations_with_replacement, permutations
 
 import pytest
 
+from symlag import charmat, interp
 from symlag.cli import main
 
 from conftest import QUADRATIC_EXPONENTS
@@ -312,6 +313,16 @@ def test_analyze_huge_exponents_exit_2_quickly(tmp_path, capsys):
     assert err.startswith("error: exact evaluation would need about") and err.count("\n") == 1
 
 
+def test_solve_huge_exponents_quickly(tmp_path, capsys):
+    basis = write_json(tmp_path / "basis.json", ["x1^999999999", "x2^999999999"])
+    start = time.perf_counter()
+    code, out, _ = run(capsys, ["solve", "--basis", basis, "--format", "json"])
+    assert time.perf_counter() - start < 5
+    payload = json.loads(out)
+    assert code == 0
+    assert payload["r"] == [1, 2] and payload["solution"] == ["0", "1"]
+
+
 def test_analyze_huge_exponents_on_zero_one_nodes(tmp_path, capsys):
     basis = write_json(tmp_path / "basis.json", ["x1^999999999", "x2^999999999"])
     nodes = write_json(tmp_path / "nodes.json", {"n": 2, "points": [[0, 1], [1, 0]]})
@@ -480,6 +491,21 @@ def test_json_stdout_matches_pinned_digest(name, tmp_path, capsys):
 def test_table_stdout_matches_pinned_digest(name, tmp_path, capsys):
     _, out, _ = run(capsys, _pinned_argv(name, tmp_path) + ["--format", "table"])
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_TABLE_DIGESTS[name]
+
+
+def test_solve_and_the_screen_build_no_v(tmp_path, capsys, monkeypatch):
+    def refuse(n):
+        raise AssertionError("V was built")
+
+    assert not {"VMatrix", "v_matrix"} & vars(interp).keys()
+    monkeypatch.setattr(charmat, "v_matrix", refuse)
+    code, out, _ = run(capsys, ["solve", "--basis", _td_basis(tmp_path, 16, 2), "--format", "json"])
+    assert code == 0 and json.loads(out)["admissible"]
+    basis = write_json(tmp_path / "basis.json", BASIS_38)
+    nodes = case3_file(tmp_path, 0, 1, 2, 3)
+    code, out, _ = run(capsys, ["analyze", "--basis", basis, "--nodes", nodes, "--format", "json"])
+    assert code == 0
+    assert [c["name"] for c in json.loads(out)["conditions"]][-1] == "orbit-vector-match"
 
 
 def test_pipeline_coherence_analyze_solve_classify(tmp_path, capsys):

@@ -9,12 +9,12 @@ from hypothesis import strategies as st
 
 from symlag import (
     BasisFunction,
+    KMatrix,
     NotSymmetricError,
     OrbitType,
     Permutation,
     Point,
     SizeMismatchError,
-    VMatrix,
     apply_to_point,
     basis_from_json,
     check_necessary_conditions,
@@ -30,6 +30,7 @@ from symlag import (
     vandermonde,
     vandermonde_matrix,
 )
+from symlag import charmat
 from symlag.interp import VERDICT_SINGULAR, VERDICT_UNISOLVENT
 
 from oracles import (
@@ -260,12 +261,17 @@ def test_solve_matches_rational_elimination(n):
         assert list(solve_constraints(v, r).solution) == fraction_solve(v.entries, r)
 
 
-def test_non_integral_solution_is_an_arithmetic_error():
-    # V = (2) would force X = 1/2; the X solved through K for n = 1 is 1,
-    # and the check against V itself refuses it
-    not_unimodular = VMatrix(n=1, types=v_matrix(1).types, entries=((2,),))
-    with pytest.raises(ArithmeticError):
-        solve_constraints(not_unimodular, (1,))
+def test_k_entry_above_the_diagonal_fails_the_certificate(monkeypatch):
+    # the substitutions read K on and below its diagonal only, so for this
+    # K they find the X = (0, 1) of the true K of n = 2, ((1, 0), (1, 2));
+    # the certificate K^T D K X = n! r reads the entry above the diagonal
+    assert charmat.v_solve(2, (1, 2)) == [0, 1]
+    upper = KMatrix(n=2, types=charmat.k_matrix(2).types, entries=((1, 1), (1, 2)))
+    monkeypatch.setattr(charmat, "k_matrix", lambda n: upper)
+    with pytest.raises(ArithmeticError, match="does not satisfy"):
+        charmat.v_solve(2, (1, 2))
+    with pytest.raises(ArithmeticError, match="does not satisfy"):
+        solve_constraints(upper, (1, 2))
 
 
 def test_cyclic_cubic_basis_is_infeasible():

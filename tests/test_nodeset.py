@@ -12,8 +12,6 @@ from symlag import (
     NotSymmetricError,
     OrbitType,
     Point,
-    classify_point,
-    canonical_arrangement,
     enumerate_types,
     equivalent,
     node_set_from_json,
@@ -38,18 +36,24 @@ from conftest import (
 )
 
 
-# -- classify_point ------------------------------------------------------------
+# -- orbit types ---------------------------------------------------------------
+
+def orbit_of(x: Point):
+    """The one orbit of the validated orbit of x."""
+    (orbit,) = validate_symmetric(expand_orbit(x)).orbits
+    return orbit
+
 
 def test_classify_constant_point():
-    assert classify_point(Point.of(5, 5, 5)).counts == (0, 0, 1)
+    assert orbit_of(Point.of(5, 5, 5)).type.counts == (0, 0, 1)
 
 
 def test_classify_all_distinct():
-    assert classify_point(Point.of(1, 2, 3)).counts == (3, 0, 0)
+    assert orbit_of(Point.of(1, 2, 3)).type.counts == (3, 0, 0)
 
 
 def test_classify_n7_multiplicities():
-    assert classify_point(Point.of(2, 7, 2, 7, 9, 9, 9)).counts == (0, 2, 1, 0, 0, 0, 0)
+    assert orbit_of(Point.of(2, 7, 2, 7, 9, 9, 9)).type.counts == (0, 2, 1, 0, 0, 0, 0)
 
 
 # -- expand_orbit ----------------------------------------------------------------
@@ -75,7 +79,7 @@ def test_expand_orbit_size_property_randomized():
         n = rng.randint(1, 6)
         t = rng.choice(enumerate_types(n))
         x = random_point_of_type(rng, t)
-        assert len(expand_orbit(x)) == orbit_size(classify_point(x))
+        assert len(expand_orbit(x)) == orbit_size(orbit_of(x).type)
 
 
 # -- validate_symmetric ------------------------------------------------------------
@@ -305,11 +309,11 @@ def test_subgroup_orbit_count_matches_v_row_randomized():
             assert subgroup_orbit_count(s, t) == predicted
 
 
-# -- canonical arrangement ------------------------------------------------------------
+# -- canonical representatives --------------------------------------------------------
 
 def test_canonical_arrangement_groups_by_multiplicity():
     x = Point.of(2, 3, 4, 4, 3, 4, 1)  # (2,3,4,4,3,4,1) regroups to (1,2,3,3,4,4,4)
-    assert canonical_arrangement(x) == Point.of(1, 2, 3, 3, 4, 4, 4)
+    assert orbit_of(x).rep == Point.of(1, 2, 3, 3, 4, 4, 4)
 
 
 def test_canonical_arrangement_same_type_shares_stabilizer():
@@ -317,8 +321,8 @@ def test_canonical_arrangement_same_type_shares_stabilizer():
     for _ in range(40):
         n = rng.randint(2, 5)
         t = rng.choice(enumerate_types(n))
-        x = canonical_arrangement(random_point_of_type(rng, t))
-        y = canonical_arrangement(random_point_of_type(rng, t))
+        x = orbit_of(random_point_of_type(rng, t)).rep
+        y = orbit_of(random_point_of_type(rng, t)).rep
         for g in adjacent_transpositions(n):
             assert (x.permuted(g) == x) == (y.permuted(g) == y)
 

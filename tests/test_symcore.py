@@ -242,11 +242,14 @@ def test_canonical_point_block_layout():
 
 
 def test_canonical_point_realizes_its_type():
-    from symlag import Point, classify_point
+    from symlag import Point, validate_symmetric
 
     for n in range(1, 8):
-        for t in enumerate_types(n):
-            assert classify_point(Point(canonical_point(t))) == t
+        types = enumerate_types(n)
+        points = {p for t in types for p in itertools.permutations(canonical_point(t))}
+        orbits = validate_symmetric(points).orbits
+        assert len(orbits) == len(types)
+        assert {o.type: o.rep for o in orbits} == {t: Point(canonical_point(t)) for t in types}
 
 
 def test_stabilizer_elements_examples():
@@ -294,7 +297,7 @@ def test_module_doctests_pass():
     modules = [symlag] + [importlib.import_module(f"symlag.{m.name}") for m in pkgutil.iter_modules(symlag.__path__)]
     results = {module.__name__: doctest.testmod(module) for module in modules}
     assert {name: r.failed for name, r in results.items() if r.failed} == {}
-    assert sum(r.attempted for r in results.values()) >= 6
+    assert sum(r.attempted for r in results.values()) >= 11
 
 
 def test_readme_library_example_runs(capsys):
