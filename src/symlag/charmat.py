@@ -113,13 +113,6 @@ class KMatrix:
             raise ArithmeticError("K is not lower triangular")
         return prod(self.diagonal())
 
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "order": [t.to_json() for t in self.types],
-            "entries": [list(row) for row in self.entries],
-        }
-
 
 @dataclass(frozen=True)
 class VMatrix:
@@ -146,13 +139,6 @@ class VMatrix:
 
     def leading_principal_minors(self) -> list[int]:
         return _linalg.leading_principal_minors(self.entries)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "order": [t.to_json() for t in self.types],
-            "entries": [list(row) for row in self.entries],
-        }
 
 
 @functools.lru_cache(maxsize=None)

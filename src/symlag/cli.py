@@ -1,5 +1,9 @@
 """Command-line front end: every analysis as a subcommand, JSON or table output.
 
+Each ``cmd_<name>(args)`` returns its exit code and its ``symlag/1`` payload;
+no other module knows that format.  The table is a view of the payload,
+drawn by ``table_<name>(payload)`` alone, and ``main`` prints one of the two.
+
 Exit codes: 0 success (for analyze: unisolvent; for solve: admissible; for
 equiv: equivalent), 1 negative verdict, 2 input or usage error.  Every input
 error, whichever subcommand meets it, reaches ``main`` and is printed as one
@@ -11,7 +15,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 
 from . import charmat, interp, nodeset, symcore
@@ -34,140 +37,153 @@ def _positive_int(text: str) -> int:
 
 def _positive_fraction(text: str) -> Fraction:
     try:
-        decimal = Decimal(text)
-        if abs(decimal.adjusted()) > nodeset.MAX_DECIMAL_EXPONENT:
-            raise argparse.ArgumentTypeError(
-                f"decimal exponent of {text!r} exceeds {nodeset.MAX_DECIMAL_EXPONENT} in size"
-            )
-        value = Fraction(decimal)
-    except (InvalidOperation, ValueError, OverflowError):  # OverflowError: infinity
-        raise argparse.ArgumentTypeError(f"{text!r} is not a number")
+        value, _ = nodeset.parse_rational(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
     if value <= 0:
         raise argparse.ArgumentTypeError("tolerance must be strictly positive")
     return value
+
+
+def _point_json(p: nodeset.Point) -> list[list[int]]:
+    return [[c.numerator, c.denominator] for c in p.coords]
+
+
+def _table_json(m: charmat.KMatrix | charmat.VMatrix) -> dict:
+    return {"n": m.n, "order": [list(t.counts) for t in m.types], "entries": [list(row) for row in m.entries]}
 
 
 def _snaps_json(snaps) -> list[dict]:
     return [{"original": s.original, "snapped": str(s.snapped), "delta": str(s.delta)} for s in snaps]
 
 
-def _emit(payload: dict, lines: list[str], fmt: str) -> None:
-    if fmt == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        print("\n".join(lines))
+def _fraction_str(num: int, den: int) -> str:
+    """A [num, den] pair as str(Fraction) writes it."""
+    return str(num) if den == 1 else f"{num}/{den}"
 
 
-def _type_str(t: symcore.OrbitType) -> str:
-    return "(" + ", ".join(map(str, t.counts)) + ")"
+def _point_str(point: list[list[int]]) -> str:
+    return "(" + ", ".join(_fraction_str(*c) for c in point) + ")"
 
 
-def _matrix_lines(title: str, types, entries) -> list[str]:
-    labels = [_type_str(t) for t in types]
+def _type_str(counts: list[int]) -> str:
+    return "(" + ", ".join(map(str, counts)) + ")"
+
+
+def _snap_notes(snaps: list[dict]) -> list[str]:
+    # a delta is str(Fraction), so dropping its sign gives |delta|
+    return [f"  note: snapped {s['original']} -> {s['snapped']} (|delta| = {s['delta'].lstrip('-')})" for s in snaps]
+
+
+def _matrix_lines(title: str, payload: dict) -> list[str]:
+    labels = [_type_str(t) for t in payload["order"]]
+    entries = payload["entries"]
     width = max(len(s) for s in labels)
     cell = max((len(str(v)) for row in entries for v in row), default=1)
-    lines = [title, " " * (width + 2) + "  ".join(str(j + 1).rjust(cell) for j in range(len(types)))]
+    lines = [title, " " * (width + 2) + "  ".join(str(j + 1).rjust(cell) for j in range(len(labels)))]
     for label, row in zip(labels, entries):
         lines.append(label.rjust(width) + "  " + "  ".join(str(v).rjust(cell) for v in row))
     return lines
 
 
-# -- subcommands -------------------------------------------------------------
+# -- subcommands: each cmd_<name> returns (exit code, payload) ---------------
 
-def cmd_types(args) -> int:
-    types = symcore.enumerate_types(args.n)
+def cmd_types(args) -> tuple[int, dict]:
     rows = [
         {
             "rank": rank,
-            "counts": t.to_json(),
+            "counts": list(t.counts),
             "orbit_size": symcore.orbit_size(t),
             "stabilizer_order": symcore.stabilizer_order(t),
         }
-        for rank, t in enumerate(types, start=1)
+        for rank, t in enumerate(symcore.enumerate_types(args.n), start=1)
     ]
-    payload = {"schema": SCHEMA, "command": "types", "n": args.n, "types": rows}
-    lines = [f"orbit types of R^{args.n} in descending order ({len(types)} classes)"]
-    lines.append(f"{'rank':>4}  {'type':<{4 + 3 * args.n}}  {'orbit size':>10}  {'stab order':>10}")
-    for row, t in zip(rows, types):
+    return 0, {"schema": SCHEMA, "command": "types", "n": args.n, "types": rows}
+
+
+def table_types(payload: dict) -> list[str]:
+    n, rows = payload["n"], payload["types"]
+    lines = [f"orbit types of R^{n} in descending order ({len(rows)} classes)"]
+    lines.append(f"{'rank':>4}  {'type':<{4 + 3 * n}}  {'orbit size':>10}  {'stab order':>10}")
+    for row in rows:
         lines.append(
-            f"{row['rank']:>4}  {_type_str(t):<{4 + 3 * args.n}}  "
+            f"{row['rank']:>4}  {_type_str(row['counts']):<{4 + 3 * n}}  "
             f"{row['orbit_size']:>10}  {row['stabilizer_order']:>10}"
         )
-    _emit(payload, lines, args.format)
-    return 0
+    return lines
 
 
-def cmd_vmatrix(args) -> int:
+def cmd_vmatrix(args) -> tuple[int, dict]:
     v = charmat.v_matrix(args.n)
     minors = v.leading_principal_minors()
-    det = minors[-1]  # the last leading minor is det V
-    positive_definite = all(m > 0 for m in minors)
-    payload = {
+    return 0, {
         "schema": SCHEMA,
         "command": "vmatrix",
-        "determinant": det,
+        "determinant": minors[-1],  # the last leading minor is det V
         "leading_principal_minors": minors,
-        "positive_definite": positive_definite,
+        "positive_definite": all(m > 0 for m in minors),
         "symmetric": v.is_symmetric(),
-        **v.to_json_dict(),
+        **_table_json(v),
     }
-    lines = _matrix_lines(f"V matrix for n={args.n} (v[i][j] = <chi_i, chi_j>)", v.types, v.entries)
-    lines.append(f"determinant: {det}")
-    lines.append(f"leading principal minors: {minors} (all positive: {positive_definite})")
-    _emit(payload, lines, args.format)
-    return 0
 
 
-def cmd_kmatrix(args) -> int:
+def table_vmatrix(payload: dict) -> list[str]:
+    lines = _matrix_lines(f"V matrix for n={payload['n']} (v[i][j] = <chi_i, chi_j>)", payload)
+    lines.append(f"determinant: {payload['determinant']}")
+    minors, positive = payload["leading_principal_minors"], payload["positive_definite"]
+    lines.append(f"leading principal minors: {minors} (all positive: {positive})")
+    return lines
+
+
+def cmd_kmatrix(args) -> tuple[int, dict]:
     k = charmat.k_matrix(args.n)
-    det = k.determinant()
-    lower_triangular = k.is_lower_triangular()
-    diagonal = list(k.diagonal())
-    payload = {
+    return 0, {
         "schema": SCHEMA,
         "command": "kmatrix",
-        "determinant": det,
-        "lower_triangular": lower_triangular,
-        "diagonal": diagonal,
-        **k.to_json_dict(),
+        "determinant": k.determinant(),
+        "lower_triangular": k.is_lower_triangular(),
+        "diagonal": list(k.diagonal()),
+        **_table_json(k),
     }
-    lines = _matrix_lines(
-        f"K matrix for n={args.n} (rows: conjugacy classes, columns: orbit classes)",
-        k.types, k.entries,
-    )
-    lines.append(f"lower triangular: {lower_triangular}, diagonal: {diagonal}")
-    lines.append(f"determinant: {det}")
-    _emit(payload, lines, args.format)
-    return 0
 
 
-def cmd_classify(args) -> int:
+def table_kmatrix(payload: dict) -> list[str]:
+    title = f"K matrix for n={payload['n']} (rows: conjugacy classes, columns: orbit classes)"
+    lines = _matrix_lines(title, payload)
+    lines.append(f"lower triangular: {payload['lower_triangular']}, diagonal: {payload['diagonal']}")
+    lines.append(f"determinant: {payload['determinant']}")
+    return lines
+
+
+def cmd_classify(args) -> tuple[int, dict]:
     nodes, snaps = nodeset.load_node_set(args.nodes, snap_tol=args.snap_tol)
-    vector = nodeset.orbit_vector(nodes)
-    payload = {
+    return 0, {
         "schema": SCHEMA,
         "command": "classify",
         "n": nodes.n,
         "point_count": len(nodes),
-        "orbit_vector": list(vector),
+        "orbit_vector": list(nodeset.orbit_vector(nodes)),
         "orbits": [
             {
-                "type": o.type.to_json(),
+                "type": list(o.type.counts),
                 "size": len(o.points),
-                "representative": o.rep.to_json(),
-                "points": [p.to_json() for p in o.points],
+                "representative": _point_json(o.rep),
+                "points": [_point_json(p) for p in o.points],
             }
             for o in nodes.orbits
         ],
         "snaps": _snaps_json(snaps),
     }
-    lines = [f"{len(nodes)} points in R^{nodes.n}, {len(nodes.orbits)} orbits, orbit vector {vector}"]
-    for o in nodes.orbits:
-        lines.append(f"  type {_type_str(o.type)}  size {len(o.points):>3}  representative {o.rep}")
-    for s in snaps:
-        lines.append(f"  note: {s.describe()}")
-    _emit(payload, lines, args.format)
-    return 0
+
+
+def table_classify(payload: dict) -> list[str]:
+    orbits, vector = payload["orbits"], tuple(payload["orbit_vector"])
+    lines = [f"{payload['point_count']} points in R^{payload['n']}, {len(orbits)} orbits, orbit vector {vector}"]
+    for o in orbits:
+        rep = _point_str(o["representative"])
+        lines.append(f"  type {_type_str(o['type'])}  size {o['size']:>3}  representative {rep}")
+    lines.extend(_snap_notes(payload["snaps"]))
+    return lines
 
 
 def _orbit_template(types, solution) -> list[dict]:
@@ -179,17 +195,15 @@ def _orbit_template(types, solution) -> list[dict]:
             pattern = []
             for letter, block in zip("abcdefghijklmnopqrstuvwxyz", symcore.canonical_blocks(t)):
                 pattern.extend([f"{letter}{instance}"] * len(block))
-            template.append({"type": t.to_json(), "pattern": pattern})
+            template.append({"type": list(t.counts), "pattern": pattern})
     return template
 
 
-def cmd_solve(args) -> int:
+def cmd_solve(args) -> tuple[int, dict]:
     basis = interp.load_basis(args.basis, n=args.n)
     k = charmat.k_matrix(basis.n)
     cs = interp.solve_constraints(k, interp.r_vector(basis))
-    notes = interp.unmatched_orbit_notes(basis)
-    template = _orbit_template(k.types, cs.integer_solution()) if cs.admissible else None
-    payload = {
+    return (0 if cs.admissible else 1), {
         "schema": SCHEMA,
         "command": "solve",
         "n": basis.n,
@@ -198,30 +212,33 @@ def cmd_solve(args) -> int:
         "solution": [str(x) for x in cs.solution],
         "admissible": cs.admissible,
         "reason": cs.reason,
-        "template": template,
-        "notes": notes,
+        "template": _orbit_template(k.types, cs.integer_solution()) if cs.admissible else None,
+        "notes": interp.unmatched_orbit_notes(basis),
     }
-    lines = [f"basis: {len(basis)} functions in {len(basis.orbits)} orbits (n = {basis.n})"]
-    lines.append(f"r vector: {cs.r}")
-    lines.append("solution X: (" + ", ".join(map(str, cs.solution)) + ")")
-    if cs.admissible:
+
+
+def table_solve(payload: dict) -> list[str]:
+    # r[0] counts the basis orbits under the stabilizer of type (0, ..., 0, 1),
+    # which is all of S_n: it is the basis's orbit count
+    lines = [f"basis: {payload['function_count']} functions in {payload['r'][0]} orbits (n = {payload['n']})"]
+    lines.append(f"r vector: {tuple(payload['r'])}")
+    lines.append("solution X: (" + ", ".join(payload["solution"]) + ")")
+    if payload["admissible"]:
         lines.append("admissible: yes — node-set template:")
-        for entry in template:
+        for entry in payload["template"]:
             lines.append(f"  orbit of type {tuple(entry['type'])}: pattern ({', '.join(entry['pattern'])})")
         lines.append("  (values within an orbit distinct per letter; orbits pairwise disjoint)")
     else:
-        lines.append(f"infeasible: no symmetric unisolvent node set exists ({cs.reason})")
-    for note in notes:
-        lines.append(f"note: {note}")
-    _emit(payload, lines, args.format)
-    return 0 if cs.admissible else 1
+        lines.append(f"infeasible: no symmetric unisolvent node set exists ({payload['reason']})")
+    lines.extend(f"note: {note}" for note in payload["notes"])
+    return lines
 
 
-def cmd_equiv(args) -> int:
+def cmd_equiv(args) -> tuple[int, dict]:
     nodes_a, snaps_a = nodeset.load_node_set(args.nodes_a, snap_tol=args.snap_tol)
     nodes_b, snaps_b = nodeset.load_node_set(args.nodes_b, snap_tol=args.snap_tol)
     result = nodeset.equivalent(nodes_a, nodes_b)
-    payload = {
+    return (0 if result.equivalent else 1), {
         "schema": SCHEMA,
         "command": "equiv",
         "n": nodes_a.n,
@@ -229,26 +246,28 @@ def cmd_equiv(args) -> int:
         "orbit_vector_b": list(result.vector_b),
         "equivalent": result.equivalent,
         "bijection": (
-            [[x.to_json(), y.to_json()] for x, y in result.bijection]
+            [[_point_json(x), _point_json(y)] for x, y in result.bijection]
             if result.bijection is not None
             else None
         ),
         "snaps": _snaps_json((*snaps_a, *snaps_b)),
     }
+
+
+def table_equiv(payload: dict) -> list[str]:
     lines = [
-        f"orbit vector A: {result.vector_a}",
-        f"orbit vector B: {result.vector_b}",
-        f"equivalent: {'yes' if result.equivalent else 'no'}",
+        f"orbit vector A: {tuple(payload['orbit_vector_a'])}",
+        f"orbit vector B: {tuple(payload['orbit_vector_b'])}",
+        f"equivalent: {'yes' if payload['equivalent'] else 'no'}",
     ]
-    if result.bijection is not None:
+    if payload["bijection"] is not None:
         lines.append("equivariant bijection:")
-        for x, y in result.bijection:
-            lines.append(f"  {x} -> {y}")
-    _emit(payload, lines, args.format)
-    return 0 if result.equivalent else 1
+        for x, y in payload["bijection"]:
+            lines.append(f"  {_point_str(x)} -> {_point_str(y)}")
+    return lines
 
 
-def cmd_analyze(args) -> int:
+def cmd_analyze(args) -> tuple[int, dict]:
     basis = interp.load_basis(args.basis, n=args.n)
     nodes, snaps = nodeset.load_node_set(args.nodes, snap_tol=args.snap_tol)
     if basis.n != nodes.n:
@@ -261,11 +280,11 @@ def cmd_analyze(args) -> int:
         det, verdict = report.determinant, report.verdict
         reason = None if report.unisolvent else f"determinant test: {verdict}"
     else:
-        violation = screen.first_violation()
+        # a failed screen always ends on a failed condition
         verdict = "necessary-conditions-failed"
-        reason = violation.detail if violation is not None else "necessary conditions failed"
+        reason = screen.first_violation().detail
 
-    payload = {
+    return (0 if verdict == interp.VERDICT_UNISOLVENT else 1), {
         "schema": SCHEMA,
         "command": "analyze",
         "n": basis.n,
@@ -274,29 +293,27 @@ def cmd_analyze(args) -> int:
         "determinant": [det.numerator, det.denominator] if det is not None else None,
         # kept so that symlag/1 keeps its bytes; the determinant is always exact
         "determinant_mode": "exact" if det is not None else None,
-        "conditions": [
-            {"name": c.name, "passed": c.passed, "detail": c.detail}
-            for c in screen.conditions
-        ],
+        "conditions": [{"name": c.name, "passed": c.passed, "detail": c.detail} for c in screen.conditions],
         "notes": list(screen.notes),
         "basis": {"function_count": len(basis), "orbit_sizes": list(basis.orbit_sizes())},
         "nodes": {"point_count": len(nodes), "orbit_vector": list(screen.node_vector)},
         "snaps": _snaps_json(snaps),
     }
-    lines = [f"analyze: {len(basis)} basis functions vs {len(nodes)} nodes in R^{basis.n}"]
-    for c in screen.conditions:
-        lines.append(f"  [{'pass' if c.passed else 'FAIL'}] {c.name}: {c.detail}")
-    for note in screen.notes:
-        lines.append(f"  note: {note}")
-    for s in snaps:
-        lines.append(f"  note: {s.describe()}")
-    if det is not None:
-        lines.append(f"determinant (exact): {det}")
-    lines.append(f"verdict: {verdict}")
-    if reason:
-        lines.append(f"reason: {reason}")
-    _emit(payload, lines, args.format)
-    return 0 if verdict == interp.VERDICT_UNISOLVENT else 1
+
+
+def table_analyze(payload: dict) -> list[str]:
+    sizes = f"{payload['basis']['function_count']} basis functions vs {payload['nodes']['point_count']} nodes"
+    lines = [f"analyze: {sizes} in R^{payload['n']}"]
+    for c in payload["conditions"]:
+        lines.append(f"  [{'pass' if c['passed'] else 'FAIL'}] {c['name']}: {c['detail']}")
+    lines.extend(f"  note: {note}" for note in payload["notes"])
+    lines.extend(_snap_notes(payload["snaps"]))
+    if payload["determinant"] is not None:
+        lines.append(f"determinant (exact): {_fraction_str(*payload['determinant'])}")
+    lines.append(f"verdict: {payload['verdict']}")
+    if payload["reason"]:
+        lines.append(f"reason: {payload['reason']}")
+    return lines
 
 
 # -- parser ------------------------------------------------------------------
@@ -310,16 +327,16 @@ SNAP_TOL = (("--snap-tol",), {"type": _positive_fraction, "default": None})
 FORMAT = (("--format",), {"choices": ("json", "table"), "default": "table",
                           "help": "output format (default: table)"})
 
-# name, help line, handler and arguments of each subcommand; --format comes last
+# name, help line, handler, table view and arguments; --format comes last
 SUBCOMMANDS = (
-    ("types", "list all orbit types of R^n with sizes", cmd_types, (N_REQUIRED,)),
-    ("vmatrix", "Gram matrix V of permutation characters", cmd_vmatrix, (N_REQUIRED,)),
-    ("kmatrix", "fixed-point table K", cmd_kmatrix, (N_REQUIRED,)),
-    ("classify", "orbit decomposition of a node-set file", cmd_classify, (NODES, SNAP_TOL)),
-    ("solve", "solve V X = r for a symmetric basis", cmd_solve, (BASIS, N_OPTIONAL)),
-    ("equiv", "decide equivalence of two symmetric node sets", cmd_equiv,
+    ("types", "list all orbit types of R^n with sizes", cmd_types, table_types, (N_REQUIRED,)),
+    ("vmatrix", "Gram matrix V of permutation characters", cmd_vmatrix, table_vmatrix, (N_REQUIRED,)),
+    ("kmatrix", "fixed-point table K", cmd_kmatrix, table_kmatrix, (N_REQUIRED,)),
+    ("classify", "orbit decomposition of a node-set file", cmd_classify, table_classify, (NODES, SNAP_TOL)),
+    ("solve", "solve V X = r for a symmetric basis", cmd_solve, table_solve, (BASIS, N_OPTIONAL)),
+    ("equiv", "decide equivalence of two symmetric node sets", cmd_equiv, table_equiv,
      ((("nodes_a",), {"metavar": "NODES_A"}), (("nodes_b",), {"metavar": "NODES_B"}), SNAP_TOL)),
-    ("analyze", "full unisolvence analysis of basis + nodes", cmd_analyze,
+    ("analyze", "full unisolvence analysis of basis + nodes", cmd_analyze, table_analyze,
      (BASIS, NODES, N_OPTIONAL, SNAP_TOL)),
 )
 
@@ -330,22 +347,26 @@ def build_parser() -> argparse.ArgumentParser:
         description="Symmetry analysis for multivariate Lagrange interpolation.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_line, handler, arguments in SUBCOMMANDS:
+    for name, help_line, handler, table, arguments in SUBCOMMANDS:
         p = sub.add_parser(name, help=help_line)
         for names, options in (*arguments, FORMAT):
             p.add_argument(*names, **options)
-        p.set_defaults(handler=handler)
+        p.set_defaults(handler=handler, table=table)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        code, payload = args.handler(args)
+        if args.format == "json":
+            print(json.dumps(payload, indent=2, sort_keys=True))
+        else:
+            print("\n".join(args.table(payload)))
     except (OSError, ValueError, SymlagError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
+    return code
 
 if __name__ == "__main__":
     sys.exit(main())

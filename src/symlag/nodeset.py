@@ -68,9 +68,6 @@ class Point:
     def permuted(self, sigma: Permutation) -> "Point":
         return Point(apply_to_point(sigma, self.coords))
 
-    def to_json(self) -> list[list[int]]:
-        return [[c.numerator, c.denominator] for c in self.coords]
-
     def __str__(self) -> str:
         return "(" + ", ".join(str(c) for c in self.coords) + ")"
 
@@ -121,9 +118,6 @@ class NodeSet:
     def __len__(self) -> int:
         return len(self.points)
 
-    def to_json_dict(self) -> dict:
-        return {"n": self.n, "points": [p.to_json() for p in self.points]}
-
 
 class _Ranks(tuple):
     """A point as the ranks of its coordinates among its set's sorted
@@ -139,7 +133,7 @@ class _Ranks(tuple):
 def _validated(rows: list[Sequence[int]], slot_values: Sequence[Fraction], n: int | None) -> NodeSet:
     """The NodeSet of points given as rows of slots, slot k holding value
     ``slot_values[k]`` (several slots may hold one value), validated on the
-    ranks of the values as the module docstring describes."""
+    ranks of the values, as set out in the module docstring."""
     dim = len(rows[0]) if rows else n
     if dim is None:
         raise ValueError("empty node set needs an explicit dimension n")
@@ -253,9 +247,6 @@ class SnapEvent:
     original: str
     snapped: Fraction
     delta: Fraction
-
-    def describe(self) -> str:
-        return f"snapped {self.original} -> {self.snapped} (|delta| = {abs(self.delta)})"
 
 
 # Snapping gives up after this many continued-fraction terms.  Coordinates

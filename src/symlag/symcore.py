@@ -119,9 +119,6 @@ class OrbitType:
             raise DimensionMismatchError(f"cannot compare types of dimensions {self.n} and {other.n}")
         return self._key < other._key
 
-    def to_json(self) -> list[int]:
-        return list(self.counts)
-
 
 @functools.lru_cache(maxsize=None)
 def _types_descending(n: int) -> tuple[OrbitType, ...]:

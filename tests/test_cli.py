@@ -6,7 +6,7 @@ from itertools import combinations_with_replacement, permutations
 
 import pytest
 
-from symlag import charmat, interp
+from symlag import charmat, cli, interp, nodeset
 from symlag.cli import main
 
 from conftest import QUADRATIC_EXPONENTS
@@ -491,6 +491,26 @@ def test_json_stdout_matches_pinned_digest(name, tmp_path, capsys):
 def test_table_stdout_matches_pinned_digest(name, tmp_path, capsys):
     _, out, _ = run(capsys, _pinned_argv(name, tmp_path) + ["--format", "table"])
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_TABLE_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", [name for name in PINNED_TABLE_DIGESTS if name in PINNED_JSON_DIGESTS])
+def test_table_is_drawn_from_the_json_payload(name, tmp_path, capsys):
+    argv = _pinned_argv(name, tmp_path)
+    _, out, _ = run(capsys, argv + ["--format", "json"])
+    _, table, _ = run(capsys, argv + ["--format", "table"])
+    view = {command: table for command, _, _, table, _ in cli.SUBCOMMANDS}[argv[0]]
+    assert "\n".join(view(json.loads(out))) + "\n" == table
+
+
+@pytest.mark.parametrize("name", ["classify-exact", "classify-snapped", "equiv-td-4-3"])
+def test_json_output_writes_no_point_as_text(name, tmp_path, capsys, monkeypatch):
+    def refuse(self):
+        raise AssertionError("a point was written as text")
+
+    monkeypatch.setattr(nodeset.Point, "__str__", refuse)
+    code, out, _ = run(capsys, _pinned_argv(name, tmp_path) + ["--format", "json"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_JSON_DIGESTS[name]
 
 
 def test_solve_and_the_screen_build_no_v(tmp_path, capsys, monkeypatch):

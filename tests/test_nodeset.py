@@ -481,5 +481,6 @@ def test_node_set_from_json_dimension_mismatch():
 
 def test_node_set_roundtrip_to_json():
     s = case3_set(0, 1, 2, 3)
-    s2, _ = node_set_from_json(s.to_json_dict())
+    points = [[[c.numerator, c.denominator] for c in p.coords] for p in s.points]
+    s2, _ = node_set_from_json({"n": s.n, "points": points})
     assert s2.points == s.points

@@ -120,6 +120,9 @@ def test_basis_orbit_count_matches_brute_force(functions):
     assert r_vector(basis) == tuple(
         basis_orbit_count_under_stabilizer(basis, t) for t in enumerate_types(basis.n)
     )
+    # type (0, ..., 0, 1) comes first and is fixed by all of S_n, so r[0] is
+    # the orbit count, which the solve table reads from the payload's r
+    assert r_vector(basis)[0] == len(basis.orbits)
 
 
 @ENGINE
@@ -163,6 +166,37 @@ def test_dropping_a_function_breaks_symmetry_with_a_true_witness(functions, data
         validate_symmetric_basis(rest)
     witness = info.value
     assert witness.item in rest and witness.item.permuted(witness.permutation) not in rest
+
+
+@ENGINE
+@given(point_sets(), st.data())
+def test_equiv_bijection_is_equivariant_onto_and_keeps_orbit_types(points, data):
+    a = validate_symmetric(points)
+    # B: one orbit per orbit of A, of the same type, on fresh distinct values
+    blocks = [canonical_blocks(o.type) for o in a.orbits]
+    fresh = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    count = sum(map(len, blocks))
+    values = iter(data.draw(st.lists(fresh, min_size=count, max_size=count, unique=True)))
+    reps = []
+    for orbit_blocks in blocks:
+        coords = [None] * a.n
+        for block in orbit_blocks:
+            value = next(values)
+            for pos in block:
+                coords[pos - 1] = value
+        reps.append(Point(tuple(coords)))
+    b = validate_symmetric({p for rep in reps for p in expand_orbit(rep)})
+
+    result = nodeset.equivalent(a, b)
+    assert result.equivalent and orbit_vector(a) == orbit_vector(b)
+    phi = dict(result.bijection)
+    assert set(phi) == set(a.points)
+    assert set(phi.values()) == set(b.points)
+    type_of = {p: o.type for s in (a, b) for o in s.orbits for p in o.points}
+    for x, y in phi.items():
+        assert type_of[x] == type_of[y]
+        for tau in symcore.adjacent_transpositions(a.n):
+            assert phi[x.permuted(tau)] == y.permuted(tau)
 
 
 def test_analyze_permutes_each_set_once(tmp_path, monkeypatch, capsys):
