@@ -3,6 +3,9 @@
 Each ``cmd_<name>(args)`` returns its exit code and its ``symlag/1`` payload;
 no other module knows that format.  The table is a view of the payload,
 drawn by ``table_<name>(payload)`` alone, and ``main`` prints one of the two.
+``main`` writes the payload through ``_json``, which gives the bytes of
+``json.dumps(payload, indent=2, sort_keys=True)`` without going through
+json's pure-Python encoder.
 
 Exit codes: 0 success (for analyze: unisolvent; for solve: admissible; for
 equiv: equivalent), 1 negative verdict, 2 input or usage error.  Every input
@@ -13,9 +16,9 @@ analyze's determinant is always exact.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from . import charmat, interp, nodeset, symcore
 from .errors import SymlagError
@@ -37,9 +40,13 @@ def _positive_int(text: str) -> int:
 
 def _positive_fraction(text: str) -> Fraction:
     try:
-        value, _ = nodeset.parse_rational(text)
+        value = nodeset.exact_decimal(text)
+    except ZeroDivisionError:
+        raise argparse.ArgumentTypeError(f"{text!r} has a zero denominator")
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc))
+    if value is None:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a number")
     if value <= 0:
         raise argparse.ArgumentTypeError("tolerance must be strictly positive")
     return value
@@ -316,6 +323,72 @@ def table_analyze(payload: dict) -> list[str]:
     return lines
 
 
+# -- output ------------------------------------------------------------------
+
+_FLAT = frozenset((int, str))  # the exact types of the items a memoized container holds
+_INTS = frozenset((int,))
+
+
+def _json(payload) -> str:
+    """``json.dumps(payload, indent=2, sort_keys=True)``, byte for byte, for
+    what symlag/1 holds: dicts with str keys, lists, str, int, bool and None.
+    Anything else raises TypeError.
+
+    ``indent`` sends json to its pure-Python encoder, which yields one chunk
+    per token.  Here a list of exact ints is joined in one step, and a list
+    or dict of exact ints and strs (a [num, den] coordinate, a snap record)
+    is written once per value and depth, then reused.
+    """
+    # (indent, *items) -> text, where a list's items are ints and strs and a
+    # dict's are (key, value) pairs, so a list and a dict never share a key
+    memo: dict = {}
+
+    def scalar(x) -> str:
+        return int.__repr__(x) if type(x) is int else encode_basestring_ascii(x)
+
+    def write(obj, indent: str) -> str:
+        # indent: the newline and spaces before obj's closing bracket
+        if isinstance(obj, list):
+            if not obj:
+                return "[]"
+            inner = indent + "  "
+            kinds = set(map(type, obj))
+            if not kinds <= _FLAT:
+                return "[" + inner + ("," + inner).join([write(x, inner) for x in obj]) + indent + "]"
+            key = (inner, *obj)
+            text = memo.get(key)
+            if text is None:
+                items = map(int.__repr__, obj) if kinds == _INTS else map(scalar, obj)
+                text = memo[key] = "[" + inner + ("," + inner).join(items) + indent + "]"
+            return text
+        if isinstance(obj, dict):
+            if not obj:
+                return "{}"
+            inner = indent + "  "
+            key = (inner, *obj.items()) if set(map(type, obj.values())) <= _FLAT else None
+            text = memo.get(key)
+            if text is None:
+                # sorted() and encode_basestring_ascii raise TypeError on a non-str key
+                entries = [encode_basestring_ascii(k) + ": " + write(obj[k], inner) for k in sorted(obj)]
+                text = "{" + inner + ("," + inner).join(entries) + indent + "}"
+                if key is not None:
+                    memo[key] = text
+            return text
+        if isinstance(obj, str):
+            return encode_basestring_ascii(obj)
+        if obj is None:
+            return "null"
+        if obj is True:
+            return "true"
+        if obj is False:
+            return "false"
+        if isinstance(obj, int):
+            return int.__repr__(obj)
+        raise TypeError(f"symlag/1 holds no {type(obj).__name__}")
+
+    return write(payload, "\n")
+
+
 # -- parser ------------------------------------------------------------------
 
 # one argument: its names and its add_argument keywords
@@ -360,7 +433,7 @@ def main(argv=None) -> int:
     try:
         code, payload = args.handler(args)
         if args.format == "json":
-            print(json.dumps(payload, indent=2, sort_keys=True))
+            print(_json(payload))
         else:
             print("\n".join(args.table(payload)))
     except (OSError, ValueError, SymlagError) as exc:

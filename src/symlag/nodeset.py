@@ -99,6 +99,8 @@ class Orbit:
     type: OrbitType
     points: tuple[Point, ...]
     rep: Point  # canonical arrangement
+    # the index of each of ``points`` in its NodeSet's ``points``
+    members: tuple[int, ...] = field(compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -114,6 +116,9 @@ class NodeSet:
     orbits: tuple[Orbit, ...]
     # swap_images of ``points``, in adjacent_transpositions(n) order
     swaps: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
+    # each of ``points`` as the ranks of its coordinates among the set's
+    # sorted distinct values
+    ranks: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
 
     def __len__(self) -> int:
         return len(self.points)
@@ -167,8 +172,9 @@ def _validated(rows: list[Sequence[int]], slot_values: Sequence[Fraction], n: in
         t = _orbit_type(first)
         if len(members) != orbit_size(t):
             raise AssertionError("orbit decomposition does not match orbit size")
-        orbits.append(Orbit(type=t, points=tuple(points[i] for i in members), rep=point(_canonical(first))))
-    return NodeSet(n=dim, points=points, orbits=tuple(orbits), swaps=swaps)
+        orbit_points = tuple(points[i] for i in members)
+        orbits.append(Orbit(type=t, points=orbit_points, rep=point(_canonical(first)), members=tuple(members)))
+    return NodeSet(n=dim, points=points, orbits=tuple(orbits), swaps=swaps, ranks=tuple(ranked))
 
 
 def validate_symmetric(points: Iterable[Point | Sequence], n: int | None = None) -> NodeSet:
@@ -214,6 +220,8 @@ def equivalent(s1: NodeSet, s2: NodeSet) -> EquivalenceResult:
     matched same-type orbit of s2).  The two reps share their equality pattern
     position by position, so that map replaces each coordinate value of the
     first rep by the value in the same position of the second, whatever sigma.
+    It does so on the ranks each set was validated with, so no Fraction or
+    Point is hashed.
     """
     if s1.n != s2.n:
         raise DimensionMismatchError(f"node sets of dimensions {s1.n} and {s2.n}")
@@ -228,14 +236,15 @@ def equivalent(s1: NodeSet, s2: NodeSet) -> EquivalenceResult:
             grouped.setdefault(orbit.type, []).append(orbit)
         return grouped
 
-    image: dict[Point, Point] = {}
+    index_b = {ranks: j for j, ranks in enumerate(s2.ranks)}
+    image = [0] * len(s1.points)  # image[i]: the index in s2 of the image of point i of s1
     grouped_b = by_type(s2)
     for t, orbits_a in by_type(s1).items():
         for oa, ob in zip(orbits_a, grouped_b[t]):
-            value = dict(zip(oa.rep.coords, ob.rep.coords))
-            for x in oa.points:
-                image[x] = Point(tuple(value[c] for c in x.coords))
-    return EquivalenceResult(True, va, vb, tuple((x, image[x]) for x in s1.points))
+            rank = dict(zip(_canonical(s1.ranks[oa.members[0]]), _canonical(s2.ranks[ob.members[0]])))
+            for i in oa.members:
+                image[i] = index_b[tuple(map(rank.__getitem__, s1.ranks[i]))]
+    return EquivalenceResult(True, va, vb, tuple(zip(s1.points, map(s2.points.__getitem__, image))))
 
 
 # -- ingestion ---------------------------------------------------------------
@@ -289,6 +298,23 @@ def simplest_rational_between(lo: Fraction, hi: Fraction) -> Fraction:
     )
 
 
+def exact_decimal(text: str) -> Fraction | None:
+    """The exact value of a 'p/q' or decimal string, or None if it is not
+    one ('abc', 'inf', '0x10').  Raises ValueError for an exponent beyond
+    MAX_DECIMAL_EXPONENT and ZeroDivisionError for a zero denominator."""
+    exponent = _DECIMAL_EXPONENT.search(text)
+    if exponent is not None and abs(int(exponent.group(1))) > MAX_DECIMAL_EXPONENT:
+        raise ValueError(f"decimal exponent of {text!r} exceeds {MAX_DECIMAL_EXPONENT} in size")
+    try:
+        return Fraction(text)
+    except ValueError as exc:
+        # Fraction's word for text it cannot read; any other ValueError,
+        # such as Python's limit on the digits of an int, passes through
+        if str(exc).startswith("Invalid literal"):
+            return None
+        raise
+
+
 def parse_rational(value, snap_tol: Fraction | None = None) -> tuple[Fraction, SnapEvent | None]:
     """Parse one coordinate: int, [num, den], 'p/q' or a decimal string/float.
 
@@ -307,17 +333,16 @@ def parse_rational(value, snap_tol: Fraction | None = None) -> tuple[Fraction, S
         if value[1] == 0:
             raise ValueError(f"rational pair {value!r} has a zero denominator")
         return Fraction(value[0], value[1]), None
-    if isinstance(value, float):
-        exact = Fraction(repr(value))
-    elif isinstance(value, str):
-        exponent = _DECIMAL_EXPONENT.search(value)
-        if exponent is not None and abs(int(exponent.group(1))) > MAX_DECIMAL_EXPONENT:
-            raise ValueError(f"decimal exponent of {value!r} exceeds {MAX_DECIMAL_EXPONENT} in size")
+    # a float is read as its shortest repr, so JSON's Infinity and NaN are
+    # 'inf' and 'nan', which are no number
+    text = repr(value) if isinstance(value, float) else value
+    exact = None
+    if isinstance(text, str):
         try:
-            exact = Fraction(value)
+            exact = exact_decimal(text)
         except ZeroDivisionError:
             raise ValueError(f"coordinate {value!r} has a zero denominator") from None
-    else:
+    if exact is None:
         raise ValueError(f"invalid coordinate {value!r}")
     if snap_tol is None:
         return exact, None

@@ -177,8 +177,11 @@ def validate_points(points, n: int | None = None) -> NodeSet:
         group = tuple(ordered[i] for i in members)
         t = point_type(group[0])
         assert len(group) == orbit_size(t), "orbit decomposition does not match orbit size"
-        orbits.append(Orbit(type=t, points=group, rep=canonical_arrangement(group[0])))
-    return NodeSet(n=dim, points=tuple(ordered), orbits=tuple(orbits), swaps=swaps)
+        orbits.append(Orbit(type=t, points=group, rep=canonical_arrangement(group[0]), members=tuple(members)))
+    # the ranks only fill in the NodeSet; nothing above used them
+    rank = {v: r for r, v in enumerate(sorted({c for p in ordered for c in p.coords}))}
+    ranks = tuple(tuple(rank[c] for c in p.coords) for p in ordered)
+    return NodeSet(n=dim, points=tuple(ordered), orbits=tuple(orbits), swaps=swaps, ranks=ranks)
 
 
 # -- a basis function at a point, term by term -----------------------------------

@@ -5,6 +5,8 @@ import time
 from itertools import combinations_with_replacement, permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symlag import charmat, cli, interp, nodeset
 from symlag.cli import main
@@ -133,6 +135,30 @@ def test_snap_tol_must_be_a_finite_number_of_bounded_size(tol, capsys):
     assert time.perf_counter() - start < 5
     assert exc.value.code == 2
     assert "error: argument --snap-tol" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tol", ["abc", "inf", "nan", "0x10", ""])
+def test_snap_tol_that_is_no_number_says_so(tol, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["classify", "--nodes", "x.json", "--snap-tol", tol])
+    assert exc.value.code == 2
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert last == f"symlag classify: error: argument --snap-tol: {tol!r} is not a number"
+
+
+def test_snap_tol_with_a_zero_denominator_is_no_coordinate(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["classify", "--nodes", "x.json", "--snap-tol", "1/0"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1] == "symlag classify: error: argument --snap-tol: '1/0' has a zero denominator"
+    assert "coordinate" not in err
+
+
+def test_coordinate_that_is_no_number_is_named(tmp_path, capsys):
+    nodes = write_json(tmp_path / "nodes.json", {"n": 2, "points": [["abc", 1], [1, "abc"]]})
+    code, out, err = run(capsys, ["classify", "--nodes", nodes])
+    assert (code, out, err) == (2, "", "error: invalid coordinate 'abc'\n")
 
 
 # -- solve --------------------------------------------------------------------------
@@ -511,6 +537,73 @@ def test_json_output_writes_no_point_as_text(name, tmp_path, capsys, monkeypatch
     code, out, _ = run(capsys, _pinned_argv(name, tmp_path) + ["--format", "json"])
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_JSON_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", ["classify-n5-exact", "classify-n5-snapped", "equiv-n5"])
+def test_json_output_needs_no_json_encoder(name, tmp_path, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("json's encoder was called")
+
+    argv = _pinned_argv(name, tmp_path) + ["--format", "json"]  # writes its files with json.dumps
+    monkeypatch.setattr(json, "dumps", refuse)
+    monkeypatch.setattr(json.encoder, "_make_iterencode", refuse)
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_JSON_DIGESTS[name]
+
+
+# -- the symlag/1 writer ---------------------------------------------------------
+
+_INTS = st.one_of(st.integers(-3, 3), st.integers(), st.sampled_from([-(2**200), 2**200 + 1, 10**60]))
+_TEXTS = st.one_of(
+    st.text(max_size=5),
+    st.sampled_from(['"', "\\", '\\"', "\n\t", "\x00\x1f\x7f", "caf\u00e9", "\u2603", "\U0001f600", ""]),
+)
+
+
+@st.composite
+def _payload_trees(draw):
+    # a [num, den]-like list and a snap-like record, each drawn once and put
+    # at several depths, as the memo meets them, next to twins that share
+    # their values but not their types or keys; bools sit among the ints
+    coordinate = draw(st.lists(st.one_of(_INTS, st.booleans()), max_size=3))
+    record = draw(st.dictionaries(_TEXTS, st.one_of(_INTS, _TEXTS, st.booleans()), max_size=3))
+    twins = [list(map(str, coordinate)), {key + "'": value for key, value in record.items()}]
+    leaves = st.one_of(st.none(), st.booleans(), _INTS, _TEXTS, st.sampled_from([coordinate, record, *twins]))
+    return draw(st.recursive(
+        leaves,
+        lambda inner: st.one_of(st.lists(inner, max_size=4), st.dictionaries(_TEXTS, inner, max_size=4)),
+        max_leaves=24,
+    ))
+
+
+# derandomized: the same examples on every run, so tier-1 stays reproducible
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(_payload_trees())
+def test_json_writer_matches_json_dumps(tree):
+    assert cli._json(tree) == json.dumps(tree, indent=2, sort_keys=True)
+
+
+def test_json_writer_keeps_apart_what_its_memo_could_confuse():
+    coordinate = [1, 2]
+    record = {"original": "0.5000001", "snapped": "1/2", "delta": "-1/10000000"}
+    tree = {
+        "bools": [True, 1, False, 0, [True, 1], [1, True], [1, 1], [True, True]],
+        "siblings": [[True], [1], [False], [0], {"k": True}, {"k": 1}, ["1"], [1]],
+        "depths": [coordinate, [coordinate, [coordinate]], {"x": coordinate}],
+        "records": [record, {"inner": [record, [record]]}, dict(reversed(record.items()))],
+        "empty": [[], {}, [[]], [{}], {"k": {}}, {"k": []}, [[], [[]]]],
+        "ints": [-1, -(2**200), 10**60, 0, [-5, 10**30]],
+        "texts": ["caf\u00e9 \u2603 \U0001f600", "\x00\x1f\x7f", '"quoted"', "back\\slash", "", ["\n", 1]],
+        "scalars": [None, [None], {"n": None}],
+    }
+    assert cli._json(tree) == json.dumps(tree, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("tree", [1.5, [1, 2.0], {"a": [0.5]}, {1: "x"}, {"a": 1, 2: "b"}, {True: 1}, (1, 2)])
+def test_json_writer_refuses_what_symlag_1_does_not_hold(tree):
+    with pytest.raises(TypeError):
+        cli._json(tree)
 
 
 def test_solve_and_the_screen_build_no_v(tmp_path, capsys, monkeypatch):

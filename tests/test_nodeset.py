@@ -287,6 +287,27 @@ def test_equivalence_is_an_equivalence_relation():
                     assert equivalent(a, c).equivalent
 
 
+def test_equivalent_hashes_per_orbit_not_per_coordinate(monkeypatch):
+    # two orbits of each of the 11 types of R^6: 3204 points, 19,224 coordinates
+    rng = random.Random(31)
+    vector = tuple(2 for _ in enumerate_types(6))
+    s1, s2 = (random_symmetric_set(rng, vector, 6) for _ in range(2))
+    assert len(s1) == len(s2) == 3204
+    calls = 0
+    fraction_hash = Fraction.__hash__
+
+    def counting_hash(self):
+        nonlocal calls
+        calls += 1
+        return fraction_hash(self)
+
+    monkeypatch.setattr(Fraction, "__hash__", counting_hash)
+    result = equivalent(s1, s2)
+    monkeypatch.undo()
+    assert result.equivalent and len(result.bijection) == len(s1)
+    assert calls <= len(s1.orbits) * s1.n
+
+
 # -- subgroup orbit counts ---------------------------------------------------------
 
 def test_subgroup_orbit_count_case3():
