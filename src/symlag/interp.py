@@ -22,7 +22,6 @@ certified through the triangular factor K of V, without building V.
 """
 from __future__ import annotations
 
-import json
 import re
 from collections import defaultdict
 from dataclasses import dataclass, field
@@ -33,7 +32,7 @@ from typing import Iterable, Sequence
 from . import _linalg
 from .charmat import KMatrix, k_matrix, v_solve
 from .errors import DimensionMismatchError, SizeMismatchError, SymlagError
-from .nodeset import NodeSet, Point, orbit_vector
+from .nodeset import NodeSet, Point, orbit_vector, read_json
 from .symcore import (
     Permutation,
     apply_to_point,
@@ -41,6 +40,7 @@ from .symcore import (
     enumerate_types,
     orbit_size,
     stabilizer_orbit_count,
+    swap_images,
     symmetric_orbit_classes,
 )
 
@@ -448,7 +448,7 @@ def _split_determinant(basis: BasisSet, nodes: NodeSet) -> Fraction:
     functions, points = basis.functions, nodes.points
     cleared, degree = _cleared_points(functions, points)
     # (1 2), (3 4), ... are every other adjacent transposition
-    f_swaps, p_swaps = basis.swaps[::2], nodes.swaps[::2]
+    f_swaps, p_swaps = basis.swaps[::2], swap_images(points, nodes.n)[::2]
     f_orbits = _orbits(f_swaps, len(functions))
     p_orbits = _orbits(p_swaps, len(points))
     f_keys = [[_character_key(c, stab, free) for _, stab, free in f_orbits] for c in range(1 << len(f_swaps))]
@@ -648,6 +648,4 @@ def basis_from_json(obj, n: int | None = None) -> BasisSet:
 
 
 def load_basis(path, n: int | None = None) -> BasisSet:
-    with open(path, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
-    return basis_from_json(obj, n=n)
+    return basis_from_json(read_json(path), n=n)

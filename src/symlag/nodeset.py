@@ -7,17 +7,16 @@ optionally moves each onto a nearby simple rational and reports it
 (``parse_rational``).
 
 A node set is validated on the integer ranks of its distinct coordinate
-values: each value is hashed once, to find its rank among the set's sorted
-distinct values, and the duplicate check, the sort, the swap maps, the
-closure check and the orbits all run on tuples of those ranks.  Ranking
-keeps equality and order, so the result is what the same steps on the
-Fractions would give; the Points are built from the ranks at the end.
+values, each hashed once; ranking keeps equality and order.  The orbit of a
+point is every arrangement of its coordinate multiset, so the set is
+symmetric exactly when each group of points with one sorted rank tuple is a
+whole orbit; only the points of short groups are permuted, for the witness.
 ``node_set_from_json`` ranks straight from its parse cache, one entry per
 distinct raw form (string, int or [int, int] pair), so no coordinate of
 the file is hashed as a Fraction.
 
 A validated :class:`NodeSet` is immutable: points sorted lexicographically,
-orbits discovered greedily in that order, each orbit tagged with its type.
+orbits in the order of their first point, each tagged with its type.
 The orbit vector counts orbits per type rank (descending order), and two
 symmetric sets admit an equivariant bijection exactly when their orbit
 vectors agree; ``equivalent`` also constructs the bijection explicitly.
@@ -26,12 +25,13 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .errors import DimensionMismatchError, DuplicatePointError, NotSymmetricError, SymlagError
+from .errors import DimensionMismatchError, DuplicatePointError, SymlagError
 from .symcore import (
     OrbitType,
     Permutation,
@@ -114,25 +114,12 @@ class NodeSet:
     n: int
     points: tuple[Point, ...]
     orbits: tuple[Orbit, ...]
-    # swap_images of ``points``, in adjacent_transpositions(n) order
-    swaps: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
     # each of ``points`` as the ranks of its coordinates among the set's
     # sorted distinct values
     ranks: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
 
     def __len__(self) -> int:
         return len(self.points)
-
-
-class _Ranks(tuple):
-    """A point as the ranks of its coordinates among its set's sorted
-    distinct values: equal, ordered and permuted exactly as the point is,
-    and permuted by ``swap_images`` through ``permuted``, as a Point is."""
-
-    __slots__ = ()
-
-    def permuted(self, sigma: Permutation) -> "_Ranks":
-        return _Ranks(apply_to_point(sigma, self))
 
 
 def _validated(rows: list[Sequence[int]], slot_values: Sequence[Fraction], n: int | None) -> NodeSet:
@@ -150,41 +137,39 @@ def _validated(rows: list[Sequence[int]], slot_values: Sequence[Fraction], n: in
     values = sorted(set(slot_values))
     rank = {v: r for r, v in enumerate(values)}
     slot_rank = [rank[v] for v in slot_values]
-    ranked = [_Ranks(map(slot_rank.__getitem__, row)) for row in rows]
+    ranked = [tuple(map(slot_rank.__getitem__, row)) for row in rows]
 
     def point(ranks: Sequence[int]) -> Point:
         return Point(tuple(map(values.__getitem__, ranks)))
 
     if len(set(ranked)) != len(ranked):
-        seen: set[_Ranks] = set()
+        seen: set[tuple[int, ...]] = set()
         dup = next(x for x in ranked if x in seen or seen.add(x))
         raise DuplicatePointError(f"duplicate point {point(dup)}")
 
     ranked.sort()
-    try:
-        swaps, classes = symmetric_orbit_classes(ranked, dim, kind="point")
-    except NotSymmetricError as exc:
-        raise NotSymmetricError(point(exc.item), exc.permutation, kind=exc.kind) from None
     points = tuple(map(point, ranked))
-    orbits = []
-    for members in classes:
-        first = ranked[members[0]]
-        t = _orbit_type(first)
-        if len(members) != orbit_size(t):
-            raise AssertionError("orbit decomposition does not match orbit size")
-        orbit_points = tuple(points[i] for i in members)
-        orbits.append(Orbit(type=t, points=orbit_points, rep=point(_canonical(first)), members=tuple(members)))
-    return NodeSet(n=dim, points=points, orbits=tuple(orbits), swaps=swaps, ranks=tuple(ranked))
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for i, ranks in enumerate(ranked):
+        groups.setdefault(tuple(sorted(ranks)), []).append(i)
+    orbits = tuple(
+        Orbit(type=_orbit_type(key), points=tuple(points[i] for i in members), rep=point(_canonical(key)),
+              members=tuple(members))
+        for key, members in groups.items()
+    )
+    # swaps keep each point in its group, so the first witness is in a short one
+    short = sorted(i for orbit in orbits if len(orbit.members) != orbit_size(orbit.type) for i in orbit.members)
+    if short:
+        symmetric_orbit_classes([points[i] for i in short], dim, kind="point")
+    return NodeSet(n=dim, points=points, orbits=orbits, ranks=tuple(ranked))
 
 
 def validate_symmetric(points: Iterable[Point | Sequence], n: int | None = None) -> NodeSet:
     """Check closure under coordinate permutation and decompose into orbits.
 
-    Closure against the adjacent transpositions suffices: a finite set closed
-    under generators is closed under everything they generate.  Raises
-    NotSymmetricError with an (x, transposition) witness on failure and
-    DuplicatePointError on repeated points.  ``n`` is only needed for
-    the empty set.
+    Raises NotSymmetricError with the first (adjacent transposition, x)
+    witness on failure and DuplicatePointError on repeated points.  ``n``
+    is only needed for the empty set.
     """
     slot: dict[Fraction, int] = {}  # one slot per distinct value
     rows = []
@@ -301,18 +286,20 @@ def simplest_rational_between(lo: Fraction, hi: Fraction) -> Fraction:
 def exact_decimal(text: str) -> Fraction | None:
     """The exact value of a 'p/q' or decimal string, or None if it is not
     one ('abc', 'inf', '0x10').  Raises ValueError for an exponent beyond
-    MAX_DECIMAL_EXPONENT and ZeroDivisionError for a zero denominator."""
-    exponent = _DECIMAL_EXPONENT.search(text)
-    if exponent is not None and abs(int(exponent.group(1))) > MAX_DECIMAL_EXPONENT:
-        raise ValueError(f"decimal exponent of {text!r} exceeds {MAX_DECIMAL_EXPONENT} in size")
+    MAX_DECIMAL_EXPONENT or an int beyond Python's digit limit, and
+    ZeroDivisionError for a zero denominator."""
     try:
-        return Fraction(text)
+        exponent = _DECIMAL_EXPONENT.search(text)
+        if exponent is None or abs(int(exponent.group(1))) <= MAX_DECIMAL_EXPONENT:
+            return Fraction(text)
     except ValueError as exc:
-        # Fraction's word for text it cannot read; any other ValueError,
-        # such as Python's limit on the digits of an int, passes through
+        # Fraction's word for text it cannot read; its only other ValueError,
+        # and int's, is Python's limit on the digits of an int
         if str(exc).startswith("Invalid literal"):
             return None
-        raise
+        limit = sys.get_int_max_str_digits()
+        raise ValueError(f"number {text[:20]}... has more than {limit} digits, the most symlag reads") from None
+    raise ValueError(f"decimal exponent of {text!r} exceeds {MAX_DECIMAL_EXPONENT} in size")
 
 
 def parse_rational(value, snap_tol: Fraction | None = None) -> tuple[Fraction, SnapEvent | None]:
@@ -412,7 +399,21 @@ def node_set_from_json(obj, snap_tol: Fraction | None = None) -> tuple[NodeSet, 
     return _validated(rows, slot_values, dim), snaps
 
 
-def load_node_set(path, snap_tol: Fraction | None = None) -> tuple[NodeSet, list[SnapEvent]]:
+def read_json(path):
+    """The JSON value in the file at ``path``, with symlag's words for what json cannot read."""
     with open(path, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
-    return node_set_from_json(obj, snap_tol=snap_tol)
+        text = fh.read()
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError(f"{path}: JSON arrays and objects nest too deeply") from None
+    except json.JSONDecodeError:
+        raise
+    except ValueError:
+        # json's only other ValueError: int() refusing the digits of a number
+        limit = sys.get_int_max_str_digits()
+        raise ValueError(f"{path}: a JSON integer has more than {limit} digits, the most symlag reads") from None
+
+
+def load_node_set(path, snap_tol: Fraction | None = None) -> tuple[NodeSet, list[SnapEvent]]:
+    return node_set_from_json(read_json(path), snap_tol=snap_tol)

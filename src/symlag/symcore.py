@@ -210,8 +210,8 @@ def swap_images(items: Sequence, n: int) -> tuple[tuple[int | None, ...], ...]:
     One map per (i i+1), in ``adjacent_transpositions(n)`` order: position k
     holds the index in ``items`` of ``items[k].permuted((i i+1))``, or None
     where that image is not an item.  This is the one place where a set of
-    items is permuted; validation calls it once per set, and the validated
-    set keeps the maps.
+    items is permuted: a basis is validated on these maps and keeps them; a
+    node set, grouped by coordinate multiset instead, only for its witness.
     """
     index = {x: k for k, x in enumerate(items)}
     return tuple(tuple(index.get(x.permuted(tau)) for x in items) for tau in adjacent_transpositions(n))

@@ -181,7 +181,7 @@ def validate_points(points, n: int | None = None) -> NodeSet:
     # the ranks only fill in the NodeSet; nothing above used them
     rank = {v: r for r, v in enumerate(sorted({c for p in ordered for c in p.coords}))}
     ranks = tuple(tuple(rank[c] for c in p.coords) for p in ordered)
-    return NodeSet(n=dim, points=tuple(ordered), orbits=tuple(orbits), swaps=swaps, ranks=ranks)
+    return NodeSet(n=dim, points=tuple(ordered), orbits=tuple(orbits), ranks=ranks)
 
 
 # -- a basis function at a point, term by term -----------------------------------

@@ -1,6 +1,7 @@
 """CLI subcommands: exit codes, JSON determinism, file handling."""
 import hashlib
 import json
+import sys
 import time
 from itertools import combinations_with_replacement, permutations
 
@@ -646,6 +647,7 @@ BAD_NODE_FILES = {
     "boolean-in-pair": {"n": 1, "points": [[[True, 2]]]},
     "huge-decimal-exponent": {"n": 1, "points": [["1e999999999"]]},
     "huge-negative-decimal-exponent": {"n": 1, "points": [["-2.5E-999_999_999"]]},
+    "deeply-nested": "[" * 100_000,
 }
 BAD_BASIS_FILES = {
     "missing": None,
@@ -656,6 +658,7 @@ BAD_BASIS_FILES = {
     "fractional-exponent": [{"exponents": [1.5]}],
     "boolean-exponent": [{"exponents": [True]}],
     "exponents-not-array": [{"exponents": 2}],
+    "deeply-nested": "[" * 100_000,
 }
 
 
@@ -690,6 +693,39 @@ def test_malformed_file_exits_2_with_one_error_line(command, kind, name, tmp_pat
     assert time.perf_counter() - start < 5
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# Python reads an int of at most sys.get_int_max_str_digits() digits, 4300
+# unless set otherwise; symlag keeps that limit and says so in its own words
+DIGIT_LIMIT = sys.get_int_max_str_digits()
+TOO_LONG = "1" + "0" * (DIGIT_LIMIT + 699)
+
+
+@pytest.mark.parametrize("kind, text", [
+    ("nodes", '{"n": 1, "points": [[%s]]}' % TOO_LONG),
+    ("basis", '[{"exponents": [1], "coeff": %s}]' % TOO_LONG),
+    ("basis", '[{"exponents": [1], "coeff": [1, %s]}]' % TOO_LONG),
+], ids=["coordinate", "coeff", "coeff-denominator"])
+def test_json_integer_beyond_the_digit_limit_is_named(kind, text, tmp_path, capsys):
+    bad = _bad_file(tmp_path, "long", text)
+    argv = ["classify", "--nodes", bad] if kind == "nodes" else ["solve", "--basis", bad]
+    message = f"error: {bad}: a JSON integer has more than {DIGIT_LIMIT} digits, the most symlag reads\n"
+    assert run(capsys, argv) == (2, "", message)
+    assert sys.get_int_max_str_digits() == DIGIT_LIMIT
+
+
+@pytest.mark.parametrize("text", [TOO_LONG, f"1/{TOO_LONG}", f"0.{TOO_LONG}", f"1e{TOO_LONG}"],
+                         ids=["integer", "denominator", "decimal", "exponent"])
+def test_number_string_beyond_the_digit_limit_is_named(text, tmp_path, capsys):
+    message = f"number {text[:20]}... has more than {DIGIT_LIMIT} digits, the most symlag reads"
+    nodes = write_json(tmp_path / "nodes.json", {"n": 1, "points": [[text]]})
+    assert run(capsys, ["classify", "--nodes", nodes]) == (2, "", f"error: {message}\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["classify", "--nodes", nodes, "--snap-tol", text])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ") and err.splitlines()[-1] == f"symlag classify: error: argument --snap-tol: {message}"
+    assert sys.get_int_max_str_digits() == DIGIT_LIMIT
 
 
 # a dimension read from a file must be an int from 1 to MAX_DIMENSION = 24

@@ -145,7 +145,8 @@ def _spellings(v: Fraction) -> list:
 
 def _random_point_sets(rng: random.Random, n: int) -> list[list[Point]]:
     """A symmetric set with values drawn from RANKED_POOL, and the same set
-    with one point dropped and with one point repeated."""
+    with one point dropped, with one point repeated and, where it has two
+    orbits of more than one point, with one point dropped from each."""
     types = enumerate_types(n)
     points: set[tuple[Fraction, ...]] = set()
     for _ in range(rng.randint(1, 4)):
@@ -158,7 +159,16 @@ def _random_point_sets(rng: random.Random, n: int) -> list[list[Point]]:
     del dropped[rng.randrange(len(dropped))]
     repeated = full[:]
     repeated.insert(rng.randrange(len(full) + 1), rng.choice(full))
-    return [full, dropped, repeated]
+    sets = [full, dropped, repeated]
+    orbits: dict[tuple[Fraction, ...], list[Point]] = {}
+    for p in full:
+        orbits.setdefault(tuple(sorted(p.coords)), []).append(p)
+    movable = [orbit for orbit in orbits.values() if len(orbit) > 1]
+    if len(movable) > 1:
+        # one point short in each of two orbits
+        gone = {rng.choice(orbit) for orbit in rng.sample(movable, 2)}
+        sets.append([p for p in full if p not in gone])
+    return sets
 
 
 def _outcome(build):
@@ -166,7 +176,7 @@ def _outcome(build):
         s = build()
     except SymlagError as exc:
         return type(exc), str(exc)
-    return s.points, [(o.type, o.points, o.rep) for o in s.orbits], s.swaps
+    return s.points, [(o.type, o.points, o.rep, o.members) for o in s.orbits], s.ranks
 
 
 @pytest.mark.parametrize("seed", range(40))
@@ -178,6 +188,28 @@ def test_ranked_validation_matches_the_point_oracle(seed):
         assert _outcome(lambda: validate_symmetric(points, n)) == expected
         raw = [[rng.choice(_spellings(c)) for c in p.coords] for p in points]
         assert _outcome(lambda: node_set_from_json({"n": n, "points": raw})[0]) == expected
+
+
+# the orbit of (2, 3, 4) without (3, 2, 4) fails first at (1 2), on (2, 3, 4)
+SHORT_234 = [(2, 3, 4), (2, 4, 3), (3, 4, 2), (4, 2, 3), (4, 3, 2)]
+
+
+@pytest.mark.parametrize("points, witness", [
+    # the orbit of (0, 0, 1) without (0, 0, 1) fails at (2 3) alone, so the
+    # later-sorted short orbit gives the witness
+    ([(0, 1, 0), (1, 0, 0)] + SHORT_234, "(1 2) to the point (2, 3, 4)"),
+    # with (-1, -1, 0)'s whole orbit sorted before both
+    ([(-1, -1, 0), (-1, 0, -1), (0, -1, -1), (0, 1, 0), (1, 0, 0)] + SHORT_234, "(1 2) to the point (2, 3, 4)"),
+    # without (0, 1, 0) it fails at (1 2) too, on a point sorted earlier
+    ([(0, 0, 1), (1, 0, 0)] + SHORT_234, "(1 2) to the point (1, 0, 0)"),
+    # and sorted between the points of an orbit that starts later
+    ([(0, 0, 1), (1, 0, 0), (0, 2, 3), (0, 3, 2), (2, 3, 0), (3, 0, 2), (3, 2, 0)], "(1 2) to the point (0, 2, 3)"),
+])
+def test_witness_is_the_first_across_short_orbits(points, witness):
+    expected = _outcome(lambda: validate_points(points, 3))
+    assert expected == (NotSymmetricError, f"set is not symmetric: applying {witness} leaves the set")
+    assert _outcome(lambda: validate_symmetric(points[::-1], 3)) == expected
+    assert _outcome(lambda: node_set_from_json({"n": 3, "points": [list(p) for p in points]})[0]) == expected
 
 
 def test_mixed_raw_forms_share_one_rank():

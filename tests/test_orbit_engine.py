@@ -95,7 +95,8 @@ def test_validation_ignores_input_order_and_orbits_are_full_orbits(points):
     assert nodes.orbits == again.orbits
     assert orbit_vector(nodes) == orbit_vector(again)
     assert nodes.points == tuple(sorted(points))
-    assert nodes.swaps == swap_images(sorted(points), nodes.n)
+    swaps = swap_images(sorted(points), nodes.n)
+    assert [list(o.members) for o in nodes.orbits] == orbit_classes(swaps, len(points))
     for orbit in nodes.orbits:
         assert set(orbit.points) == expand_orbit(orbit.rep)
 
@@ -104,8 +105,9 @@ def test_validation_ignores_input_order_and_orbits_are_full_orbits(points):
 @given(point_sets())
 def test_subgroup_orbit_count_matches_brute_force(points):
     nodes = validate_symmetric(points)
+    swaps = swap_images(nodes.points, nodes.n)
     for t in enumerate_types(nodes.n):
-        assert stabilizer_orbit_count(nodes.swaps, t, len(nodes)) == subgroup_orbit_count(nodes, t)
+        assert stabilizer_orbit_count(swaps, t, len(nodes)) == subgroup_orbit_count(nodes, t)
 
 
 @ENGINE
@@ -199,25 +201,47 @@ def test_equiv_bijection_is_equivariant_onto_and_keeps_orbit_types(points, data)
             assert phi[x.permuted(tau)] == y.permuted(tau)
 
 
-def test_analyze_permutes_each_set_once(tmp_path, monkeypatch, capsys):
-    # validation builds the swap maps; the r-vector and the determinant split
-    # read them from the validated sets
+@pytest.fixture
+def swap_calls(monkeypatch):
+    """The items of every swap_images call, in call order."""
     calls, images = [], symcore.swap_images
 
     def spy(items, n):
-        calls.append(len(items))
+        calls.append(list(items))
         return images(items, n)
 
     # also where a module could have imported it by name
     for module in (symcore, interp, nodeset):
         monkeypatch.setattr(module, "swap_images", spy, raising=False)
+    return calls
+
+
+def test_analyze_permutes_each_set_once(tmp_path, swap_calls, capsys):
+    # validation builds the basis maps, which the r-vector reads; the
+    # determinant split permutes the nodes once and reads the basis maps
     exponents = [(2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 0), (0, 1, 1), (1, 0, 1)]
     basis = _write(tmp_path / "basis.json", {"n": 3, "functions": [{"exponents": e} for e in exponents]})
     points = [[1, 1, 0], [1, 0, 1], [0, 1, 1], [2, 2, 3], [2, 3, 2], [3, 2, 2]]
     nodes = _write(tmp_path / "nodes.json", {"n": 3, "points": points})
     assert main(["analyze", "--basis", basis, "--nodes", nodes]) == 0
     assert "unisolvent" in capsys.readouterr().out
-    assert calls == [6, 6]
+    assert list(map(len, swap_calls)) == [6, 6]
+
+
+def test_classify_and_equiv_permute_only_the_short_groups(tmp_path, swap_calls, capsys):
+    points = [[1, 1, 0], [1, 0, 1], [0, 1, 1], [2, 3, 4], [2, 4, 3], [3, 2, 4], [3, 4, 2], [4, 2, 3], [4, 3, 2]]
+    nodes = _write(tmp_path / "nodes.json", {"n": 3, "points": points})
+    assert main(["classify", "--nodes", nodes]) == 0
+    assert main(["equiv", nodes, nodes]) == 0
+    assert swap_calls == []
+    # one point short of the orbit of (2, 3, 4): that group alone is permuted
+    asym = _write(tmp_path / "asym.json", {"n": 3, "points": points[:-1]})
+    assert main(["classify", "--nodes", asym]) == 2
+    assert main(["equiv", nodes, asym]) == 2
+    short = [Point.of(*p) for p in sorted(points[3:-1])]
+    assert swap_calls == [short, short]
+    line = "error: set is not symmetric: applying (1 2) to the point (3, 4, 2) leaves the set\n"
+    assert capsys.readouterr().err == 2 * line
 
 
 # -- pinned outputs -------------------------------------------------------------
