@@ -84,9 +84,8 @@ def _monomial_expansion(sigma: tuple[int, ...], memo: dict) -> dict[tuple[int, .
 
 
 @dataclass(frozen=True)
-class KMatrix:
-    """Fixed-point table: entries[i][j] = number of points of orbit class j
-    fixed by a permutation of conjugacy class i (both descending)."""
+class _TypeTable:
+    """An integer table whose rows and columns are the types of R^n, descending."""
 
     n: int
     types: tuple[OrbitType, ...]
@@ -95,6 +94,11 @@ class KMatrix:
     @property
     def size(self) -> int:
         return len(self.types)
+
+
+class KMatrix(_TypeTable):
+    """Fixed-point table: entries[i][j] = number of points of orbit class j
+    fixed by a permutation of conjugacy class i (both descending)."""
 
     def is_lower_triangular(self) -> bool:
         return all(
@@ -114,18 +118,9 @@ class KMatrix:
         return prod(self.diagonal())
 
 
-@dataclass(frozen=True)
-class VMatrix:
+class VMatrix(_TypeTable):
     """Gram matrix of the permutation characters: entries[i][j] = <chi_i, chi_j>,
     indices in descending type order."""
-
-    n: int
-    types: tuple[OrbitType, ...]
-    entries: tuple[tuple[int, ...], ...]
-
-    @property
-    def size(self) -> int:
-        return len(self.types)
 
     def is_symmetric(self) -> bool:
         return all(
@@ -151,8 +146,6 @@ def k_matrix(n: int) -> KMatrix:
     blocks, so K[sigma][lambda] counts the ways to deal the cycles onto the
     blocks with exact length sums: the coefficient of m_lambda in p_sigma.
     """
-    if n < 1:
-        raise ValueError("dimension must be a positive integer")
     types = tuple(enumerate_types(n))
     keys = [_parts(t) for t in types]
     memo: dict = {}

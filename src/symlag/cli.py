@@ -21,7 +21,7 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
 from . import charmat, interp, nodeset, symcore
-from .errors import SymlagError
+from .errors import SymlagError, echo
 
 SCHEMA = "symlag/1"
 
@@ -30,7 +30,7 @@ def _positive_int(text: str) -> int:
     try:
         value = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
+        raise argparse.ArgumentTypeError(f"{echo(text)} is not an integer")
     if value < 1:
         raise argparse.ArgumentTypeError("must be a positive integer")
     if value > symcore.MAX_DIMENSION:
@@ -42,18 +42,20 @@ def _positive_fraction(text: str) -> Fraction:
     try:
         value = nodeset.exact_decimal(text)
     except ZeroDivisionError:
-        raise argparse.ArgumentTypeError(f"{text!r} has a zero denominator")
+        raise argparse.ArgumentTypeError(f"{echo(text)} has a zero denominator")
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc))
     if value is None:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a number")
+        raise argparse.ArgumentTypeError(f"{echo(text)} is not a number")
     if value <= 0:
         raise argparse.ArgumentTypeError("tolerance must be strictly positive")
     return value
 
 
-def _point_json(p: nodeset.Point) -> list[list[int]]:
-    return [[c.numerator, c.denominator] for c in p.coords]
+def _point_rows(nodes: nodeset.NodeSet) -> list[list[list[int]]]:
+    """Each point as its [num, den] coordinates, one shared list per distinct value."""
+    cells = [[v.numerator, v.denominator] for v in nodes.values]
+    return [list(map(cells.__getitem__, ranks)) for ranks in nodes.ranks]
 
 
 def _table_json(m: charmat.KMatrix | charmat.VMatrix) -> dict:
@@ -164,6 +166,7 @@ def table_kmatrix(payload: dict) -> list[str]:
 
 def cmd_classify(args) -> tuple[int, dict]:
     nodes, snaps = nodeset.load_node_set(args.nodes, snap_tol=args.snap_tol)
+    rows = _point_rows(nodes)
     return 0, {
         "schema": SCHEMA,
         "command": "classify",
@@ -173,9 +176,9 @@ def cmd_classify(args) -> tuple[int, dict]:
         "orbits": [
             {
                 "type": list(o.type.counts),
-                "size": len(o.points),
-                "representative": _point_json(o.rep),
-                "points": [_point_json(p) for p in o.points],
+                "size": len(o.members),
+                "representative": [[c.numerator, c.denominator] for c in o.rep.coords],
+                "points": list(map(rows.__getitem__, o.members)),
             }
             for o in nodes.orbits
         ],
@@ -245,6 +248,10 @@ def cmd_equiv(args) -> tuple[int, dict]:
     nodes_a, snaps_a = nodeset.load_node_set(args.nodes_a, snap_tol=args.snap_tol)
     nodes_b, snaps_b = nodeset.load_node_set(args.nodes_b, snap_tol=args.snap_tol)
     result = nodeset.equivalent(nodes_a, nodes_b)
+    bijection = None
+    if result.image is not None:
+        rows_b = _point_rows(nodes_b)
+        bijection = [[x, rows_b[j]] for x, j in zip(_point_rows(nodes_a), result.image)]
     return (0 if result.equivalent else 1), {
         "schema": SCHEMA,
         "command": "equiv",
@@ -252,11 +259,7 @@ def cmd_equiv(args) -> tuple[int, dict]:
         "orbit_vector_a": list(result.vector_a),
         "orbit_vector_b": list(result.vector_b),
         "equivalent": result.equivalent,
-        "bijection": (
-            [[_point_json(x), _point_json(y)] for x, y in result.bijection]
-            if result.bijection is not None
-            else None
-        ),
+        "bijection": bijection,
         "snaps": _snaps_json((*snaps_a, *snaps_b)),
     }
 
@@ -337,14 +340,11 @@ def _json(payload) -> str:
     ``indent`` sends json to its pure-Python encoder, which yields one chunk
     per token.  Here a list of exact ints is joined in one step, and a list
     or dict of exact ints and strs (a [num, den] coordinate, a snap record)
-    is written once per value and depth, then reused.
+    is written once per object (list) or value (dict) and depth, then reused.
     """
-    # (indent, *items) -> text, where a list's items are ints and strs and a
-    # dict's are (key, value) pairs, so a list and a dict never share a key
+    # a list's key is (id, indent): the payload keeps each list alive, so no
+    # id is reused while it is written; a dict's is (indent, *items)
     memo: dict = {}
-
-    def scalar(x) -> str:
-        return int.__repr__(x) if type(x) is int else encode_basestring_ascii(x)
 
     def write(obj, indent: str) -> str:
         # indent: the newline and spaces before obj's closing bracket
@@ -352,14 +352,14 @@ def _json(payload) -> str:
             if not obj:
                 return "[]"
             inner = indent + "  "
-            kinds = set(map(type, obj))
-            if not kinds <= _FLAT:
-                return "[" + inner + ("," + inner).join([write(x, inner) for x in obj]) + indent + "]"
-            key = (inner, *obj)
+            key = (id(obj), inner)
             text = memo.get(key)
             if text is None:
-                items = map(int.__repr__, obj) if kinds == _INTS else map(scalar, obj)
-                text = memo[key] = "[" + inner + ("," + inner).join(items) + indent + "]"
+                kinds = set(map(type, obj))
+                items = map(int.__repr__, obj) if kinds == _INTS else [write(x, inner) for x in obj]
+                text = "[" + inner + ("," + inner).join(items) + indent + "]"
+                if kinds <= _FLAT:
+                    memo[key] = text
             return text
         if isinstance(obj, dict):
             if not obj:
@@ -432,10 +432,13 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         code, payload = args.handler(args)
-        if args.format == "json":
-            print(_json(payload))
-        else:
-            print("\n".join(args.table(payload)))
+        # all input is read, and MAX_DETERMINANT_BITS bounds what was computed: write every int in full
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            print(_json(payload) if args.format == "json" else "\n".join(args.table(payload)))
+        finally:
+            sys.set_int_max_str_digits(limit)
     except (OSError, ValueError, SymlagError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,4 +1,10 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the echo of input in their messages."""
+
+
+def echo(value) -> str:
+    """repr(value) for an error message, cut after 40 characters."""
+    text = repr(value)
+    return text if len(text) <= 40 else text[:40] + "..."
 
 
 class SymlagError(Exception):

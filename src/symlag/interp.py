@@ -31,8 +31,8 @@ from typing import Iterable, Sequence
 
 from . import _linalg
 from .charmat import KMatrix, k_matrix, v_solve
-from .errors import DimensionMismatchError, SizeMismatchError, SymlagError
-from .nodeset import NodeSet, Point, orbit_vector, read_json
+from .errors import DimensionMismatchError, SizeMismatchError, SymlagError, echo
+from .nodeset import NodeSet, Point, exact_decimal, orbit_vector, read_json
 from .symcore import (
     Permutation,
     apply_to_point,
@@ -57,6 +57,25 @@ def _monomial_str(exponents: Sequence[int]) -> str:
 _MONO_FACTOR = re.compile(r"^x(\d+)(?:\^(\d+))?$")
 
 
+def _monomial_factors(text: str) -> dict[int, int]:
+    """Variable index -> exponent of shorthand like 'x1^2*x3' ({} for '1')."""
+    body = text.replace(" ", "")
+    if not body:
+        raise ValueError("empty monomial string")
+    exps: dict[int, int] = {}
+    if body != "1":
+        for factor in body.split("*"):
+            m = _MONO_FACTOR.match(factor)
+            if m is None:
+                raise ValueError(f"cannot parse monomial factor {echo(factor)} in {echo(text)}")
+            # exact_decimal words Python's limit on the digits of an int
+            idx, e = int(exact_decimal(m.group(1))), int(exact_decimal(m.group(2) or "1"))
+            if idx < 1:
+                raise ValueError(f"variable index must be >= 1 in {echo(text)}")
+            exps[idx] = exps.get(idx, 0) + e
+    return exps
+
+
 def monomial_from_string(text: str, n: int | None = None) -> tuple[int, ...]:
     """The exponent vector of shorthand like 'x1^2*x3' (or '1' for the constant monomial).
 
@@ -68,23 +87,11 @@ def monomial_from_string(text: str, n: int | None = None) -> tuple[int, ...]:
     >>> monomial_from_string("x2*x2", n=4)
     (0, 2, 0, 0)
     """
-    body = text.replace(" ", "")
-    if not body:
-        raise ValueError("empty monomial string")
-    exps: dict[int, int] = {}
-    if body != "1":
-        for factor in body.split("*"):
-            m = _MONO_FACTOR.match(factor)
-            if m is None:
-                raise ValueError(f"cannot parse monomial factor {factor!r} in {text!r}")
-            idx = int(m.group(1))
-            if idx < 1:
-                raise ValueError(f"variable index must be >= 1 in {text!r}")
-            exps[idx] = exps.get(idx, 0) + int(m.group(2) or 1)
+    exps = _monomial_factors(text)
     dim = n if n is not None else max(exps, default=1)
     if exps and max(exps) > dim:
-        raise ValueError(f"monomial {text!r} uses x{max(exps)} but n = {dim}")
-    check_dimension(dim, f"the dimension of monomial {text!r}")
+        raise ValueError(f"monomial {echo(text)} uses x{echo(max(exps))} but n = {dim}")
+    check_dimension(dim, f"the dimension of monomial {echo(text)}")
     return tuple(exps.get(i, 0) for i in range(1, dim + 1))
 
 
@@ -109,7 +116,7 @@ class BasisFunction:
         for exponents, coeff in terms:
             exponents = tuple(int(e) for e in exponents)
             if not exponents or any(e < 0 for e in exponents):
-                raise ValueError(f"invalid exponent vector {exponents!r}")
+                raise ValueError(f"invalid exponent vector {echo(exponents)}")
             merged[exponents] = merged.get(exponents, Fraction(0)) + Fraction(coeff)
         kept = [(e, c) for e, c in merged.items() if c != 0]
         if not kept:
@@ -589,24 +596,24 @@ def basis_function_from_json(entry, n: int | None = None) -> BasisFunction:
     if isinstance(entry, dict) and "exponents" in entry:
         entry = [entry]
     if not isinstance(entry, list) or not entry:
-        raise ValueError(f"cannot parse basis function {entry!r}")
+        raise ValueError(f"cannot parse basis function {echo(entry)}")
     terms = []
     for term in entry:
         if not isinstance(term, dict) or "exponents" not in term:
-            raise ValueError(f"basis term {term!r} needs an 'exponents' array")
+            raise ValueError(f"basis term {echo(term)} needs an 'exponents' array")
         exps = term["exponents"]
         # `type(...) is int` also turns away JSON true and false
         if not (isinstance(exps, list) and all(type(e) is int for e in exps)):
-            raise ValueError(f"exponents must be an array of integers, got {exps!r}")
+            raise ValueError(f"exponents must be an array of integers, got {echo(exps)}")
         if n is not None and len(exps) != n:
-            raise DimensionMismatchError(f"exponents {exps!r} have length {len(exps)}, expected {n}")
+            raise DimensionMismatchError(f"exponents {echo(exps)} have length {len(exps)}, expected {n}")
         coeff = term.get("coeff", [1, 1])
         if type(coeff) is int:
             coeff = [coeff, 1]
         if not (isinstance(coeff, list) and len(coeff) == 2 and all(type(v) is int for v in coeff)):
-            raise ValueError(f"coefficient must be [num, den], got {coeff!r}")
+            raise ValueError(f"coefficient must be [num, den], got {echo(coeff)}")
         if coeff[1] == 0:
-            raise ValueError(f"coefficient {coeff!r} has a zero denominator")
+            raise ValueError(f"coefficient {echo(coeff)} has a zero denominator")
         terms.append((exps, Fraction(coeff[0], coeff[1])))
     return BasisFunction.from_terms(terms)
 
@@ -636,11 +643,7 @@ def basis_from_json(obj, n: int | None = None) -> BasisSet:
                 n = len(term["exponents"])
                 break
         else:
-            indices = [0]
-            for entry in entries:
-                if isinstance(entry, str) and entry.replace(" ", "") != "1":
-                    indices += [int(m) for m in re.findall(r"x(\d+)", entry)]
-            n = max(indices) or None
+            n = max((max(_monomial_factors(e), default=0) for e in entries if isinstance(e, str)), default=0) or None
     if n is not None:
         check_dimension(n, "the basis dimension")
     functions = [basis_function_from_json(entry, n) for entry in entries]

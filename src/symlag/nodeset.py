@@ -6,20 +6,18 @@ strings are read exactly (a float as its shortest repr); ``--snap-tol``
 optionally moves each onto a nearby simple rational and reports it
 (``parse_rational``).
 
-A node set is validated on the integer ranks of its distinct coordinate
-values, each hashed once; ranking keeps equality and order.  The orbit of a
+A validated :class:`NodeSet` is a value table: its sorted distinct
+coordinates, and each point, in lexicographic order, as the ranks of its
+coordinates among them.  Ranking keeps equality and order, so validation
+hashes each distinct value once and then works on ranks.  The orbit of a
 point is every arrangement of its coordinate multiset, so the set is
 symmetric exactly when each group of points with one sorted rank tuple is a
 whole orbit; only the points of short groups are permuted, for the witness.
 ``node_set_from_json`` ranks straight from its parse cache, one entry per
-distinct raw form (string, int or [int, int] pair), so no coordinate of
-the file is hashed as a Fraction.
-
-A validated :class:`NodeSet` is immutable: points sorted lexicographically,
-orbits in the order of their first point, each tagged with its type.
-The orbit vector counts orbits per type rank (descending order), and two
-symmetric sets admit an equivariant bijection exactly when their orbit
-vectors agree; ``equivalent`` also constructs the bijection explicitly.
+distinct raw form (string, int or [int, int] pair).  Orbits come in the
+order of their first point; the orbit vector counts them per type rank, and
+two sets admit an equivariant bijection exactly when their orbit vectors
+agree.  ``equivalent`` builds it as an index map.
 """
 from __future__ import annotations
 
@@ -27,11 +25,11 @@ import json
 import re
 import sys
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .errors import DimensionMismatchError, DuplicatePointError, SymlagError
+from .errors import DimensionMismatchError, DuplicatePointError, SymlagError, echo
 from .symcore import (
     OrbitType,
     Permutation,
@@ -97,29 +95,30 @@ class Orbit:
     """One S_n-orbit inside a node set."""
 
     type: OrbitType
-    points: tuple[Point, ...]
+    members: tuple[int, ...]  # the indices of its points in its NodeSet, ascending
     rep: Point  # canonical arrangement
-    # the index of each of ``points`` in its NodeSet's ``points``
-    members: tuple[int, ...] = field(compare=False, repr=False)
 
 
 @dataclass(frozen=True)
 class NodeSet:
     """A validated symmetric set of distinct points with its orbit decomposition.
 
-    Construct via :func:`validate_symmetric`; instances are immutable and
-    safe to share between threads.
+    Each point is stored once, as the ranks of its coordinates among
+    ``values``; ``points`` builds Points from them.  Construct via
+    :func:`validate_symmetric`; instances are immutable and thread-safe.
     """
 
     n: int
-    points: tuple[Point, ...]
+    values: tuple[Fraction, ...]
+    ranks: tuple[tuple[int, ...], ...]  # sorted, so the points are in lexicographic order
     orbits: tuple[Orbit, ...]
-    # each of ``points`` as the ranks of its coordinates among the set's
-    # sorted distinct values
-    ranks: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
+
+    @property
+    def points(self) -> tuple[Point, ...]:
+        return tuple(Point(tuple(map(self.values.__getitem__, ranks))) for ranks in self.ranks)
 
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self.ranks)
 
 
 def _validated(rows: list[Sequence[int]], slot_values: Sequence[Fraction], n: int | None) -> NodeSet:
@@ -148,20 +147,18 @@ def _validated(rows: list[Sequence[int]], slot_values: Sequence[Fraction], n: in
         raise DuplicatePointError(f"duplicate point {point(dup)}")
 
     ranked.sort()
-    points = tuple(map(point, ranked))
     groups: dict[tuple[int, ...], list[int]] = {}
     for i, ranks in enumerate(ranked):
         groups.setdefault(tuple(sorted(ranks)), []).append(i)
     orbits = tuple(
-        Orbit(type=_orbit_type(key), points=tuple(points[i] for i in members), rep=point(_canonical(key)),
-              members=tuple(members))
+        Orbit(type=_orbit_type(key), members=tuple(members), rep=point(_canonical(key)))
         for key, members in groups.items()
     )
     # swaps keep each point in its group, so the first witness is in a short one
     short = sorted(i for orbit in orbits if len(orbit.members) != orbit_size(orbit.type) for i in orbit.members)
     if short:
-        symmetric_orbit_classes([points[i] for i in short], dim, kind="point")
-    return NodeSet(n=dim, points=points, orbits=orbits, ranks=tuple(ranked))
+        symmetric_orbit_classes([point(ranked[i]) for i in short], dim, kind="point")
+    return NodeSet(n=dim, values=tuple(values), ranks=tuple(ranked), orbits=orbits)
 
 
 def validate_symmetric(points: Iterable[Point | Sequence], n: int | None = None) -> NodeSet:
@@ -194,7 +191,7 @@ class EquivalenceResult:
     equivalent: bool
     vector_a: tuple[int, ...]
     vector_b: tuple[int, ...]
-    bijection: tuple[tuple[Point, Point], ...] | None
+    image: tuple[int, ...] | None  # image[i]: the index in the second set of point i's image
 
 
 def equivalent(s1: NodeSet, s2: NodeSet) -> EquivalenceResult:
@@ -202,11 +199,10 @@ def equivalent(s1: NodeSet, s2: NodeSet) -> EquivalenceResult:
 
     The actions are equivalent iff the orbit vectors agree.  The witness maps
     sigma * (canonical rep of an orbit of s1) to sigma * (canonical rep of the
-    matched same-type orbit of s2).  The two reps share their equality pattern
-    position by position, so that map replaces each coordinate value of the
-    first rep by the value in the same position of the second, whatever sigma.
-    It does so on the ranks each set was validated with, so no Fraction or
-    Point is hashed.
+    matched same-type orbit of s2): the two reps share their equality pattern
+    position by position, so the map replaces each rank of the first rep by
+    the rank in the same position of the second, whatever sigma.  No Fraction
+    or Point is hashed.
     """
     if s1.n != s2.n:
         raise DimensionMismatchError(f"node sets of dimensions {s1.n} and {s2.n}")
@@ -214,22 +210,18 @@ def equivalent(s1: NodeSet, s2: NodeSet) -> EquivalenceResult:
     if va != vb:
         return EquivalenceResult(False, va, vb, None)
 
-    def by_type(s: NodeSet) -> dict[OrbitType, list[Orbit]]:
-        # validation lists the orbits in the order of their first point
-        grouped: dict[OrbitType, list[Orbit]] = {}
-        for orbit in s.orbits:
-            grouped.setdefault(orbit.type, []).append(orbit)
-        return grouped
-
+    # the k-th orbit of a type in s1 goes to the k-th of that type in s2
+    unmatched: dict[OrbitType, list[Orbit]] = {}
+    for orbit in reversed(s2.orbits):
+        unmatched.setdefault(orbit.type, []).append(orbit)
     index_b = {ranks: j for j, ranks in enumerate(s2.ranks)}
-    image = [0] * len(s1.points)  # image[i]: the index in s2 of the image of point i of s1
-    grouped_b = by_type(s2)
-    for t, orbits_a in by_type(s1).items():
-        for oa, ob in zip(orbits_a, grouped_b[t]):
-            rank = dict(zip(_canonical(s1.ranks[oa.members[0]]), _canonical(s2.ranks[ob.members[0]])))
-            for i in oa.members:
-                image[i] = index_b[tuple(map(rank.__getitem__, s1.ranks[i]))]
-    return EquivalenceResult(True, va, vb, tuple(zip(s1.points, map(s2.points.__getitem__, image))))
+    image = [0] * len(s1)
+    for oa in s1.orbits:
+        ob = unmatched[oa.type].pop()
+        rank = dict(zip(_canonical(s1.ranks[oa.members[0]]), _canonical(s2.ranks[ob.members[0]])))
+        for i in oa.members:
+            image[i] = index_b[tuple(map(rank.__getitem__, s1.ranks[i]))]
+    return EquivalenceResult(True, va, vb, tuple(image))
 
 
 # -- ingestion ---------------------------------------------------------------
@@ -299,7 +291,7 @@ def exact_decimal(text: str) -> Fraction | None:
             return None
         limit = sys.get_int_max_str_digits()
         raise ValueError(f"number {text[:20]}... has more than {limit} digits, the most symlag reads") from None
-    raise ValueError(f"decimal exponent of {text!r} exceeds {MAX_DECIMAL_EXPONENT} in size")
+    raise ValueError(f"decimal exponent of {echo(text)} exceeds {MAX_DECIMAL_EXPONENT} in size")
 
 
 def parse_rational(value, snap_tol: Fraction | None = None) -> tuple[Fraction, SnapEvent | None]:
@@ -310,15 +302,15 @@ def parse_rational(value, snap_tol: Fraction | None = None) -> tuple[Fraction, S
     hits produce no event.
     """
     if isinstance(value, bool):
-        raise ValueError(f"invalid coordinate {value!r}")
+        raise ValueError(f"invalid coordinate {echo(value)}")
     if isinstance(value, int):
         return Fraction(value), None
     if isinstance(value, (list, tuple)):
         # `type(v) is int` also turns away JSON true and false
         if len(value) != 2 or not all(type(v) is int for v in value):
-            raise ValueError(f"rational pair must be [num, den], got {value!r}")
+            raise ValueError(f"rational pair must be [num, den], got {echo(value)}")
         if value[1] == 0:
-            raise ValueError(f"rational pair {value!r} has a zero denominator")
+            raise ValueError(f"rational pair {echo(value)} has a zero denominator")
         return Fraction(value[0], value[1]), None
     # a float is read as its shortest repr, so JSON's Infinity and NaN are
     # 'inf' and 'nan', which are no number
@@ -328,9 +320,9 @@ def parse_rational(value, snap_tol: Fraction | None = None) -> tuple[Fraction, S
         try:
             exact = exact_decimal(text)
         except ZeroDivisionError:
-            raise ValueError(f"coordinate {value!r} has a zero denominator") from None
+            raise ValueError(f"coordinate {echo(value)} has a zero denominator") from None
     if exact is None:
-        raise ValueError(f"invalid coordinate {value!r}")
+        raise ValueError(f"invalid coordinate {echo(value)}")
     if snap_tol is None:
         return exact, None
     if snap_tol <= 0:
@@ -369,7 +361,7 @@ def node_set_from_json(obj, snap_tol: Fraction | None = None) -> tuple[NodeSet, 
     rows: list[list[int]] = []
     for raw in raw_points:
         if not isinstance(raw, list):
-            raise ValueError(f"point {raw!r} is not a coordinate array")
+            raise ValueError(f"point {echo(raw)} is not a coordinate array")
         row = []
         for c in raw:
             if type(c) is list:
@@ -379,6 +371,11 @@ def node_set_from_json(obj, snap_tol: Fraction | None = None) -> tuple[NodeSet, 
             k = slot.get(key)
             if k is None:
                 value, event = parse_rational(c, snap_tol)
+                try:  # the output writes each value, and each snap's delta, with str()
+                    str(value) + (str(event.delta) if event else "")
+                except ValueError:
+                    raise ValueError(f"coordinate {echo(c)} needs more than {sys.get_int_max_str_digits()} digits, "
+                                     "the most symlag writes") from None
                 k = len(slot_values)
                 slot_values.append(value)
                 slot_events.append(event)
@@ -390,12 +387,9 @@ def node_set_from_json(obj, snap_tol: Fraction | None = None) -> tuple[NodeSet, 
         if not row:
             raise ValueError("a point needs at least one coordinate")
         check_dimension(len(row), "a point's dimension")
+        if dim is not None and len(row) != dim:
+            raise DimensionMismatchError(f"point {echo(raw)} has dimension {len(row)}, file says {dim}")
         rows.append(row)
-    if dim is not None:
-        for row in rows:
-            if len(row) != dim:
-                point = Point(tuple(slot_values[k] for k in row))
-                raise DimensionMismatchError(f"point {point} has dimension {point.n}, file says {dim}")
     return _validated(rows, slot_values, dim), snaps
 
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from math import factorial
 from typing import Iterable, Sequence, TypeVar
 
-from .errors import DimensionMismatchError, NotSymmetricError
+from .errors import DimensionMismatchError, NotSymmetricError, echo
 
 T = TypeVar("T")
 
@@ -140,9 +140,9 @@ def _types_descending(n: int) -> tuple[OrbitType, ...]:
 def check_dimension(n, what: str) -> int:
     """``n`` itself when it is an int from 1 to MAX_DIMENSION; ValueError naming ``what`` otherwise."""
     if type(n) is not int or n < 1:  # `type(n) is int` also turns away JSON true and false
-        raise ValueError(f"{what} must be a positive integer, got {n!r}")
+        raise ValueError(f"{what} must be a positive integer, got {echo(n)}")
     if n > MAX_DIMENSION:
-        raise ValueError(f"{what} is {n}, above the largest supported dimension {MAX_DIMENSION}")
+        raise ValueError(f"{what} is {echo(n)}, above the largest supported dimension {MAX_DIMENSION}")
     return n
 
 

@@ -177,11 +177,14 @@ def validate_points(points, n: int | None = None) -> NodeSet:
         group = tuple(ordered[i] for i in members)
         t = point_type(group[0])
         assert len(group) == orbit_size(t), "orbit decomposition does not match orbit size"
-        orbits.append(Orbit(type=t, points=group, rep=canonical_arrangement(group[0]), members=tuple(members)))
-    # the ranks only fill in the NodeSet; nothing above used them
-    rank = {v: r for r, v in enumerate(sorted({c for p in ordered for c in p.coords}))}
+        orbits.append(Orbit(type=t, members=tuple(members), rep=canonical_arrangement(group[0])))
+    # the values and ranks only fill in the NodeSet; nothing above used them
+    values = tuple(sorted({c for p in ordered for c in p.coords}))
+    rank = {v: r for r, v in enumerate(values)}
     ranks = tuple(tuple(rank[c] for c in p.coords) for p in ordered)
-    return NodeSet(n=dim, points=tuple(ordered), orbits=tuple(orbits), ranks=ranks)
+    nodes = NodeSet(n=dim, values=values, ranks=ranks, orbits=tuple(orbits))
+    assert nodes.points == tuple(ordered), "the ranks do not give back the points"
+    return nodes
 
 
 # -- a basis function at a point, term by term -----------------------------------

@@ -3,7 +3,8 @@ import hashlib
 import json
 import sys
 import time
-from itertools import combinations_with_replacement, permutations
+from itertools import combinations, combinations_with_replacement, permutations
+from math import prod
 
 import pytest
 from hypothesis import given, settings
@@ -553,6 +554,28 @@ def test_json_output_needs_no_json_encoder(name, tmp_path, capsys, monkeypatch):
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_JSON_DIGESTS[name]
 
 
+@pytest.mark.parametrize("name", ["classify-n5-exact", "classify-n5-snapped", "equiv-n5"])
+def test_classify_and_equiv_build_at_most_one_point_per_orbit(name, tmp_path, capsys, monkeypatch):
+    argv = _pinned_argv(name, tmp_path)
+    _, out, _ = run(capsys, argv + ["--format", "json"])
+    payload = json.loads(out)
+    vectors = [payload[key] for key in ("orbit_vector", "orbit_vector_a", "orbit_vector_b") if key in payload]
+    orbits = sum(map(sum, vectors))
+    built = 0
+    post_init = nodeset.Point.__post_init__
+
+    def counting(self):
+        nonlocal built
+        built += 1
+        post_init(self)
+
+    monkeypatch.setattr(nodeset.Point, "__post_init__", counting)
+    for output in ("json", "table"):
+        built = 0
+        code, _, _ = run(capsys, argv + ["--format", output])
+        assert code == 0 and 0 < built <= orbits
+
+
 # -- the symlag/1 writer ---------------------------------------------------------
 
 _INTS = st.one_of(st.integers(-3, 3), st.integers(), st.sampled_from([-(2**200), 2**200 + 1, 10**60]))
@@ -726,6 +749,111 @@ def test_number_string_beyond_the_digit_limit_is_named(text, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("usage: ") and err.splitlines()[-1] == f"symlag classify: error: argument --snap-tol: {message}"
     assert sys.get_int_max_str_digits() == DIGIT_LIMIT
+
+
+def test_determinant_beyond_the_digit_limit_is_written_in_full(tmp_path, capsys):
+    # 1, x1, ..., x1^39 on 0, 10^6, ..., 39 * 10^6: a legal, unisolvent pair
+    # whose Vandermonde determinant has 18,126 bits, 5,457 digits
+    basis = write_json(tmp_path / "basis.json", ["1"] + [f"x1^{k}" for k in range(1, 40)])
+    nodes = write_json(tmp_path / "nodes.json", {"n": 1, "points": [[k * 10**6] for k in range(40)]})
+    det = prod(10**6 * (j - i) for i, j in combinations(range(40), 2))
+    assert det.bit_length() == 18126
+    argv = ["analyze", "--basis", basis, "--nodes", nodes, "--format"]
+    code, out, err = run(capsys, argv + ["json"])
+    table_code, table, table_err = run(capsys, argv + ["table"])
+    assert (code, err, table_code, table_err) == (0, "", 0, "")
+    assert sys.get_int_max_str_digits() == DIGIT_LIMIT
+    sys.set_int_max_str_digits(0)  # for this test's own reading of the digits
+    try:
+        assert json.loads(out)["determinant"] == [det, 1]
+        assert table.endswith(f"determinant (exact): {det}\nverdict: unisolvent\n")
+    finally:
+        sys.set_int_max_str_digits(DIGIT_LIMIT)
+
+
+# a coordinate symlag reads but whose value, or whose snap's delta, has more
+# digits than the output writes: 10^4999, and 10^-5000 snapped onto 0
+@pytest.mark.parametrize("command", ["classify", "equiv", "analyze"])
+@pytest.mark.parametrize("text, snap_tol", [("1e4999", None), ("1e4999", "1e-6"), ("1e-5000", None), ("1e-5000", "1")])
+def test_coordinate_beyond_the_digit_limit_of_the_output_is_refused(command, text, snap_tol, tmp_path, capsys):
+    bad = write_json(tmp_path / "bad.json", {"n": 1, "points": [[text]]})
+    good = write_json(tmp_path / "good.json", {"n": 1, "points": [[5]]})
+    argv = {
+        "classify": ["classify", "--nodes", bad],
+        "equiv": ["equiv", good, bad],
+        "analyze": ["analyze", "--basis", write_json(tmp_path / "basis.json", ["1"]), "--nodes", bad],
+    }[command] + (["--snap-tol", snap_tol] if snap_tol else [])
+    message = f"error: coordinate {text!r} needs more than {DIGIT_LIMIT} digits, the most symlag writes\n"
+    assert run(capsys, argv) == (2, "", message)
+
+
+# monomial shorthand is read in one place, which names Python's digit limit
+# as exact_decimal does, whether the number is a variable index or an exponent
+# and whether n is given or inferred from the indices
+TOO_LONG_INDEX = "1" * (DIGIT_LIMIT + 700)
+
+
+@pytest.mark.parametrize("command", ["solve", "analyze"])
+@pytest.mark.parametrize("basis", [
+    ["x" + TOO_LONG_INDEX],
+    ["x1", "x2*x" + TOO_LONG_INDEX],
+    {"n": 1, "functions": ["x" + TOO_LONG_INDEX]},
+    ["x1^" + TOO_LONG_INDEX],
+    {"n": 1, "functions": ["1", "x1^" + TOO_LONG_INDEX]},
+], ids=["index", "index-later", "index-given-n", "exponent", "exponent-given-n"])
+def test_monomial_number_beyond_the_digit_limit_is_named(command, basis, tmp_path, capsys):
+    path = write_json(tmp_path / "basis.json", basis)
+    nodes = write_json(tmp_path / "nodes.json", {"n": 1, "points": [[5]]})
+    argv = ["solve", "--basis", path] if command == "solve" else ["analyze", "--basis", path, "--nodes", nodes]
+    message = f"error: number {TOO_LONG_INDEX[:20]}... has more than {DIGIT_LIMIT} digits, the most symlag reads\n"
+    assert run(capsys, argv) == (2, "", message)
+    assert sys.get_int_max_str_digits() == DIGIT_LIMIT
+
+
+# input echoed in an error message is cut; each file is valid JSON whose
+# malformed part is long or deep
+NESTED = json.loads("[" * 500 + "1" + "]" * 500)
+LONG_ECHO_NODES = {
+    "nested-coordinate": {"n": 1, "points": [[NESTED]]},
+    "nested-n": {"n": NESTED, "points": [[1]]},
+    "long-point": {"points": [{"k": "v" * 5000}]},
+    "long-zero-denominator": {"n": 1, "points": [["1" * 4000 + "/0"]]},
+    "long-decimal-exponent": {"n": 1, "points": [["1" * 4000 + "e99999"]]},
+    "point-of-wrong-dimension": {"n": 1, "points": [["0." + "3" * 1000] * 20]},
+}
+LONG_ECHO_BASES = {
+    "nested-function": [NESTED],
+    "nested-term": [[NESTED]],
+    "nested-exponents": [{"exponents": NESTED}],
+    "long-exponents": {"n": 1, "functions": [{"exponents": [1] * 5000}]},
+    "nested-coeff": [{"exponents": [1], "coeff": NESTED}],
+    "long-zero-coeff": [{"exponents": [1], "coeff": [10**4000, 0]}],
+    "long-monomial": ["x1*" * 5000 + "y1"],
+    "long-bad-index": ["x0*" + "x1*" * 5000],
+    "index-beyond-n": {"n": 1, "functions": ["x" + "9" * 4000]},
+    "negative-exponent": {"n": 2, "functions": [{"exponents": [-(10**4000), 1]}]},
+}
+
+
+@pytest.mark.parametrize(
+    "command, kind, name",
+    [(c, "nodes", name) for c in ("classify", "analyze") for name in LONG_ECHO_NODES]
+    + [(c, "basis", name) for c in ("solve", "analyze") for name in LONG_ECHO_BASES],
+)
+def test_echoed_input_is_cut(command, kind, name, tmp_path, capsys):
+    content = (LONG_ECHO_NODES if kind == "nodes" else LONG_ECHO_BASES)[name]
+    bad = write_json(tmp_path / "bad.json", content)
+    basis = write_json(tmp_path / "basis.json", ["x1"])
+    nodes = write_json(tmp_path / "nodes.json", {"n": 1, "points": [[5]]})
+    argv = {
+        "classify": ["classify", "--nodes", bad],
+        "solve": ["solve", "--basis", bad],
+        "analyze": ["analyze", "--basis", bad if kind == "basis" else basis,
+                    "--nodes", bad if kind == "nodes" else nodes],
+    }[command]
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and len(err) < 160, err[:300]
 
 
 # a dimension read from a file must be an int from 1 to MAX_DIMENSION = 24

@@ -94,11 +94,12 @@ def test_validation_ignores_input_order_and_orbits_are_full_orbits(points):
     again = validate_symmetric(sorted(points, reverse=True))
     assert nodes.orbits == again.orbits
     assert orbit_vector(nodes) == orbit_vector(again)
-    assert nodes.points == tuple(sorted(points))
-    swaps = swap_images(sorted(points), nodes.n)
+    ordered = nodes.points
+    assert ordered == tuple(sorted(points))
+    swaps = swap_images(ordered, nodes.n)
     assert [list(o.members) for o in nodes.orbits] == orbit_classes(swaps, len(points))
     for orbit in nodes.orbits:
-        assert set(orbit.points) == expand_orbit(orbit.rep)
+        assert {ordered[i] for i in orbit.members} == expand_orbit(orbit.rep)
 
 
 @ENGINE
@@ -191,10 +192,11 @@ def test_equiv_bijection_is_equivariant_onto_and_keeps_orbit_types(points, data)
 
     result = nodeset.equivalent(a, b)
     assert result.equivalent and orbit_vector(a) == orbit_vector(b)
-    phi = dict(result.bijection)
+    assert sorted(result.image) == list(range(len(b)))
+    phi = dict(zip(a.points, map(b.points.__getitem__, result.image)))
     assert set(phi) == set(a.points)
     assert set(phi.values()) == set(b.points)
-    type_of = {p: o.type for s in (a, b) for o in s.orbits for p in o.points}
+    type_of = {s.points[i]: o.type for s in (a, b) for o in s.orbits for i in o.members}
     for x, y in phi.items():
         assert type_of[x] == type_of[y]
         for tau in symcore.adjacent_transpositions(a.n):
