@@ -31,9 +31,8 @@ point in this module.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from math import factorial, prod
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import _linalg
 from .errors import DimensionMismatchError
@@ -83,8 +82,7 @@ def _monomial_expansion(sigma: tuple[int, ...], memo: dict) -> dict[tuple[int, .
     return memo[sigma]
 
 
-@dataclass(frozen=True)
-class _TypeTable:
+class _TypeTable(NamedTuple):
     """An integer table whose rows and columns are the types of R^n, descending."""
 
     n: int
@@ -99,6 +97,8 @@ class _TypeTable:
 class KMatrix(_TypeTable):
     """Fixed-point table: entries[i][j] = number of points of orbit class j
     fixed by a permutation of conjugacy class i (both descending)."""
+
+    __slots__ = ()
 
     def is_lower_triangular(self) -> bool:
         return all(
@@ -121,6 +121,8 @@ class KMatrix(_TypeTable):
 class VMatrix(_TypeTable):
     """Gram matrix of the permutation characters: entries[i][j] = <chi_i, chi_j>,
     indices in descending type order."""
+
+    __slots__ = ()
 
     def is_symmetric(self) -> bool:
         return all(

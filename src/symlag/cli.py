@@ -278,8 +278,11 @@ def table_equiv(payload: dict) -> list[str]:
 
 
 def cmd_analyze(args) -> tuple[int, dict]:
-    basis = interp.load_basis(args.basis, n=args.n)
+    # the work bound needs only the nodes, and is checked before the basis is
+    # read: reading and screening a basis as large as a refused set takes seconds
     nodes, snaps = nodeset.load_node_set(args.nodes, snap_tol=args.snap_tol)
+    interp.check_elimination_work(nodes)
+    basis = interp.load_basis(args.basis, n=args.n)
     if basis.n != nodes.n:
         raise SymlagError(f"basis lives in R^{basis.n} but nodes in R^{nodes.n}")
 

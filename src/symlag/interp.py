@@ -15,19 +15,19 @@ group generated by the swaps (1 2), (3 4), ... that preserve both sets;
 each block goes through the fraction-free kernel of _linalg, and the
 blocks' determinants give the determinant: the pair is unisolvent exactly
 when it is not zero.  Inputs whose determinant would exceed
-MAX_DETERMINANT_BITS are refused before evaluation.  Before any determinant
-work, cheap necessary conditions run: equal counts, equal orbit counts, and
-the orbit vector forced by the exact linear system V X = r, solved and
-certified through the triangular factor K of V, without building V.
+MAX_DETERMINANT_BITS, or whose blocks MAX_ELIMINATION_WORK, are refused
+before evaluation.  Before any determinant work, cheap necessary conditions
+run: equal counts, equal orbit counts, and the orbit vector forced by the
+exact linear system V X = r, solved and certified through the triangular
+factor K of V, without building V.
 """
 from __future__ import annotations
 
 import re
-from collections import defaultdict
-from dataclasses import dataclass, field
+from collections import Counter, defaultdict
 from fractions import Fraction
 from math import lcm, prod
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from . import _linalg
 from .charmat import KMatrix, k_matrix, v_solve
@@ -95,8 +95,7 @@ def monomial_from_string(text: str, n: int | None = None) -> tuple[int, ...]:
     return tuple(exps.get(i, 0) for i in range(1, dim + 1))
 
 
-@dataclass(frozen=True, order=True)
-class BasisFunction:
+class BasisFunction(NamedTuple("BasisFunction", [("terms", tuple[tuple[tuple[int, ...], Fraction], ...])])):
     """A polynomial as its terms (exponent vector, nonzero rational coefficient).
 
     Terms are kept sorted by exponent vector, zero coefficients dropped, so
@@ -104,11 +103,12 @@ class BasisFunction:
     their terms.
     """
 
-    terms: tuple[tuple[tuple[int, ...], Fraction], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.terms:
+    def __new__(cls, terms: Sequence[tuple[tuple[int, ...], Fraction]]) -> "BasisFunction":
+        if not terms:
             raise ValueError("the zero polynomial cannot be a basis function")
+        return super().__new__(cls, terms)
 
     @classmethod
     def from_terms(cls, terms: Iterable[tuple[Sequence[int], Fraction | int]]) -> "BasisFunction":
@@ -159,19 +159,42 @@ class BasisFunction:
         return " + ".join(parts)
 
 
-@dataclass(frozen=True)
 class BasisSet:
     """A validated symmetric set of basis functions with its S_n-orbit decomposition.
 
     Linear independence is *not* implied; a dependent set makes every
-    evaluation matrix singular, which ``vandermonde`` reports.
+    evaluation matrix singular, which ``vandermonde`` reports.  Not a tuple,
+    since its length is its function count.
     """
 
-    n: int
-    functions: tuple[BasisFunction, ...]
-    orbits: tuple[tuple[BasisFunction, ...], ...]
-    # swap_images of ``functions``, in adjacent_transpositions(n) order
-    swaps: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
+    # swaps: the swap_images of ``functions``, in adjacent_transpositions(n)
+    # order; they follow from the other fields and are neither compared nor shown
+    __slots__ = ("n", "functions", "orbits", "swaps")
+
+    def __init__(self, n: int, functions: tuple[BasisFunction, ...], orbits: tuple[tuple[BasisFunction, ...], ...],
+                 swaps: tuple[tuple[int, ...], ...]):
+        for name, value in zip(BasisSet.__slots__, (n, functions, orbits, swaps)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        return self._compared() == other._compared() if type(other) is BasisSet else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._compared())
+
+    def __repr__(self) -> str:
+        return "BasisSet(n={!r}, functions={!r}, orbits={!r})".format(*self._compared())
+
+    def __reduce__(self):
+        return BasisSet, (*self._compared(), self.swaps)
+
+    def _compared(self) -> tuple:
+        return self.n, self.functions, self.orbits
 
     def __len__(self) -> int:
         return len(self.functions)
@@ -211,8 +234,7 @@ def r_vector(b: BasisSet) -> tuple[int, ...]:
     return tuple(stabilizer_orbit_count(b.swaps, t, len(b)) for t in enumerate_types(b.n))
 
 
-@dataclass(frozen=True)
-class ConstraintSystem:
+class ConstraintSystem(NamedTuple):
     """The exact system V X = r and its solution, classified for admissibility.
 
     V = L^T L with L the unitriangular Kostka matrix, so det V = 1 and the
@@ -252,8 +274,7 @@ def solve_constraints(k: KMatrix, r: Sequence[int]) -> ConstraintSystem:
     )
 
 
-@dataclass(frozen=True)
-class UnisolvenceReport:
+class UnisolvenceReport(NamedTuple):
     """Size of the evaluation matrix f_i(a_j), its exact determinant, and the verdict."""
 
     size: int
@@ -269,6 +290,31 @@ class UnisolvenceReport:
 # estimated to need more bits than this: N times the bits of the largest
 # cleared matrix entry.
 MAX_DETERMINANT_BITS = 1 << 18
+
+# analyze refuses a node set over which the blocks of _split_determinant,
+# their sizes cubed and summed, exceed this: about 30 s of elimination on a
+# 2-vCPU Xeon (Python 3.11), where the grid {-1, 0, 1}^7 (3.9e8) took 56 s.
+MAX_ELIMINATION_WORK = 250_000_000
+
+
+def check_elimination_work(nodes: NodeSet) -> None:
+    """Raise SymlagError when the blocks _split_determinant would eliminate
+    over ``nodes``, their sizes cubed and summed, exceed MAX_ELIMINATION_WORK.
+
+    The swap (2i-1 2i) fixes a node, bit i of its mask f, when those two
+    coordinates are equal; its orbit of 2^(k - |f|) nodes gives one column
+    to the block of each character c with c & f = 0.  Only square blocks
+    are eliminated, so the nodes alone give their sizes.
+    """
+    k = nodes.n // 2
+    masks = Counter(sum((r[2 * i] == r[2 * i + 1]) << i for i in range(k)) for r in nodes.ranks)
+    sizes = [sum(m >> (k - f.bit_count()) for f, m in masks.items() if not c & f) for c in range(1 << k)]
+    work = sum(size**3 for size in sizes)
+    if work > MAX_ELIMINATION_WORK:
+        raise SymlagError(
+            f"exact evaluation over {len(nodes)} nodes would eliminate blocks whose sizes, cubed and summed, "
+            f"come to {work}, above the limit of {MAX_ELIMINATION_WORK}; use fewer nodes"
+        )
 
 
 def _log2_bound(x: int) -> int:
@@ -508,15 +554,13 @@ def vandermonde(basis: BasisSet, nodes: NodeSet, mode: str = "exact") -> Unisolv
     return UnisolvenceReport(size=len(basis), determinant=det, verdict=verdict)
 
 
-@dataclass(frozen=True)
-class ConditionResult:
+class ConditionResult(NamedTuple):
     name: str
     passed: bool
     detail: str
 
 
-@dataclass(frozen=True)
-class NecessaryConditionsReport:
+class NecessaryConditionsReport(NamedTuple):
     """Outcome of the pre-determinant screen (necessary, never sufficient)."""
 
     passed: bool

@@ -25,9 +25,8 @@ import json
 import re
 import sys
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import DimensionMismatchError, DuplicatePointError, SymlagError, echo
 from .symcore import (
@@ -42,17 +41,17 @@ from .symcore import (
 )
 
 
-@dataclass(frozen=True, order=True)
-class Point:
-    """A point of R^n with exact rational coordinates."""
+class Point(NamedTuple("Point", [("coords", tuple[Fraction, ...])])):
+    """A point of R^n with exact rational coordinates; points sort by them."""
 
-    coords: tuple[Fraction, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.coords:
+    def __new__(cls, coords: Sequence) -> "Point":
+        if not coords:
             raise ValueError("a point needs at least one coordinate")
-        if not all(isinstance(c, Fraction) for c in self.coords):
-            object.__setattr__(self, "coords", tuple(Fraction(c) for c in self.coords))
+        if not all(isinstance(c, Fraction) for c in coords):
+            coords = tuple(Fraction(c) for c in coords)
+        return super().__new__(cls, coords)
 
     @property
     def n(self) -> int:
@@ -90,8 +89,7 @@ def _canonical(coords: Sequence) -> list:
     return [v for v in sorted(multiplicity, key=lambda v: (multiplicity[v], v)) for _ in range(multiplicity[v])]
 
 
-@dataclass(frozen=True)
-class Orbit:
+class Orbit(NamedTuple):
     """One S_n-orbit inside a node set."""
 
     type: OrbitType
@@ -99,19 +97,41 @@ class Orbit:
     rep: Point  # canonical arrangement
 
 
-@dataclass(frozen=True)
 class NodeSet:
     """A validated symmetric set of distinct points with its orbit decomposition.
 
     Each point is stored once, as the ranks of its coordinates among
     ``values``; ``points`` builds Points from them.  Construct via
     :func:`validate_symmetric`; instances are immutable and thread-safe.
+    Not a tuple, since its length is its point count.
     """
 
-    n: int
-    values: tuple[Fraction, ...]
-    ranks: tuple[tuple[int, ...], ...]  # sorted, so the points are in lexicographic order
-    orbits: tuple[Orbit, ...]
+    __slots__ = ("n", "values", "ranks", "orbits")  # ranks sorted, so the points are in lexicographic order
+
+    def __init__(self, n: int, values: tuple[Fraction, ...], ranks: tuple[tuple[int, ...], ...],
+                 orbits: tuple[Orbit, ...]):
+        for name, value in zip(NodeSet.__slots__, (n, values, ranks, orbits)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        return self._compared() == other._compared() if type(other) is NodeSet else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._compared())
+
+    def __repr__(self) -> str:
+        return "NodeSet(n={!r}, values={!r}, ranks={!r}, orbits={!r})".format(*self._compared())
+
+    def __reduce__(self):
+        return NodeSet, self._compared()
+
+    def _compared(self) -> tuple:
+        return self.n, self.values, self.ranks, self.orbits
 
     @property
     def points(self) -> tuple[Point, ...]:
@@ -184,8 +204,7 @@ def orbit_vector(s: NodeSet) -> tuple[int, ...]:
     return tuple(counts)
 
 
-@dataclass(frozen=True)
-class EquivalenceResult:
+class EquivalenceResult(NamedTuple):
     """Outcome of comparing two symmetric node sets."""
 
     equivalent: bool
@@ -226,8 +245,7 @@ def equivalent(s1: NodeSet, s2: NodeSet) -> EquivalenceResult:
 
 # -- ingestion ---------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SnapEvent:
+class SnapEvent(NamedTuple):
     """Record of one coordinate being quantized onto a nearby rational."""
 
     original: str

@@ -19,9 +19,8 @@ Everything here is a pure function on immutable values.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from math import factorial
-from typing import Iterable, Sequence, TypeVar
+from typing import Iterable, NamedTuple, Sequence, TypeVar
 
 from .errors import DimensionMismatchError, NotSymmetricError, echo
 
@@ -33,17 +32,17 @@ T = TypeVar("T")
 MAX_DIMENSION = 24
 
 
-@dataclass(frozen=True)
-class Permutation:
+class Permutation(NamedTuple("Permutation", [("images", tuple[int, ...])])):
     """A bijection of {1..n} stored in one-line notation: images[i-1] = s(i)."""
 
-    images: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "images", tuple(int(v) for v in self.images))
-        n = len(self.images)
-        if n == 0 or sorted(self.images) != list(range(1, n + 1)):
-            raise ValueError(f"images {self.images!r} are not a bijection on 1..{len(self.images)}")
+    def __new__(cls, images: Iterable[int]) -> "Permutation":
+        images = tuple(int(v) for v in images)
+        n = len(images)
+        if n == 0 or sorted(images) != list(range(1, n + 1)):
+            raise ValueError(f"images {images!r} are not a bijection on 1..{n}")
+        return super().__new__(cls, images)
 
     @property
     def n(self) -> int:
@@ -81,43 +80,52 @@ class Permutation:
         return "".join(parts) if parts else "id"
 
 
-@functools.total_ordering
-@dataclass(frozen=True)
-class OrbitType:
+class OrbitType(NamedTuple("OrbitType", [("counts", tuple[int, ...])])):
     """Composition vector (c_1..c_n) with sum(i*c_i) = n.
 
     Doubles as a permutation cycle type: both range over the non-negative
-    solutions of the same Diophantine equation.
+    solutions of the same Diophantine equation.  Types compare in the type
+    order, in which the first difference from c_n down to c_1 decides; types
+    of different dimensions do not compare.
+
+    >>> OrbitType((1, 1, 0)) < OrbitType((0, 0, 1))
+    True
     """
 
-    counts: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "counts", tuple(int(v) for v in self.counts))
-        n = len(self.counts)
-        if n == 0 or any(v < 0 for v in self.counts):
-            raise ValueError(f"invalid type counts {self.counts!r}")
-        total = sum(i * c for i, c in enumerate(self.counts, start=1))
+    def __new__(cls, counts: Iterable[int]) -> "OrbitType":
+        counts = tuple(int(v) for v in counts)
+        n = len(counts)
+        if n == 0 or any(v < 0 for v in counts):
+            raise ValueError(f"invalid type counts {counts!r}")
+        total = sum(i * c for i, c in enumerate(counts, start=1))
         if total != n:
-            raise ValueError(f"counts {self.counts!r} weigh to {total}, expected {n}")
+            raise ValueError(f"counts {counts!r} weigh to {total}, expected {n}")
+        return super().__new__(cls, counts)
 
     @property
     def n(self) -> int:
         return len(self.counts)
 
-    @property
-    def _key(self) -> tuple[int, ...]:
-        return tuple(reversed(self.counts))
-
-    def __lt__(self, other: "OrbitType") -> bool:
-        """The type order: the first difference from c_n down to c_1 decides.
-
-        >>> OrbitType((1, 1, 0)) < OrbitType((0, 0, 1))
-        True
-        """
+    def _keys(self, other: "OrbitType") -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Both count vectors from c_n down to c_1, for the same dimension."""
         if self.n != other.n:
             raise DimensionMismatchError(f"cannot compare types of dimensions {self.n} and {other.n}")
-        return self._key < other._key
+        return self.counts[::-1], other.counts[::-1]
+
+    # a tuple already compares by its own order, so each comparison is spelled out
+    def __lt__(self, other: "OrbitType") -> bool:
+        return tuple.__lt__(*self._keys(other))
+
+    def __le__(self, other: "OrbitType") -> bool:
+        return tuple.__le__(*self._keys(other))
+
+    def __gt__(self, other: "OrbitType") -> bool:
+        return tuple.__gt__(*self._keys(other))
+
+    def __ge__(self, other: "OrbitType") -> bool:
+        return tuple.__ge__(*self._keys(other))
 
 
 @functools.lru_cache(maxsize=None)

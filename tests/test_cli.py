@@ -1,10 +1,13 @@
 """CLI subcommands: exit codes, JSON determinism, file handling."""
 import hashlib
 import json
+import os
+import subprocess
 import sys
 import time
-from itertools import combinations, combinations_with_replacement, permutations
+from itertools import combinations, combinations_with_replacement, permutations, product
 from math import prod
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -341,6 +344,27 @@ def test_analyze_huge_exponents_exit_2_quickly(tmp_path, capsys):
     assert err.startswith("error: exact evaluation would need about") and err.count("\n") == 1
 
 
+def test_analyze_refuses_the_tensor_grid_of_r9_by_its_elimination_work(tmp_path, capsys):
+    # exponents {0, 1, 2}^9 on the grid {-1, 0, 1}^9: a legal, unisolvent pair
+    # of N = 19,683 whose coordinates add no bits.  Per coordinate pair the
+    # blocks are 6 wide under the trivial character of its swap and 3 under
+    # the other, and the ninth coordinate triples them all
+    grid = list(product((-1, 0, 1), repeat=9))
+    functions = [[{"exponents": [x + 1 for x in p]}] for p in grid]
+    basis = write_json(tmp_path / "basis.json", {"n": 9, "functions": functions})
+    nodes = write_json(tmp_path / "nodes.json", {"n": 9, "points": [list(p) for p in grid]})
+    work = (6**3 + 3**3) ** 4 * 3**3
+    message = (
+        f"error: exact evaluation over 19683 nodes would eliminate blocks whose sizes, cubed and summed, "
+        f"come to {work}, above the limit of {interp.MAX_ELIMINATION_WORK}; use fewer nodes\n"
+    )
+    start = time.perf_counter()
+    assert run(capsys, ["analyze", "--basis", basis, "--nodes", nodes]) == (2, "", message)
+    assert time.perf_counter() - start < 5
+    # the bound needs only the nodes, so the basis is not even read
+    assert run(capsys, ["analyze", "--basis", str(tmp_path / "missing.json"), "--nodes", nodes]) == (2, "", message)
+
+
 def test_solve_huge_exponents_quickly(tmp_path, capsys):
     basis = write_json(tmp_path / "basis.json", ["x1^999999999", "x2^999999999"])
     start = time.perf_counter()
@@ -562,18 +586,27 @@ def test_classify_and_equiv_build_at_most_one_point_per_orbit(name, tmp_path, ca
     vectors = [payload[key] for key in ("orbit_vector", "orbit_vector_a", "orbit_vector_b") if key in payload]
     orbits = sum(map(sum, vectors))
     built = 0
-    post_init = nodeset.Point.__post_init__
+    new = nodeset.Point.__new__  # every Point is made here
 
-    def counting(self):
+    def counting(cls, coords):
         nonlocal built
         built += 1
-        post_init(self)
+        return new(cls, coords)
 
-    monkeypatch.setattr(nodeset.Point, "__post_init__", counting)
+    monkeypatch.setattr(nodeset.Point, "__new__", counting)
     for output in ("json", "table"):
         built = 0
         code, _, _ = run(capsys, argv + ["--format", output])
         assert code == 0 and 0 < built <= orbits
+
+
+def test_importing_the_cli_leaves_dataclasses_and_its_imports_out():
+    # each request is a fresh process and pays for everything this import loads
+    code = "import sys, symlag.cli; print(sorted({'dataclasses', 'inspect', 'ast', 'dis'} & set(sys.modules)))"
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
 
 
 # -- the symlag/1 writer ---------------------------------------------------------

@@ -123,36 +123,37 @@ def test_split_matches_plain_on_orbits_with_non_coordinate_stabilizers():
 
 
 def _count_eliminated_blocks(monkeypatch):
-    dets, determinant = [], _linalg.integer_determinant
+    """The (size, determinant) of each block the split eliminates, as it goes."""
+    blocks, determinant = [], _linalg.integer_determinant
 
     def spy(m):
-        dets.append(determinant(m))
-        return dets[-1]
+        blocks.append((len(m), determinant(m)))
+        return blocks[-1][1]
 
     monkeypatch.setattr(interp._linalg, "integer_determinant", spy, raising=False)
-    return dets
+    return blocks
 
 
 def test_singular_by_a_non_square_block(monkeypatch):
     # x1, x2 form one free orbit of (1 2); both nodes are fixed by it, so the
     # sign character has a row and no column
-    dets = _count_eliminated_blocks(monkeypatch)
+    blocks = _count_eliminated_blocks(monkeypatch)
     basis = validate_symmetric_basis([BasisFunction.monomial((1, 0)), BasisFunction.monomial((0, 1))])
     nodes = validate_symmetric([Point.of(1, 1), Point.of(2, 2)])
     report = vandermonde(basis, nodes)
     assert report.verdict == VERDICT_SINGULAR and report.determinant == 0
-    assert dets == []
+    assert blocks == []
     assert fraction_determinant(vandermonde_matrix(basis.functions, nodes.points)) == 0
 
 
 def test_singular_by_a_zero_block(monkeypatch):
     # the quadratic basis vanishes on this case-3 set through its symmetric
     # factor, so the trivial-character block is square and singular
-    dets = _count_eliminated_blocks(monkeypatch)
+    blocks = _count_eliminated_blocks(monkeypatch)
     basis, nodes = quadratic_basis(), case3_set(2, 1, 1, Fraction(7, 4))
     report = vandermonde(basis, nodes)
     assert report.determinant == 0 == fraction_determinant(vandermonde_matrix(basis.functions, nodes.points))
-    assert dets and dets[-1] == 0
+    assert blocks and blocks[-1][1] == 0
 
 
 def test_exact_evaluation_refuses_huge_entries():
@@ -164,3 +165,24 @@ def test_exact_evaluation_refuses_huge_entries():
     # 0 and 1 have no bits to grow: only the exponents that occur are raised;
     # sorted, x2^999999999 and (0, 1) come first, so the matrix is I
     assert both(functions, [Point.of(0, 1), Point.of(1, 0)]) == (1, 1)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_elimination_work_is_that_of_the_blocks_the_split_eliminates(n, monkeypatch):
+    blocks = _count_eliminated_blocks(monkeypatch)
+    rng = random.Random(7300 + n)
+    functions = [BasisFunction.monomial(e) for e in total_degree_exponents(n, TOTAL_DEGREE[n])]
+    checked = 0
+    for _ in range(3):
+        nodes = forced_node_set(rng, functions)
+        blocks.clear()
+        if vandermonde(validate_symmetric_basis(functions), nodes).determinant == 0:
+            continue  # the split stopped at a singular block
+        work = sum(size**3 for size, _ in blocks)
+        monkeypatch.setattr(interp, "MAX_ELIMINATION_WORK", work)
+        interp.check_elimination_work(nodes)
+        monkeypatch.setattr(interp, "MAX_ELIMINATION_WORK", work - 1)
+        with pytest.raises(interp.SymlagError, match=f"come to {work}, above the limit of {work - 1};"):
+            interp.check_elimination_work(nodes)
+        checked += 1
+    assert checked

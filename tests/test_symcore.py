@@ -119,6 +119,10 @@ def test_compare_types_rejects_mixed_dimensions():
         OrbitType((1,)) < OrbitType((2, 0))
     with pytest.raises(DimensionMismatchError):
         OrbitType((2, 0)) > OrbitType((1,))
+    with pytest.raises(DimensionMismatchError):
+        OrbitType((1,)) <= OrbitType((2, 0))
+    with pytest.raises(DimensionMismatchError):
+        OrbitType((2, 0)) >= OrbitType((1,))
 
 
 @pytest.mark.parametrize("n", (4, 5, 6))
@@ -128,6 +132,7 @@ def test_compare_types_is_a_strict_total_order(n):
         for b in types:
             assert (a < b) + (a == b) + (a > b) == 1
             assert (a < b) == (b > a)
+            assert (a <= b) == (a < b or a == b) and (a >= b) == (a > b or a == b)
     rng = random.Random(7)
     for _ in range(300):
         a, b, c = (rng.choice(types) for _ in range(3))
