@@ -283,8 +283,6 @@ def cmd_analyze(args) -> tuple[int, dict]:
     nodes, snaps = nodeset.load_node_set(args.nodes, snap_tol=args.snap_tol)
     interp.check_elimination_work(nodes)
     basis = interp.load_basis(args.basis, n=args.n)
-    if basis.n != nodes.n:
-        raise SymlagError(f"basis lives in R^{basis.n} but nodes in R^{nodes.n}")
 
     screen = interp.check_necessary_conditions(basis, nodes)
     det = None

@@ -24,7 +24,7 @@ factor K of V, without building V.
 from __future__ import annotations
 
 import re
-from collections import Counter, defaultdict
+from collections import Counter
 from fractions import Fraction
 from math import lcm, prod
 from typing import Iterable, NamedTuple, Sequence
@@ -32,9 +32,10 @@ from typing import Iterable, NamedTuple, Sequence
 from . import _linalg
 from .charmat import KMatrix, k_matrix, v_solve
 from .errors import DimensionMismatchError, SizeMismatchError, SymlagError, echo
-from .nodeset import NodeSet, Point, exact_decimal, orbit_vector, read_json
+from .nodeset import NodeSet, Point, orbit_vector, read_json, too_many_digits
 from .symcore import (
     Permutation,
+    Record,
     apply_to_point,
     check_dimension,
     enumerate_types,
@@ -68,8 +69,11 @@ def _monomial_factors(text: str) -> dict[int, int]:
             m = _MONO_FACTOR.match(factor)
             if m is None:
                 raise ValueError(f"cannot parse monomial factor {echo(factor)} in {echo(text)}")
-            # exact_decimal words Python's limit on the digits of an int
-            idx, e = int(exact_decimal(m.group(1))), int(exact_decimal(m.group(2) or "1"))
+            try:  # int() refuses only more digits than Python reads
+                idx = int(number := m.group(1))
+                e = int(number := m.group(2) or "1")
+            except ValueError:
+                raise too_many_digits(number) from None
             if idx < 1:
                 raise ValueError(f"variable index must be >= 1 in {echo(text)}")
             exps[idx] = exps.get(idx, 0) + e
@@ -159,42 +163,17 @@ class BasisFunction(NamedTuple("BasisFunction", [("terms", tuple[tuple[tuple[int
         return " + ".join(parts)
 
 
-class BasisSet:
+class BasisSet(Record):
     """A validated symmetric set of basis functions with its S_n-orbit decomposition.
 
     Linear independence is *not* implied; a dependent set makes every
-    evaluation matrix singular, which ``vandermonde`` reports.  Not a tuple,
-    since its length is its function count.
+    evaluation matrix singular, which ``vandermonde`` reports.
     """
 
     # swaps: the swap_images of ``functions``, in adjacent_transpositions(n)
     # order; they follow from the other fields and are neither compared nor shown
-    __slots__ = ("n", "functions", "orbits", "swaps")
-
-    def __init__(self, n: int, functions: tuple[BasisFunction, ...], orbits: tuple[tuple[BasisFunction, ...], ...],
-                 swaps: tuple[tuple[int, ...], ...]):
-        for name, value in zip(BasisSet.__slots__, (n, functions, orbits, swaps)):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    __delattr__ = __setattr__
-
-    def __eq__(self, other):
-        return self._compared() == other._compared() if type(other) is BasisSet else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._compared())
-
-    def __repr__(self) -> str:
-        return "BasisSet(n={!r}, functions={!r}, orbits={!r})".format(*self._compared())
-
-    def __reduce__(self):
-        return BasisSet, (*self._compared(), self.swaps)
-
-    def _compared(self) -> tuple:
-        return self.n, self.functions, self.orbits
+    _compared = ("n", "functions", "orbits")
+    __slots__ = (*_compared, "swaps")
 
     def __len__(self) -> int:
         return len(self.functions)
@@ -291,6 +270,14 @@ class UnisolvenceReport(NamedTuple):
 # cleared matrix entry.
 MAX_DETERMINANT_BITS = 1 << 18
 
+# A basis file is refused, before any function is read, when it holds more
+# functions than this (reading takes about 0.24 ms per function in R^24, less
+# in fewer dimensions), or when its functions times the stabilizer generators
+# of all types, the union steps of r_vector (about 0.5 us each), exceed
+# MAX_ORBIT_WORK: each bound is about 30 s on a 2-vCPU Xeon (Python 3.11).
+MAX_BASIS_FUNCTIONS = 125_000
+MAX_ORBIT_WORK = 60_000_000
+
 # analyze refuses a node set over which the blocks of _split_determinant,
 # their sizes cubed and summed, exceed this: about 30 s of elimination on a
 # 2-vCPU Xeon (Python 3.11), where the grid {-1, 0, 1}^7 (3.9e8) took 56 s.
@@ -356,43 +343,19 @@ def _cleared_points(
     return cleared, degree
 
 
-def _powers(x: int, exponents: Iterable[int]) -> dict[int, int]:
-    """x^e for each e given, and only those."""
-    out, acc, prev = {}, 1, 0
-    for e in sorted(exponents):
-        acc *= x ** (e - prev)
-        out[e], prev = acc, e
-    return out
-
-
 def _integer_rows(
     functions: Sequence[BasisFunction], cleared: Sequence[tuple[list[int], int]], degree: int
 ) -> tuple[list[list[int]], list[int]]:
     """Rows s_i q_j^D f_i(a_j) over the cleared points, and the row scales s_i
     (the lcm of f_i's coefficient denominators)."""
-    rows_terms, scales = [], []
-    used, shifts = defaultdict(set), set()
-    for f in functions:
-        s = lcm(*(c.denominator for _, c in f.terms))
-        scales.append(s)
-        terms = []
-        for exponents, c in f.terms:
-            factors = [(i, e) for i, e in enumerate(exponents) if e]
-            for i, e in factors:
-                used[i].add(e)
-            shift = degree - sum(exponents)
-            shifts.add(shift)
-            terms.append((int(c * s), factors, shift))
-        rows_terms.append(terms)
-    columns = [
-        ([_powers(x, used[i]) for i, x in enumerate(xs)], _powers(q, shifts))
-        for xs, q in cleared
-    ]
-    rows = [
-        [sum(c * prod(pw[i][e] for i, e in factors) * qp[shift] for c, factors, shift in terms)
-         for pw, qp in columns]
-        for terms in rows_terms
-    ]
+    scales = [lcm(*(c.denominator for _, c in f.terms)) for f in functions]
+    rows = []
+    for f, s in zip(functions, scales):
+        terms = [(int(c * s), exponents, degree - sum(exponents)) for exponents, c in f.terms]
+        rows.append([
+            sum(c * prod(x**e for x, e in zip(xs, exponents)) * q**shift for c, exponents, shift in terms)
+            for xs, q in cleared
+        ])
     return rows, scales
 
 
@@ -586,48 +549,33 @@ def check_necessary_conditions(b: BasisSet, s: NodeSet) -> NecessaryConditionsRe
     """Cheapest-first screen: (1) equal counts, (2) equal S_n-orbit counts,
     (3) node orbit vector equals the unique solution of V X = r(basis).
 
-    Stops at the first violation; determinant work is for callers that pass.
+    Stops at the first violation, so the last condition decides; determinant
+    work is for callers that pass.
     """
     if b.n != s.n:
-        raise DimensionMismatchError(f"basis in dimension {b.n}, nodes in dimension {s.n}")
-    notes = unmatched_orbit_notes(b)
-    conditions: list[ConditionResult] = []
+        raise DimensionMismatchError(f"basis lives in R^{b.n} but nodes in R^{s.n}")
     node_vec = orbit_vector(s)
-
-    size_ok = len(b) == len(s)
-    conditions.append(ConditionResult(
-        "size-match", size_ok, f"{len(b)} basis functions, {len(s)} nodes",
-    ))
-    if not size_ok:
-        return NecessaryConditionsReport(False, tuple(conditions), tuple(notes), None, node_vec)
-
-    counts_ok = len(b.orbits) == len(s.orbits)
-    count_detail = (
-        f"{len(b.orbits)} basis orbits, {len(s.orbits)} node orbits"
-        if counts_ok
-        else f"orbit count mismatch ({len(b.orbits)} basis orbits vs {len(s.orbits)} "
-        "node orbits), so the orbit vectors cannot match"
+    cs = None
+    conditions = [ConditionResult("size-match", len(b) == len(s), f"{len(b)} basis functions, {len(s)} nodes")]
+    if conditions[-1].passed:
+        counts_ok = len(b.orbits) == len(s.orbits)
+        conditions.append(ConditionResult("orbit-count-match", counts_ok, (
+            f"{len(b.orbits)} basis orbits, {len(s.orbits)} node orbits" if counts_ok
+            else f"orbit count mismatch ({len(b.orbits)} basis orbits vs {len(s.orbits)} "
+            "node orbits), so the orbit vectors cannot match"
+        )))
+    if conditions[-1].passed:
+        cs = solve_constraints(k_matrix(b.n), r_vector(b))
+        if not cs.admissible:
+            detail = f"V X = r is infeasible ({cs.reason}); no symmetric node set fits this basis"
+        elif node_vec == cs.solution:
+            detail = f"nodes match the orbit vector {cs.solution} forced by V X = r"
+        else:
+            detail = f"orbit vector mismatch: nodes have {node_vec}, V X = r forces {cs.solution}"
+        conditions.append(ConditionResult("orbit-vector-match", cs.admissible and node_vec == cs.solution, detail))
+    return NecessaryConditionsReport(
+        conditions[-1].passed, tuple(conditions), tuple(unmatched_orbit_notes(b)), cs, node_vec
     )
-    conditions.append(ConditionResult("orbit-count-match", counts_ok, count_detail))
-    if not counts_ok:
-        return NecessaryConditionsReport(False, tuple(conditions), tuple(notes), None, node_vec)
-
-    cs = solve_constraints(k_matrix(b.n), r_vector(b))
-    if not cs.admissible:
-        conditions.append(ConditionResult(
-            "orbit-vector-match", False,
-            f"V X = r is infeasible ({cs.reason}); no symmetric node set fits this basis",
-        ))
-        return NecessaryConditionsReport(False, tuple(conditions), tuple(notes), cs, node_vec)
-    expected = cs.integer_solution()
-    vec_ok = node_vec == expected
-    detail = (
-        f"nodes match the orbit vector {expected} forced by V X = r"
-        if vec_ok
-        else f"orbit vector mismatch: nodes have {node_vec}, V X = r forces {expected}"
-    )
-    conditions.append(ConditionResult("orbit-vector-match", vec_ok, detail))
-    return NecessaryConditionsReport(vec_ok, tuple(conditions), tuple(notes), cs, node_vec)
 
 
 # -- ingestion ---------------------------------------------------------------
@@ -678,6 +626,8 @@ def basis_from_json(obj, n: int | None = None) -> BasisSet:
         entries = obj
     if not isinstance(entries, list):
         raise ValueError("basis must be a JSON array of functions")
+    if len(entries) > MAX_BASIS_FUNCTIONS:
+        raise SymlagError(f"the basis has {len(entries)} functions, above the limit of {MAX_BASIS_FUNCTIONS}")
     if n is None:
         # infer from the first explicit exponent vector, else the largest
         # variable index used by the shorthand strings
@@ -690,6 +640,10 @@ def basis_from_json(obj, n: int | None = None) -> BasisSet:
             n = max((max(_monomial_factors(e), default=0) for e in entries if isinstance(e, str)), default=0) or None
     if n is not None:
         check_dimension(n, "the basis dimension")
+        work = len(entries) * sum(n - sum(t.counts) for t in enumerate_types(n))
+        if work > MAX_ORBIT_WORK:
+            raise SymlagError(f"the orbit counts of {len(entries)} functions in R^{n} would take {work} union "
+                              f"steps, above the limit of {MAX_ORBIT_WORK}; use fewer functions")
     functions = [basis_function_from_json(entry, n) for entry in entries]
     return validate_symmetric_basis(functions, n=n)
 

@@ -32,6 +32,7 @@ from .errors import DimensionMismatchError, DuplicatePointError, SymlagError, ec
 from .symcore import (
     OrbitType,
     Permutation,
+    Record,
     apply_to_point,
     check_dimension,
     enumerate_types,
@@ -97,41 +98,16 @@ class Orbit(NamedTuple):
     rep: Point  # canonical arrangement
 
 
-class NodeSet:
+class NodeSet(Record):
     """A validated symmetric set of distinct points with its orbit decomposition.
 
     Each point is stored once, as the ranks of its coordinates among
     ``values``; ``points`` builds Points from them.  Construct via
     :func:`validate_symmetric`; instances are immutable and thread-safe.
-    Not a tuple, since its length is its point count.
     """
 
-    __slots__ = ("n", "values", "ranks", "orbits")  # ranks sorted, so the points are in lexicographic order
-
-    def __init__(self, n: int, values: tuple[Fraction, ...], ranks: tuple[tuple[int, ...], ...],
-                 orbits: tuple[Orbit, ...]):
-        for name, value in zip(NodeSet.__slots__, (n, values, ranks, orbits)):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    __delattr__ = __setattr__
-
-    def __eq__(self, other):
-        return self._compared() == other._compared() if type(other) is NodeSet else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._compared())
-
-    def __repr__(self) -> str:
-        return "NodeSet(n={!r}, values={!r}, ranks={!r}, orbits={!r})".format(*self._compared())
-
-    def __reduce__(self):
-        return NodeSet, self._compared()
-
-    def _compared(self) -> tuple:
-        return self.n, self.values, self.ranks, self.orbits
+    # ranks sorted, so the points are in lexicographic order
+    __slots__ = _compared = ("n", "values", "ranks", "orbits")
 
     @property
     def points(self) -> tuple[Point, ...]:
@@ -307,9 +283,14 @@ def exact_decimal(text: str) -> Fraction | None:
         # and int's, is Python's limit on the digits of an int
         if str(exc).startswith("Invalid literal"):
             return None
-        limit = sys.get_int_max_str_digits()
-        raise ValueError(f"number {text[:20]}... has more than {limit} digits, the most symlag reads") from None
+        raise too_many_digits(text) from None
     raise ValueError(f"decimal exponent of {echo(text)} exceeds {MAX_DECIMAL_EXPONENT} in size")
+
+
+def too_many_digits(text: str) -> ValueError:
+    """The error for a number string whose int has more digits than Python's limit."""
+    limit = sys.get_int_max_str_digits()
+    return ValueError(f"number {text[:20]}... has more than {limit} digits, the most symlag reads")
 
 
 def parse_rational(value, snap_tol: Fraction | None = None) -> tuple[Fraction, SnapEvent | None]:

@@ -128,6 +128,43 @@ class OrbitType(NamedTuple("OrbitType", [("counts", tuple[int, ...])])):
         return tuple.__ge__(*self._keys(other))
 
 
+class Record:
+    """An immutable value whose fields are its ``__slots__``, for a set whose
+    length is its size and which so cannot be a tuple; ``==``, ``hash`` and
+    ``repr`` read the fields named in ``_compared``, which give the others."""
+
+    __slots__ = ()
+    _compared: tuple[str, ...]
+
+    def __init__(self, *values, **named):
+        fields = self.__slots__
+        if len(values) + len(named) != len(fields) or not named.keys() <= set(fields[len(values):]):
+            raise TypeError(f"{type(self).__name__}() takes the fields {', '.join(fields)}")
+        for name, value in (*zip(fields, values), *named.items()):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        return self._key() == other._key() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._compared)
+        return f"{type(self).__name__}({shown})"
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._compared)
+
+
 @functools.lru_cache(maxsize=None)
 def _types_descending(n: int) -> tuple[OrbitType, ...]:
     out: list[OrbitType] = []

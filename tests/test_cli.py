@@ -375,6 +375,32 @@ def test_solve_huge_exponents_quickly(tmp_path, capsys):
     assert payload["r"] == [1, 2] and payload["solution"] == ["0", "1"]
 
 
+def test_solve_refuses_the_tensor_basis_of_r8_by_its_function_count(tmp_path, capsys):
+    # exponents {0, ..., 4}^8: 390,625 functions in a 12 MB file, which
+    # would take over a minute to read and count
+    functions = ["*".join(f"x{i}^{e}" for i, e in enumerate(p, 1) if e) or "1" for p in product(range(5), repeat=8)]
+    basis = write_json(tmp_path / "basis.json", {"n": 8, "functions": functions})
+    message = f"error: the basis has 390625 functions, above the limit of {interp.MAX_BASIS_FUNCTIONS}\n"
+    start = time.perf_counter()
+    assert run(capsys, ["solve", "--basis", basis]) == (2, "", message)
+    assert time.perf_counter() - start < 5
+
+
+def test_solve_refuses_total_degree_3_in_r24_by_its_orbit_work(tmp_path, capsys):
+    # 2,925 functions and 24,626 stabilizer generators over the 1,575 types
+    # of R^24: r_vector would take over 20 s on them
+    basis = _td_basis(tmp_path, 24, 3)
+    message = (
+        f"error: the orbit counts of 2925 functions in R^24 would take {2925 * 24626} union steps, "
+        f"above the limit of {interp.MAX_ORBIT_WORK}; use fewer functions\n"
+    )
+    start = time.perf_counter()
+    assert run(capsys, ["solve", "--basis", basis]) == (2, "", message)
+    assert time.perf_counter() - start < 5
+    # total degree 2 there is inside the bound
+    assert 325 * 24626 <= interp.MAX_ORBIT_WORK
+
+
 def test_analyze_huge_exponents_on_zero_one_nodes(tmp_path, capsys):
     basis = write_json(tmp_path / "basis.json", ["x1^999999999", "x2^999999999"])
     nodes = write_json(tmp_path / "nodes.json", {"n": 2, "points": [[0, 1], [1, 0]]})

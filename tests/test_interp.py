@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from symlag import (
     BasisFunction,
+    DimensionMismatchError,
     KMatrix,
     NotSymmetricError,
     OrbitType,
@@ -30,7 +31,7 @@ from symlag import (
     vandermonde,
     vandermonde_matrix,
 )
-from symlag import charmat
+from symlag import charmat, interp, nodeset
 from symlag.interp import VERDICT_SINGULAR, VERDICT_UNISOLVENT
 
 from oracles import (
@@ -91,6 +92,18 @@ def test_monomial_from_string_bounds_the_dimension():
     for text, n in (("x25", None), ("x99999999", None), ("x1", 10**8)):
         with pytest.raises(ValueError, match="largest supported dimension 24"):
             monomial_from_string(text, n=n)
+
+
+def test_monomial_numbers_are_read_as_plain_ints(monkeypatch):
+    # an index or exponent is only digits: exact_decimal, which reads a
+    # decimal or 'p/q' string into a Fraction, is not needed to read it
+    def exact_decimal(text):
+        raise AssertionError(f"exact_decimal({text!r}) called")
+
+    monkeypatch.setattr(nodeset, "exact_decimal", exact_decimal)
+    monkeypatch.setattr(interp, "exact_decimal", exact_decimal, raising=False)
+    assert monomial_from_string("x1^12*x3*x1") == (13, 0, 1)
+    assert basis_from_json(["x1^2", "x2^2"]).n == 2
 
 
 # -- the action on functions -------------------------------------------------------
@@ -451,6 +464,91 @@ def test_cyclic_cubic_basis_note_and_infeasibility_reported():
     assert not report.passed  # size 2 vs 6 fails immediately
 
 
+def _pair_pattern_basis():
+    """The monomial orbits (k, k, m) of five exponent pairs: 15 functions in
+    5 orbits, forcing the node vector (0, 5, 0)."""
+    functions = []
+    for k, m in [(1, 0), (2, 0), (2, 1), (3, 0), (3, 1)]:
+        functions += [BasisFunction.monomial(e) for e in {(k, k, m), (k, m, k), (m, k, k)}]
+    return validate_symmetric_basis(functions)
+
+
+def _two_cyclic_pairs_basis():
+    """The cyclic cubics and their squared-exponent twins: two orbits of size 2."""
+    cubic = cyclic_cubic_basis().functions
+    return validate_symmetric_basis(
+        [*cubic, *(BasisFunction.from_terms([(tuple(2 * x for x in e), c) for e, c in f.terms]) for f in cubic)]
+    )
+
+
+NO_ORBIT_OF_SIZE_2 = "basis has an orbit of size 2, which matches no point-orbit class in R^3"
+
+# one case per outcome of the screen: (basis, nodes), then passed, the
+# conditions as (name, passed, detail), notes, the constraints and the node
+# vector, as literal values that any rewrite of the screen must keep
+SCREEN_OUTCOMES = {
+    "pass": (
+        lambda: (quadratic_basis(), case3_set(0, 1, 2, 3)),
+        True,
+        [("size-match", True, "6 basis functions, 6 nodes"),
+         ("orbit-count-match", True, "2 basis orbits, 2 node orbits"),
+         ("orbit-vector-match", True, "nodes match the orbit vector (0, 2, 0) forced by V X = r")],
+        (), ((2, 4, 6), (0, 2, 0), True, None), (0, 2, 0),
+    ),
+    "size-mismatch": (
+        lambda: (cyclic_cubic_basis(), validate_symmetric(expand_orbit(Point.of(1, 2, 3)))),
+        False,
+        [("size-match", False, "2 basis functions, 6 nodes")],
+        (NO_ORBIT_OF_SIZE_2,), None, (0, 0, 1),
+    ),
+    "orbit-count-mismatch": (
+        lambda: (quadratic_basis(), case1_set([1, 2, 3, 4, 5, 6])),
+        False,
+        [("size-match", True, "6 basis functions, 6 nodes"),
+         ("orbit-count-match", False,
+          "orbit count mismatch (2 basis orbits vs 6 node orbits), so the orbit vectors cannot match")],
+        (), None, (6, 0, 0),
+    ),
+    "infeasible": (
+        lambda: (_two_cyclic_pairs_basis(), validate_symmetric([Point.of(0, 0, 0), *expand_orbit(Point.of(1, 1, 2))])),
+        False,
+        [("size-match", True, "4 basis functions, 4 nodes"),
+         ("orbit-count-match", True, "2 basis orbits, 2 node orbits"),
+         ("orbit-vector-match", False,
+          "V X = r is infeasible (component X_2 = -4 is negative); no symmetric node set fits this basis")],
+        (NO_ORBIT_OF_SIZE_2,), ((2, 2, 4), (4, -4, 2), False, "component X_2 = -4 is negative"), (1, 1, 0),
+    ),
+    "orbit-vector-mismatch": (
+        lambda: (_pair_pattern_basis(), validate_symmetric(
+            [Point.of(v, v, v) for v in (7, 8, 9)] + [*expand_orbit(Point.of(1, 2, 3)), *expand_orbit(Point.of(4, 5, 6))]
+        )),
+        False,
+        [("size-match", True, "15 basis functions, 15 nodes"),
+         ("orbit-count-match", True, "5 basis orbits, 5 node orbits"),
+         ("orbit-vector-match", False, "orbit vector mismatch: nodes have (3, 0, 2), V X = r forces (0, 5, 0)")],
+        (), ((5, 10, 15), (0, 5, 0), True, None), (3, 0, 2),
+    ),
+}
+
+
+@pytest.mark.parametrize("outcome", SCREEN_OUTCOMES)
+def test_screen_report_on_every_outcome(outcome):
+    sets, passed, conditions, notes, constraints, node_vector = SCREEN_OUTCOMES[outcome]
+    report = check_necessary_conditions(*sets())
+    assert report.passed is passed
+    assert [(c.name, c.passed, c.detail) for c in report.conditions] == conditions
+    assert report.notes == notes
+    assert (None if report.constraints is None else tuple(report.constraints)) == constraints
+    assert report.node_vector == node_vector
+    assert report.first_violation() == (None if passed else report.conditions[-1])
+
+
+def test_screen_refuses_sets_of_different_dimensions():
+    nodes = validate_symmetric([Point.of(1, 1)])
+    with pytest.raises(DimensionMismatchError, match=r"^basis lives in R\^3 but nodes in R\^2$"):
+        check_necessary_conditions(quadratic_basis(), nodes)
+
+
 def _monomial_orbit_families(n):
     """Constants, linears, squares, and pair products: the monomial S_n-orbits
     of total degree <= 2 in R^n."""
@@ -562,8 +660,6 @@ def test_vandermonde_rejects_empty_inputs():
 
 
 def test_act_on_function_dimension_mismatch():
-    from symlag.errors import DimensionMismatchError
-
     with pytest.raises(DimensionMismatchError):
         BasisFunction.monomial((1, 0, 0)).permuted(identity(2))
 

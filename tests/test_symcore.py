@@ -1,7 +1,9 @@
 """Core permutation/type machinery against independent brute-force oracles."""
+import copy
 import doctest
 import importlib
 import itertools
+import pickle
 import pkgutil
 import random
 import re
@@ -13,13 +15,18 @@ import pytest
 
 import symlag
 from symlag import (
+    BasisFunction,
+    BasisSet,
     OrbitType,
     Permutation,
+    Point,
     apply_to_point,
     enumerate_types,
     orbit_size,
     stabilizer_order,
     type_rank,
+    validate_symmetric,
+    validate_symmetric_basis,
 )
 from symlag.errors import DimensionMismatchError
 
@@ -310,3 +317,73 @@ def test_readme_library_example_runs(capsys):
     code = re.search(r"## Library\n\n```python\n(.*?)```", readme, re.S).group(1)
     exec(compile(code, "README.md", "exec"), {})
     assert capsys.readouterr().out == "(0, 2, 0)\nunisolvent\n"
+
+
+# -- NodeSet and BasisSet: immutable values whose length is their size ------------
+
+def _records():
+    """Two equal NodeSets, built apart, and one that differs; the same for BasisSets."""
+    def nodes(a):
+        return validate_symmetric([Point.of(a, a, 1), Point.of(a, 1, a), Point.of(1, a, a)])
+
+    def basis(e):
+        return validate_symmetric_basis([BasisFunction.monomial(x) for x in ((e, 0, 0), (0, e, 0), (0, 0, e))])
+
+    return [(nodes(0), nodes(0), nodes(2)), (basis(1), basis(1), basis(2))]
+
+
+@pytest.mark.parametrize("kind", [0, 1], ids=["NodeSet", "BasisSet"])
+def test_records_compare_and_hash_as_values(kind):
+    a, same, other = _records()[kind]
+    assert a is not same and a == same and hash(a) == hash(same) and len({a, same}) == 1
+    assert a != other and not a == other
+    # the hash is that of the compared fields, so sets and dicts keep their
+    # order, but a record never equals a plain tuple of them
+    fields = (a.n, a.values, a.ranks, a.orbits) if kind == 0 else (a.n, a.functions, a.orbits)
+    assert hash(a) == hash(fields) and a != fields and a != None  # noqa: E711
+
+
+def test_record_reprs_name_the_compared_fields():
+    (nodes, _, _), (basis, _, _) = _records()
+    assert repr(nodes) == (
+        f"NodeSet(n=3, values={nodes.values!r}, ranks=((0, 0, 1), (0, 1, 0), (1, 0, 0)), orbits={nodes.orbits!r})"
+    )
+    assert repr(nodes).startswith("NodeSet(n=3, values=(Fraction(0, 1), Fraction(1, 1)), ranks=")
+    assert repr(basis) == f"BasisSet(n=3, functions={basis.functions!r}, orbits={basis.orbits!r})"
+
+
+@pytest.mark.parametrize("kind", [0, 1], ids=["NodeSet", "BasisSet"])
+@pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))],
+                         ids=["copy", "deepcopy", "pickle"])
+def test_records_copy_and_pickle(kind, clone):
+    a = _records()[kind][0]
+    b = clone(a)
+    assert type(b) is type(a) and b == a and repr(b) == repr(a) and len(b) == len(a)
+    if kind == 1:
+        assert b.swaps == a.swaps
+
+
+@pytest.mark.parametrize("kind", [0, 1], ids=["NodeSet", "BasisSet"])
+def test_records_refuse_assignment_and_deletion(kind):
+    a = _records()[kind][0]
+    with pytest.raises(AttributeError, match="cannot assign to field 'n'"):
+        a.n = 4
+    with pytest.raises(AttributeError):
+        del a.n
+    with pytest.raises(AttributeError):
+        a.extra = 1
+    assert a.n == 3
+    # every field is given once, by position or by name
+    with pytest.raises(TypeError):
+        type(a)(3)
+    with pytest.raises(TypeError):
+        type(a)(3, n=3)
+
+
+def test_basis_swaps_are_neither_compared_nor_shown_but_pickled():
+    basis = _records()[1][0]
+    twin = BasisSet(n=basis.n, functions=basis.functions, orbits=basis.orbits, swaps=())
+    assert twin == basis and hash(twin) == hash(basis) and repr(twin) == repr(basis)
+    assert "swaps" not in repr(basis)
+    assert pickle.loads(pickle.dumps(basis)).swaps == basis.swaps != ()
+    assert pickle.loads(pickle.dumps(twin)).swaps == ()
