@@ -3,7 +3,8 @@
 `_echelon` is a Bareiss pass (Bareiss 1968) whose divisions are all exact.
 Its pivots give the determinant and the rank, and without row swaps the
 k-th pivot is the k-th leading principal minor, so one pass gives them
-all.  Every entry is an integer; callers clear denominators first.
+all; one pass over [m | I] gives a left kernel vector of m.  Every entry is
+an integer; callers clear denominators first.
 """
 from __future__ import annotations
 
@@ -49,6 +50,23 @@ def integer_determinant(m: list[list[int]]) -> int:
     if len(pivots) < len(m):
         return 0
     return sign * pivots[-1] if pivots else 1
+
+
+def left_kernel_vector(m: list[list[int]]) -> list[int] | None:
+    """A nonzero integer y with y m = 0, or None when the rows of m are independent.
+
+    One _echelon pass over [m | I]: every row it leaves is its own I-part
+    times [m | I], and rows whose m-part is zero come last.
+
+    >>> left_kernel_vector([[1, 2], [2, 4]])
+    [-2, 1]
+    >>> left_kernel_vector([[1, 2], [3, 4]]) is None
+    True
+    """
+    width = len(m[0])
+    rows = [[*row, *(int(i == j) for j in range(len(m)))] for i, row in enumerate(m)]
+    _echelon(rows)
+    return None if any(rows[-1][:width]) else rows[-1][width:]
 
 
 def leading_principal_minors(rows: Sequence[Sequence[int]]) -> list[int]:

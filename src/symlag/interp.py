@@ -8,18 +8,21 @@ to x^(e') with e'[j] = e[sigma(j)], the same coordinate action used for
 points, and evaluation satisfies (sigma f)(x) = f(sigma^{-1} x).
 
 Unisolvence of a (basis, nodes) pair is decided by the exact determinant
-of the evaluation matrix f_i(a_j).  The matrix is evaluated over the
-integers (points cleared by the lcm of their denominators, functions by
-that of their coefficients) and split into one block per character of the
-group generated by the swaps (1 2), (3 4), ... that preserve both sets;
-each block goes through the fraction-free kernel of _linalg, and the
-blocks' determinants give the determinant: the pair is unisolvent exactly
-when it is not zero.  Inputs whose determinant would exceed
-MAX_DETERMINANT_BITS, or whose blocks MAX_ELIMINATION_WORK, are refused
-before evaluation.  Before any determinant work, cheap necessary conditions
-run: equal counts, equal orbit counts, and the orbit vector forced by the
-exact linear system V X = r, solved and certified through the triangular
-factor K of V, without building V.
+of the evaluation matrix f_i(a_j), evaluated over the integers (points
+cleared by the lcm of their denominators, functions by that of their
+coefficients).  The S_n-invariant block comes first: one row per basis
+orbit, one column per node orbit.  If it is singular, a polynomial in the
+span of the basis, checked zero at the nodes, proves the determinant 0.
+Otherwise the matrix is split into one block per character of the group
+generated by the swaps (1 2), (3 4), ... that preserve both sets; each
+block goes through the fraction-free kernel of _linalg, and the blocks'
+determinants give the determinant: the pair is unisolvent exactly when it
+is not zero.  Inputs whose determinant would exceed MAX_DETERMINANT_BITS,
+or whose blocks MAX_ELIMINATION_WORK, are refused before evaluation.
+Before any determinant work, cheap necessary conditions run: equal
+counts, equal orbit counts, and the orbit vector forced by the exact
+linear system V X = r, solved and certified through the triangular factor
+K of V, without building V.
 """
 from __future__ import annotations
 
@@ -343,19 +346,28 @@ def _cleared_points(
     return cleared, degree
 
 
+def _cleared_values(
+    terms: Iterable[tuple[tuple[int, ...], int]], cleared: Sequence[tuple[list[int], int]], degree: int
+) -> list[int]:
+    """q^D g(a) at each cleared point (integer coordinates of a times q, q),
+    for the polynomial g of the integer terms (exponents, c), of degree at most D."""
+    shifted = [(c, exponents, degree - sum(exponents)) for exponents, c in terms]
+    return [
+        sum(c * prod(x**e for x, e in zip(xs, exponents)) * q**shift for c, exponents, shift in shifted)
+        for xs, q in cleared
+    ]
+
+
 def _integer_rows(
     functions: Sequence[BasisFunction], cleared: Sequence[tuple[list[int], int]], degree: int
 ) -> tuple[list[list[int]], list[int]]:
     """Rows s_i q_j^D f_i(a_j) over the cleared points, and the row scales s_i
     (the lcm of f_i's coefficient denominators)."""
     scales = [lcm(*(c.denominator for _, c in f.terms)) for f in functions]
-    rows = []
-    for f, s in zip(functions, scales):
-        terms = [(int(c * s), exponents, degree - sum(exponents)) for exponents, c in f.terms]
-        rows.append([
-            sum(c * prod(x**e for x, e in zip(xs, exponents)) * q**shift for c, exponents, shift in terms)
-            for xs, q in cleared
-        ])
+    rows = [
+        _cleared_values([(exponents, int(c * s)) for exponents, c in f.terms], cleared, degree)
+        for f, s in zip(functions, scales)
+    ]
     return rows, scales
 
 
@@ -448,8 +460,50 @@ def _walsh(values: list[int]) -> list[int]:
     return v
 
 
-def _split_determinant(basis: BasisSet, nodes: NodeSet) -> Fraction:
-    """Exact det [f_i(a_j)] over integers, one symmetry block at a time.
+def _invariant_certificate(
+    basis: BasisSet, nodes: NodeSet, cleared: Sequence[tuple[list[int], int]], degree: int
+) -> tuple[list[int], dict[tuple[int, ...], int]] | None:
+    """A polynomial that proves det [f_i(a_j)] = 0, or None.
+
+    A unisolvent pair's evaluation map is an S_n-equivariant isomorphism,
+    hence one on the fixed parts (Fassler & Stiefel 1992), where it is the
+    block B[O][P] = sum_{f in O} f(a_P): one row per basis orbit O, one
+    column per node orbit P, square by the caller's check.  Row O is scaled
+    by s_O, the lcm of the coefficient denominators its functions share,
+    and column P by q_P^D, over ``cleared`` and ``degree`` of _cleared_points.
+
+    A singular B gives (y, g): y a nonzero integer left kernel vector, and
+    g = sum_O y_O s_O sum_{f in O} f as merged integer terms, in the span of
+    the basis and S_n-invariant.  So g's own terms, zero at one node per
+    orbit, show it zero at all N nodes; a g without terms makes y a linear
+    dependency among the functions.  A failed check raises ArithmeticError.
+    """
+    # Counter.update adds, and keeps what cancels to 0 or below
+    sums = []
+    for orbit in basis.orbits:
+        s = lcm(*(c.denominator for _, c in orbit[0].terms))
+        terms: Counter = Counter()
+        for f in orbit:
+            terms.update({exponents: int(c * s) for exponents, c in f.terms})
+        sums.append(terms)
+    reps = [cleared[orbit.members[0]] for orbit in nodes.orbits]
+    y = _linalg.left_kernel_vector([_cleared_values(terms.items(), reps, degree) for terms in sums])
+    if y is None:
+        return None
+    merged: Counter = Counter()
+    for weight, terms in zip(y, sums):
+        merged.update({exponents: weight * c for exponents, c in terms.items()})
+    g = {exponents: c for exponents, c in merged.items() if c}
+    if not any(y) or any(_cleared_values(g.items(), reps, degree)):
+        raise ArithmeticError("the kernel of the invariant block gave a polynomial that is not zero at every node")
+    return y, g
+
+
+def _split_determinant(
+    basis: BasisSet, nodes: NodeSet, cleared: Sequence[tuple[list[int], int]], degree: int
+) -> Fraction:
+    """Exact det [f_i(a_j)] over integers, one symmetry block at a time, on
+    the points of ``nodes`` as _cleared_points clears them (to ``degree``).
 
     Both validated sets are closed under every swap, so all floor(n/2) of
     (1 2), (3 4), ... generate A = (Z/2)^k, and M[g f, g a] = M[f, a].  In the
@@ -462,7 +516,6 @@ def _split_determinant(basis: BasisSet, nodes: NodeSet) -> Fraction:
     scales, all exact.  With k = 0 this is one Bareiss pass on M.
     """
     functions, points = basis.functions, nodes.points
-    cleared, degree = _cleared_points(functions, points)
     # (1 2), (3 4), ... are every other adjacent transposition
     f_swaps, p_swaps = basis.swaps[::2], swap_images(points, nodes.n)[::2]
     f_orbits = _orbits(f_swaps, len(functions))
@@ -500,8 +553,13 @@ def _split_determinant(basis: BasisSet, nodes: NodeSet) -> Fraction:
 def vandermonde(basis: BasisSet, nodes: NodeSet, mode: str = "exact") -> UnisolvenceReport:
     """Determinant test for unisolvence of a validated basis and node set.
 
-    The integer, symmetry-split determinant of _split_determinant; the pair
-    is unisolvent iff it is not zero.  ``mode`` accepts only "exact".
+    Orbit counts that differ, or a singular S_n-invariant block with its
+    checked polynomial (_invariant_certificate), decide ``singular``; the
+    polynomial stays off the report, which the symlag/1 output could not
+    hold.  Otherwise the integer, symmetry-split determinant of
+    _split_determinant decides: the pair is unisolvent iff it is not zero.
+    The bound on the determinant's bits reads all N nodes before either
+    runs.  ``mode`` accepts only "exact".
     """
     if mode != "exact":
         raise ValueError(f"unknown mode {mode!r}")
@@ -512,7 +570,12 @@ def vandermonde(basis: BasisSet, nodes: NodeSet, mode: str = "exact") -> Unisolv
         )
     if not basis.functions:
         raise ValueError("need at least one function and one node")
-    det = _split_determinant(basis, nodes)
+    cleared, degree = _cleared_points(basis.functions, nodes.points)
+    square = len(basis.orbits) == len(nodes.orbits)
+    if square and _invariant_certificate(basis, nodes, cleared, degree) is None:
+        det = _split_determinant(basis, nodes, cleared, degree)
+    else:
+        det = Fraction(0)
     verdict = VERDICT_UNISOLVENT if det != 0 else VERDICT_SINGULAR
     return UnisolvenceReport(size=len(basis), determinant=det, verdict=verdict)
 

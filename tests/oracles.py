@@ -276,3 +276,46 @@ def fraction_solve(rows, rhs) -> list[Fraction]:
     for k in reversed(range(n)):
         x[k] = (m[k][n] - sum(m[k][j] * x[j] for j in range(k + 1, n))) / m[k][k]
     return x
+
+
+# -- the evaluation matrix modulo a prime ---------------------------------------
+
+P61 = (1 << 61) - 1
+
+
+def residue(x: Fraction, p: int = P61) -> int:
+    """x mod p, for a rational x whose denominator p does not divide."""
+    return x.numerator * pow(x.denominator, -1, p) % p
+
+
+def vandermonde_mod_p(functions, points, p: int = P61) -> list[list[int]]:
+    """[f_i(a_j)] mod p, rows and columns in the order given."""
+    coords = [[residue(c, p) for c in point.coords] for point in points]
+    rows = []
+    for f in functions:
+        terms = [(residue(c, p), exponents) for exponents, c in f.terms]
+        rows.append([
+            sum(c * prod(pow(x, e, p) for x, e in zip(xs, exponents)) for c, exponents in terms) % p
+            for xs in coords
+        ])
+    return rows
+
+
+def determinant_mod_p(rows, p: int = P61) -> int:
+    """Determinant of a square matrix over Z/p, by Gaussian elimination with row swaps."""
+    m = [list(row) for row in rows]
+    det = 1
+    for c in range(len(m)):
+        k = next((i for i in range(c, len(m)) if m[i][c]), None)
+        if k is None:
+            return 0
+        if k != c:
+            m[c], m[k], det = m[k], m[c], -det
+        pivot = m[c]
+        det = det * pivot[c] % p
+        inverse_pivot = pow(pivot[c], -1, p)
+        for row in m[c + 1:]:
+            f = row[c] * inverse_pivot % p
+            if f:
+                row[c:] = [(x - f * y) % p for x, y in zip(row[c:], pivot[c:])]
+    return det % p

@@ -2,6 +2,7 @@
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 from symlag import charmat, cli, interp, nodeset
 from symlag.cli import main
 
-from conftest import QUADRATIC_EXPONENTS
+from conftest import forced_vector, hyperplane_set, random_symmetric_set
 
 
 BASIS_38 = ["x1^2", "x2^2", "x3^2", "x1*x2", "x2*x3", "x1*x3"]
@@ -410,6 +411,26 @@ def test_analyze_huge_exponents_on_zero_one_nodes(tmp_path, capsys):
     assert payload["verdict"] == "unisolvent" and payload["determinant"] == [1, 1]
 
 
+def test_analyze_bounds_the_bits_over_every_node_not_one_per_orbit(tmp_path, capsys, monkeypatch):
+    # x1^5000 x2^5000 is zero at (0, 0) and at both points of the other
+    # orbit, so the invariant block is singular.  The bound takes the bits
+    # of each coordinate index over all three nodes: 3 * (5000 + 5000) * 10
+    # bits.  Over one node per orbit, (0, 0) and (0, 1024), index 1 would
+    # carry no bits, and the estimate would be half as large and pass.
+    basis = write_json(tmp_path / "basis.json", ["x1^5000*x2^5000", "x1", "x2"])
+    nodes = write_json(tmp_path / "nodes.json", {"n": 2, "points": [[0, 0], [0, 1024], [1024, 0]]})
+    argv = ["analyze", "--basis", basis, "--nodes", nodes]
+    message = (
+        "error: exact evaluation would need about 300000 bits, above the limit of 262144; "
+        "lower the basis degree or the size of the node coordinates\n"
+    )
+    assert interp.MAX_DETERMINANT_BITS == 262144
+    assert run(capsys, argv) == (2, "", message)
+    monkeypatch.setattr(interp, "MAX_DETERMINANT_BITS", 300000)
+    code, out, _ = run(capsys, argv + ["--format", "json"])
+    assert code == 1 and json.loads(out)["verdict"] == "singular"
+
+
 def test_analyze_json_output_is_byte_identical(tmp_path, capsys):
     basis = write_json(tmp_path / "basis.json", BASIS_38)
     nodes = case3_file(tmp_path, 0, 1, 2, 3)
@@ -427,6 +448,10 @@ def test_analyze_json_output_is_byte_identical(tmp_path, capsys):
 # classify-n5-* and equiv-n5 validate 492 points in R^5 whose coordinate
 # values recur across orbits and types; their digests were taken before
 # node sets were validated on the ranks of their coordinates.
+# analyze-td-5-4-* and analyze-td-3-6-singular are the sizes of the `unisolve`
+# workload: a generic set with the forced orbit vector, and sets on d planes
+# sum(x) = s_j, singular for total degree d; their digests were taken before
+# the invariant block decided singular pairs.
 PINNED_JSON_DIGESTS = {
     "vmatrix-1": "9ab7621fba24aa8733d958b76b07b36c220c816d73e8220899d23cf95b9e9eff",
     "vmatrix-2": "3cd652d972f0b759855ed1bfe3e63bb7dec85d9607cf37dfb7a385a7031e1bcf",
@@ -454,6 +479,9 @@ PINNED_JSON_DIGESTS = {
     "analyze-unisolvent": "bcd74a649f499e204b11dafe8fb3ef710b1fa42eb6434ce60f19c68b3e57699f",
     "analyze-singular": "a27dadbde6c6637ef574b44cbc07a2e294d1e3497521907a76b2ef58e0c84cdf",
     "analyze-td-4-3": "e554503cd4386b421679a5a8545f0c733bcf12df6b8c2b569d56b0763f4ed171",
+    "analyze-td-5-4-singular": "18bd75963dcd13ba2770a9f2c09dd7f82cbb4fd60b11996920243187b6bc5b2a",
+    "analyze-td-5-4-generic": "774d37e7e09ad14c00b0e8f8d350fb5b0c0bef88e553073b6340929ec93e5931",
+    "analyze-td-3-6-singular": "c6247ffb1b900c6b95ed907b26ee80fb44d120a7020216f41432db3666a73dc8",
     "types-4": "21fdfbc0ec2021b5de1432e4cd331cd27e625e722e4e5ef75eb81b22d85fa194",
     "classify-exact": "0a27819485672feb01b3688039e1c8540bb010a41f40b1df0f34f6aa520100c3",
     "classify-snapped": "c7e8a423c077c1cd319c5f21925e2e38d9ce1ccc5d03661b0e734a6b78e745cb",
@@ -472,6 +500,9 @@ PINNED_TABLE_DIGESTS = {
     "analyze-unisolvent": "63a3790f91124149da81bc02248e595accedcb4ae899e970f8e2b57955987e39",
     "analyze-singular": "8fdf4da39f8b01938357a422cb6145ad07c9e78b003077ed2d98429eaefc347c",
     "analyze-td-4-3": "679e313d879207e00e7c54fc354e9497d8ed470c45c44920e65826315a9034ae",
+    "analyze-td-5-4-singular": "88ed352b088fbde4ec9a411e5453d7f4d162052c9179eaa4dfa849b898784f90",
+    "analyze-td-5-4-generic": "6d47363d6d6f174f4b9e4a5110486c3920632a33ae49704a3f1f295369ff2329",
+    "analyze-td-3-6-singular": "debaf22caa6e97d827d1a3460b5afff234801215417f4dab4765dc11c3b41065",
     "types-4": "09efbc00fe91120912913e06b8d160f2081648d596edf95d2a2fcceccb22ed21",
     "classify-exact": "e5be949c14645b0b9cf55c0452c8b6ae1c8362934b24ca748c04cfc09f42bc61",
     "classify-snapped": "13f9fcbb35e10d55d279a3c28e27138f0eb47aa001a56de73786cf538ada9edc",
@@ -534,6 +565,17 @@ def _orbit_nodes(tmp_path, orbits=TD43_ORBITS, name="td43-nodes.json"):
     return write_json(tmp_path / name, {"n": len(orbits[0]), "points": [list(p) for p in points]})
 
 
+def _forced_nodes(tmp_path, basis_path, d, kind):
+    """A node set with the orbit vector V X = r forces for the basis: a
+    generic draw, or one on d planes sum(x) = s_j, singular for total degree d."""
+    basis = interp.load_basis(basis_path)
+    vector = forced_vector(basis.functions)
+    rng = random.Random(f"{basis.n}-{d}-{kind}")
+    nodes = hyperplane_set(rng, vector, basis.n, d) if kind == "singular" else random_symmetric_set(rng, vector, basis.n)
+    points = [[[c.numerator, c.denominator] for c in p.coords] for p in nodes.points]
+    return write_json(tmp_path / f"nodes-{kind}.json", {"n": basis.n, "points": points})
+
+
 def _pinned_argv(name, tmp_path):
     command, _, arg = name.partition("-")
     if command in ("vmatrix", "kmatrix", "types"):
@@ -554,6 +596,10 @@ def _pinned_argv(name, tmp_path):
         return ["equiv", _orbit_nodes(tmp_path, orbits), _orbit_nodes(tmp_path, other, "other.json")]
     if arg == "td-4-3":
         return ["analyze", "--basis", _td_basis(tmp_path, 4, 3), "--nodes", _orbit_nodes(tmp_path)]
+    if command == "analyze" and arg.startswith("td-"):
+        _, n, d, kind = arg.split("-")
+        basis = _td_basis(tmp_path, int(n), int(d))
+        return ["analyze", "--basis", basis, "--nodes", _forced_nodes(tmp_path, basis, int(d), kind)]
     basis = write_json(tmp_path / "basis.json", BASIS_38)
     values = (0, 1, 2, 3) if arg == "unisolvent" else (2, 1, 1, [7, 4])
     return ["analyze", "--basis", basis, "--nodes", case3_file(tmp_path, *values)]

@@ -2,8 +2,8 @@
 
 Rational cases are cleared to integers here, row by row; determinants and
 leading minors are then checked against the Leibniz permutation expansion
-of the rational matrix times the row multipliers, and pivot counts against
-the size of the largest nonzero minor.
+of the rational matrix times the row multipliers, and pivot counts and
+left kernel vectors against the size of the largest nonzero minor.
 """
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -109,3 +109,15 @@ def test_rank_is_largest_nonzero_minor(name):
     a = {**SQUARE, **RECTANGULAR}[name]
     pivots, _, _ = _linalg._echelon(cleared(a)[0])
     assert len(pivots) == reference_rank(a)
+
+
+@pytest.mark.parametrize("name", [name for name in [*SQUARE, *RECTANGULAR] if name != "empty"])
+def test_left_kernel_vector_exactly_when_the_rows_are_dependent(name):
+    a = {**SQUARE, **RECTANGULAR}[name]
+    m = cleared(a)[0]
+    y = _linalg.left_kernel_vector([row[:] for row in m])
+    if reference_rank(a) == len(a):
+        assert y is None
+    else:
+        assert all(type(x) is int for x in y) and any(y)
+        assert all(sum(c * row[j] for c, row in zip(y, m)) == 0 for j in range(len(m[0])))

@@ -1,13 +1,14 @@
 """The symmetry-split exact determinant against plain elimination.
 
-`vandermonde` computes det [f_i(a_j)] of a validated basis and node set
-from integer symmetry blocks; the second derivation is plain Gaussian
-elimination over the rationals (`oracles.fraction_determinant`) on the
-matrix `vandermonde_matrix` returns for the sets' sorted functions and
-points, itself checked entry by entry against `oracles.evaluate`.  The
-two must agree exactly, sign included.
+`vandermonde` computes det [f_i(a_j)] of a validated basis and node set.
+The S_n-invariant block decides some singular pairs first
+(test_invariant_block.py); the split into integer symmetry blocks gives
+every other value.  The second derivation is plain Gaussian elimination
+over the rationals (`oracles.fraction_determinant`) on the matrix
+`vandermonde_matrix` returns for the sets' sorted functions and points,
+itself checked entry by entry against `oracles.evaluate`, and at N = 126
+elimination modulo 2^61 - 1.  They must agree exactly, sign included.
 """
-import itertools
 import random
 from fractions import Fraction
 
@@ -16,9 +17,6 @@ import pytest
 from symlag import (
     BasisFunction,
     Point,
-    r_vector,
-    solve_constraints,
-    v_matrix,
     validate_symmetric,
     validate_symmetric_basis,
     vandermonde,
@@ -27,16 +25,22 @@ from symlag import (
 from symlag import _linalg, interp
 from symlag.interp import VERDICT_SINGULAR
 
-from oracles import evaluate, expand_orbit, fraction_determinant
-from conftest import case3_set, quadratic_basis, rand_fraction, random_symmetric_set
-
-# total degree d in R^n, kept to at most 35 functions
-TOTAL_DEGREE = {1: 6, 2: 5, 3: 4, 4: 3, 5: 2, 6: 2}
-
-
-def total_degree_exponents(n, d):
-    return [e for e in itertools.product(range(d + 1), repeat=n) if sum(e) <= d]
-
+from oracles import (
+    determinant_mod_p,
+    evaluate,
+    expand_orbit,
+    fraction_determinant,
+    residue,
+    vandermonde_mod_p,
+)
+from conftest import (
+    TOTAL_DEGREE,
+    case3_set,
+    forced_node_set,
+    quadratic_basis,
+    rand_fraction,
+    total_degree_exponents,
+)
 
 def rational_basis(n, d):
     """(3/2 + e1/3) x^e over the total-degree-d exponents: rational
@@ -50,11 +54,9 @@ def rational_basis(n, d):
     ]
 
 
-def forced_node_set(rng, functions):
-    """A random symmetric node set with the orbit vector V X = r forces."""
-    basis = validate_symmetric_basis(functions)
-    vector = solve_constraints(v_matrix(basis.n), r_vector(basis)).integer_solution()
-    return random_symmetric_set(rng, vector, basis.n)
+def split(basis, nodes):
+    """The split determinant alone, on the points as vandermonde clears them."""
+    return interp._split_determinant(basis, nodes, *interp._cleared_points(basis.functions, nodes.points))
 
 
 def both(functions, points):
@@ -122,6 +124,19 @@ def test_split_matches_plain_on_orbits_with_non_coordinate_stabilizers():
     assert nonzero
 
 
+def test_split_matches_elimination_mod_p_at_benchmark_size():
+    # total degree (5, 4) in R^5, N = 126, the largest pair of the unisolve
+    # workload; past the reach of plain elimination over the rationals, the
+    # second derivation is elimination over Z/p, p = 2^61 - 1, on the matrix
+    # with its rows and columns in the sets' sorted order
+    functions = [BasisFunction.monomial(e) for e in total_degree_exponents(5, 4)]
+    basis = validate_symmetric_basis(functions)
+    nodes = forced_node_set(random.Random(7500), functions)
+    det = split(basis, nodes)
+    assert det != 0
+    assert residue(det) == determinant_mod_p(vandermonde_mod_p(basis.functions, nodes.points))
+
+
 def _count_eliminated_blocks(monkeypatch):
     """The (size, determinant) of each block the split eliminates, as it goes."""
     blocks, determinant = [], _linalg.integer_determinant
@@ -140,10 +155,12 @@ def test_singular_by_a_non_square_block(monkeypatch):
     blocks = _count_eliminated_blocks(monkeypatch)
     basis = validate_symmetric_basis([BasisFunction.monomial((1, 0)), BasisFunction.monomial((0, 1))])
     nodes = validate_symmetric([Point.of(1, 1), Point.of(2, 2)])
-    report = vandermonde(basis, nodes)
-    assert report.verdict == VERDICT_SINGULAR and report.determinant == 0
+    assert split(basis, nodes) == 0
     assert blocks == []
     assert fraction_determinant(vandermonde_matrix(basis.functions, nodes.points)) == 0
+    # one basis orbit against two node orbits: vandermonde decides before the split
+    report = vandermonde(basis, nodes)
+    assert report.verdict == VERDICT_SINGULAR and report.determinant == 0
 
 
 def test_singular_by_a_zero_block(monkeypatch):
@@ -151,9 +168,17 @@ def test_singular_by_a_zero_block(monkeypatch):
     # factor, so the trivial-character block is square and singular
     blocks = _count_eliminated_blocks(monkeypatch)
     basis, nodes = quadratic_basis(), case3_set(2, 1, 1, Fraction(7, 4))
-    report = vandermonde(basis, nodes)
-    assert report.determinant == 0 == fraction_determinant(vandermonde_matrix(basis.functions, nodes.points))
+    assert split(basis, nodes) == 0 == fraction_determinant(vandermonde_matrix(basis.functions, nodes.points))
     assert blocks and blocks[-1][1] == 0
+
+
+def test_the_invariant_block_decides_the_case3_pair_before_the_split(monkeypatch):
+    # that symmetric factor also makes the 2 x 2 invariant block singular
+    blocks = _count_eliminated_blocks(monkeypatch)
+    basis, nodes = quadratic_basis(), case3_set(2, 1, 1, Fraction(7, 4))
+    report = vandermonde(basis, nodes)
+    assert report.verdict == VERDICT_SINGULAR and report.determinant == 0
+    assert blocks == []
 
 
 def test_exact_evaluation_refuses_huge_entries():
@@ -177,7 +202,7 @@ def test_elimination_work_is_that_of_the_blocks_the_split_eliminates(n, monkeypa
         nodes = forced_node_set(rng, functions)
         blocks.clear()
         if vandermonde(validate_symmetric_basis(functions), nodes).determinant == 0:
-            continue  # the split stopped at a singular block
+            continue  # a singular block, invariant or split, stopped the elimination
         work = sum(size**3 for size, _ in blocks)
         monkeypatch.setattr(interp, "MAX_ELIMINATION_WORK", work)
         interp.check_elimination_work(nodes)
