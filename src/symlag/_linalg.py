@@ -3,8 +3,8 @@
 `_echelon` is a Bareiss pass (Bareiss 1968) whose divisions are all exact.
 Its pivots give the determinant and the rank, and without row swaps the
 k-th pivot is the k-th leading principal minor, so one pass gives them
-all; one pass over [m | I] gives a left kernel vector of m.  Every entry is
-an integer; callers clear denominators first.
+all; one pass over the transpose of m gives a left kernel vector of m.
+Every entry is an integer; callers clear denominators first.
 """
 from __future__ import annotations
 
@@ -55,18 +55,27 @@ def integer_determinant(m: list[list[int]]) -> int:
 def left_kernel_vector(m: list[list[int]]) -> list[int] | None:
     """A nonzero integer y with y m = 0, or None when the rows of m are independent.
 
-    One _echelon pass over [m | I]: every row it leaves is its own I-part
-    times [m | I], and rows whose m-part is zero come last.
+    y m = 0 is t y = 0 for the transpose t of m.  One _echelon pass over t
+    puts pivots on its diagonal up to the first column f without one; y is
+    the last of them at f and 0 after it, and back-substitution through the
+    triangle above f gives the rest.  By Cramer's rule each y_i is a minor
+    of t, up to sign, so every division is exact.
 
     >>> left_kernel_vector([[1, 2], [2, 4]])
     [-2, 1]
     >>> left_kernel_vector([[1, 2], [3, 4]]) is None
     True
     """
-    width = len(m[0])
-    rows = [[*row, *(int(i == j) for j in range(len(m)))] for i, row in enumerate(m)]
-    _echelon(rows)
-    return None if any(rows[-1][:width]) else rows[-1][width:]
+    t = [list(column) for column in zip(*m)]
+    _echelon(t)
+    f = next((i for i in range(len(m)) if i == len(t) or t[i][i] == 0), None)
+    if f is None:
+        return None
+    y = [0] * len(m)
+    y[f] = t[f - 1][f - 1] if f else 1
+    for i in reversed(range(f)):
+        y[i] = -sum(t[i][j] * y[j] for j in range(i + 1, f + 1)) // t[i][i]
+    return y
 
 
 def leading_principal_minors(rows: Sequence[Sequence[int]]) -> list[int]:

@@ -3,8 +3,8 @@
 Each ``cmd_<name>(args)`` returns its exit code and its ``symlag/1`` payload;
 no other module knows that format.  The table is a view of the payload,
 drawn by ``table_<name>(payload)`` alone, and ``main`` prints one of the two.
-``main`` writes the payload through ``_json``, which gives the bytes of
-``json.dumps(payload, indent=2, sort_keys=True)`` without going through
+``main`` sends the payload to stdout through ``_json``, in chunks, with the
+bytes of ``json.dumps(payload, indent=2, sort_keys=True)`` and without
 json's pure-Python encoder.
 
 Exit codes: 0 success (for analyze: unisolvent; for solve: admissible; for
@@ -17,7 +17,9 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections import defaultdict
 from fractions import Fraction
+from itertools import repeat
 from json.encoder import encode_basestring_ascii
 
 from . import charmat, interp, nodeset, symcore
@@ -63,7 +65,10 @@ def _table_json(m: charmat.KMatrix | charmat.VMatrix) -> dict:
 
 
 def _snaps_json(snaps) -> list[dict]:
-    return [{"original": s.original, "snapped": str(s.snapped), "delta": str(s.delta)} for s in snaps]
+    # a repeated coordinate repeats its event: one shared record each, which _json writes once
+    records: dict = {}
+    return [records.get(id(s)) or records.setdefault(id(s), {"original": s.original, "snapped": str(s.snapped),
+                                                             "delta": str(s.delta)}) for s in snaps]
 
 
 def _fraction_str(num: int, den: int) -> str:
@@ -331,50 +336,50 @@ def table_analyze(payload: dict) -> list[str]:
 
 _FLAT = frozenset((int, str))  # the exact types of the items a memoized container holds
 _INTS = frozenset((int,))
+_STREAMED = 3  # the payload and the two levels below it are written item by item
 
 
-def _json(payload) -> str:
-    """``json.dumps(payload, indent=2, sort_keys=True)``, byte for byte, for
-    what symlag/1 holds: dicts with str keys, lists, str, int, bool and None.
-    Anything else raises TypeError.
+def _json(payload, write) -> None:
+    """Send ``json.dumps(payload, indent=2, sort_keys=True)``, byte for byte,
+    through ``write`` in chunks, for what symlag/1 holds: dicts with str
+    keys, lists, str, int, bool and None.  Anything else raises TypeError.
 
-    ``indent`` sends json to its pure-Python encoder, which yields one chunk
-    per token.  Here a list of exact ints is joined in one step, and a list
-    or dict of exact ints and strs (a [num, den] coordinate, a snap record)
-    is written once per object (list) or value (dict) and depth, then reused.
+    The payload and the two levels below it (orbits, bijection or snaps,
+    then each orbit or pair) go out item by item, so no level copies the
+    text below it.  A container of exact ints and strs (a [num, den] cell,
+    a snap record) is written once per object and depth, and its parent
+    finds it with its siblings in one lookup.
     """
-    # a list's key is (id, indent): the payload keeps each list alive, so no
-    # id is reused while it is written; a dict's is (indent, *items)
-    memo: dict = {}
+    # indent -> {id: text}: the payload keeps each container alive, so no id
+    # is reused while it is written
+    written: defaultdict = defaultdict(dict)
 
-    def write(obj, indent: str) -> str:
-        # indent: the newline and spaces before obj's closing bracket
-        if isinstance(obj, list):
+    def text(obj, indent: str, kinds: set | None = None) -> str:
+        # indent: the newline and spaces before obj's closing bracket; kinds:
+        # the types of obj's items, when the caller has them
+        if isinstance(obj, (list, dict)):
             if not obj:
-                return "[]"
-            inner = indent + "  "
-            key = (id(obj), inner)
-            text = memo.get(key)
-            if text is None:
-                kinds = set(map(type, obj))
-                items = map(int.__repr__, obj) if kinds == _INTS else [write(x, inner) for x in obj]
-                text = "[" + inner + ("," + inner).join(items) + indent + "]"
+                return "[]" if isinstance(obj, list) else "{}"
+            memo = written[indent]
+            found = memo.get(id(obj))
+            if found is None:
+                inner = indent + "  "
+                is_dict = isinstance(obj, dict)
+                kinds = kinds or set(map(type, obj.values() if is_dict else obj))
+                if is_dict:
+                    # sorted() and encode_basestring_ascii raise TypeError on a non-str key
+                    items = [encode_basestring_ascii(k) + ": " + text(obj[k], inner) for k in sorted(obj)]
+                elif kinds == _INTS:
+                    items = map(int.__repr__, obj)
+                else:
+                    items = list(map(written[inner].get, map(id, obj)))
+                    if None in items:
+                        items = [t or text(x, inner) for t, x in zip(items, obj)]
+                start, end = "{}" if is_dict else "[]"
+                found = start + inner + ("," + inner).join(items) + indent + end
                 if kinds <= _FLAT:
-                    memo[key] = text
-            return text
-        if isinstance(obj, dict):
-            if not obj:
-                return "{}"
-            inner = indent + "  "
-            key = (inner, *obj.items()) if set(map(type, obj.values())) <= _FLAT else None
-            text = memo.get(key)
-            if text is None:
-                # sorted() and encode_basestring_ascii raise TypeError on a non-str key
-                entries = [encode_basestring_ascii(k) + ": " + write(obj[k], inner) for k in sorted(obj)]
-                text = "{" + inner + ("," + inner).join(entries) + indent + "}"
-                if key is not None:
-                    memo[key] = text
-            return text
+                    memo[id(obj)] = found
+            return found
         if isinstance(obj, str):
             return encode_basestring_ascii(obj)
         if obj is None:
@@ -387,7 +392,31 @@ def _json(payload) -> str:
             return int.__repr__(obj)
         raise TypeError(f"symlag/1 holds no {type(obj).__name__}")
 
-    return write(payload, "\n")
+    def stream(obj, indent: str, depth: int, head: str) -> None:
+        # head: the separator and key that go before obj
+        is_dict = isinstance(obj, dict)
+        kinds = obj and (is_dict or isinstance(obj, list)) and set(map(type, obj.values() if is_dict else obj))
+        if depth == _STREAMED or not kinds or kinds <= _FLAT:
+            write(head + text(obj, indent, kinds or None))
+            return
+        inner = indent + "  "
+        start, end = "{}" if is_dict else "[]"
+        head += start + inner
+        keys = repeat("")
+        if is_dict:
+            keys = sorted(obj)
+            obj = list(map(obj.__getitem__, keys))
+            keys = [encode_basestring_ascii(k) + ": " for k in keys]
+        # a child already written is flat: it goes out whole
+        for key, x, found in zip(keys, obj, map(written[inner].get, map(id, obj))):
+            if found is None:
+                stream(x, inner, depth + 1, head + key)
+            else:
+                write(head + key + found)
+            head = "," + inner
+        write(indent + end)
+
+    stream(payload, "\n", 0, "")
 
 
 # -- parser ------------------------------------------------------------------
@@ -437,7 +466,9 @@ def main(argv=None) -> int:
         limit = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(0)
         try:
-            print(_json(payload) if args.format == "json" else "\n".join(args.table(payload)))
+            if args.format == "json" and sys.stdout:  # as print does, write nothing to a closed stdout
+                _json(payload, sys.stdout.write)
+            print("" if args.format == "json" else "\n".join(args.table(payload)))
         finally:
             sys.set_int_max_str_digits(limit)
     except (OSError, ValueError, SymlagError) as exc:

@@ -394,14 +394,13 @@ def node_set_from_json(obj, snap_tol: Fraction | None = None) -> tuple[NodeSet, 
 
 def read_json(path):
     """The JSON value in the file at ``path``, with symlag's words for what json cannot read."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
     try:
-        return json.loads(text)
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.loads(fh.read())
     except RecursionError:
         raise ValueError(f"{path}: JSON arrays and objects nest too deeply") from None
-    except json.JSONDecodeError:
-        raise
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ValueError(f"{path}: {exc}") from None
     except ValueError:
         # json's only other ValueError: int() refusing the digits of a number
         limit = sys.get_int_max_str_digits()

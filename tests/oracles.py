@@ -268,6 +268,24 @@ def fraction_determinant(rows) -> Fraction:
     return det
 
 
+def fraction_rank(rows) -> int:
+    """Rank of a rational matrix: the pivots of Gaussian elimination that
+    passes over the columns without one."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    rank = 0
+    for c in range(len(m[0]) if m else 0):
+        p = next((i for i in range(rank, len(m)) if m[i][c] != 0), None)
+        if p is None:
+            continue
+        m[rank], m[p] = m[p], m[rank]
+        for row in m[rank + 1:]:
+            f = row[c] / m[rank][c]
+            if f:
+                row[c:] = [x - f * y for x, y in zip(row[c:], m[rank][c:])]
+        rank += 1
+    return rank
+
+
 def fraction_solve(rows, rhs) -> list[Fraction]:
     """The solution of the invertible rational system A x = b, by back substitution."""
     m, _ = _eliminated(rows, rhs)

@@ -1,11 +1,14 @@
 """CLI subcommands: exit codes, JSON determinism, file handling."""
 import hashlib
+import io
 import json
 import os
 import random
 import subprocess
 import sys
 import time
+import tracemalloc
+from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations, product
 from math import prod
 from pathlib import Path
@@ -699,18 +702,33 @@ def _payload_trees(draw):
     record = draw(st.dictionaries(_TEXTS, st.one_of(_INTS, _TEXTS, st.booleans()), max_size=3))
     twins = [list(map(str, coordinate)), {key + "'": value for key, value in record.items()}]
     leaves = st.one_of(st.none(), st.booleans(), _INTS, _TEXTS, st.sampled_from([coordinate, record, *twins]))
-    return draw(st.recursive(
+    trees = st.recursive(
         leaves,
         lambda inner: st.one_of(st.lists(inner, max_size=4), st.dictionaries(_TEXTS, inner, max_size=4)),
         max_leaves=24,
+    )
+    # payload-shaped trees: long lists of containers, shared or not, on the
+    # levels the writer streams item by item and on the ones below them
+    small = st.one_of(leaves, st.lists(leaves, max_size=3), st.dictionaries(_TEXTS, leaves, max_size=2))
+    rows = st.lists(small, min_size=5, max_size=30)
+    return draw(st.one_of(
+        trees,
+        st.dictionaries(_TEXTS, st.one_of(trees, rows, st.lists(st.one_of(rows, st.lists(rows, max_size=3)), max_size=8)),
+                        max_size=5),
     ))
+
+
+def _written(tree) -> str:
+    chunks = []
+    cli._json(tree, chunks.append)
+    return "".join(chunks)
 
 
 # derandomized: the same examples on every run, so tier-1 stays reproducible
 @settings(derandomize=True, database=None, deadline=None, max_examples=300)
 @given(_payload_trees())
 def test_json_writer_matches_json_dumps(tree):
-    assert cli._json(tree) == json.dumps(tree, indent=2, sort_keys=True)
+    assert _written(tree) == json.dumps(tree, indent=2, sort_keys=True)
 
 
 def test_json_writer_keeps_apart_what_its_memo_could_confuse():
@@ -726,13 +744,97 @@ def test_json_writer_keeps_apart_what_its_memo_could_confuse():
         "texts": ["caf\u00e9 \u2603 \U0001f600", "\x00\x1f\x7f", '"quoted"', "back\\slash", "", ["\n", 1]],
         "scalars": [None, [None], {"n": None}],
     }
-    assert cli._json(tree) == json.dumps(tree, indent=2, sort_keys=True)
+    assert _written(tree) == json.dumps(tree, indent=2, sort_keys=True)
 
 
 @pytest.mark.parametrize("tree", [1.5, [1, 2.0], {"a": [0.5]}, {1: "x"}, {"a": 1, 2: "b"}, {True: 1}, (1, 2)])
 def test_json_writer_refuses_what_symlag_1_does_not_hold(tree):
     with pytest.raises(TypeError):
-        cli._json(tree)
+        _written(tree)
+
+
+def _big_node_files(tmp_path):
+    """Two draws of 1,968 points in R^5 (eight orbits of each type), the
+    first also as 7-digit decimals that --snap-tol 1e-6 snaps back onto it."""
+    files = []
+    for seed in (1, 2):
+        nodes = random_symmetric_set(random.Random(seed), [8] * 7, 5)
+        points = [[[c.numerator, c.denominator] for c in p.coords] for p in nodes.points]
+        files.append(write_json(tmp_path / f"big-{seed}.json", {"n": 5, "points": points}))
+        if seed == 1:
+            decimal = [[f"{num / den:.7f}" for num, den in p] for p in points]
+            files.append(write_json(tmp_path / "big-decimal.json", {"n": 5, "points": decimal}))
+    return files
+
+
+@pytest.mark.parametrize("command", ["classify", "classify-snapped", "equiv"])
+def test_json_writer_holds_no_copy_of_the_document(command, tmp_path):
+    exact, decimal, other = _big_node_files(tmp_path)
+    argv = {
+        "classify": ["classify", "--nodes", exact],
+        "classify-snapped": ["classify", "--nodes", decimal, "--snap-tol", "1e-6"],
+        "equiv": ["equiv", exact, other],
+    }[command]
+    args = cli.build_parser().parse_args(argv)
+    _, payload = args.handler(args)
+    if command == "classify-snapped":
+        assert len(payload["snaps"]) > 1000
+    tracemalloc.start()
+    try:
+        sink = io.StringIO()
+        cli._json(payload, sink.write)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the sink holds the document once; the text of one level is never
+    # copied into the level above it
+    size = len(sink.getvalue())
+    assert size > 400_000
+    assert peak < 2 * size
+
+
+def test_a_repeated_snap_event_is_one_shared_record():
+    event = nodeset.SnapEvent("0.5000001", Fraction(1, 2), Fraction(-1, 10_000_000))
+    other = nodeset.SnapEvent("2.4999999", Fraction(5, 2), Fraction(1, 10_000_000))
+    events = [event, other, event, event, other, event]
+    records = cli._snaps_json(events)
+    assert [id(r) for r in records] == [id(records[i]) for i in (0, 1, 0, 0, 1, 0)]
+    fresh = [{"original": s.original, "snapped": str(s.snapped), "delta": str(s.delta)} for s in events]
+    assert records == fresh
+    payload = {"snaps": records, "nested": [records, {"snaps": records}]}
+    expected = {"snaps": fresh, "nested": [fresh, {"snaps": fresh}]}
+    assert _written(payload) == json.dumps(expected, indent=2, sort_keys=True)
+
+
+class _PipeClosingAt(io.StringIO):
+    """A stdout whose reader goes away once ``limit`` characters are written."""
+
+    def __init__(self, limit):
+        super().__init__()
+        self.limit = limit
+
+    def write(self, text):
+        if self.tell() + len(text) > self.limit:
+            raise BrokenPipeError(32, "Broken pipe")
+        return super().write(text)
+
+
+@pytest.mark.parametrize("output", ["json", "table"])
+def test_a_failed_write_leaves_a_prefix_and_one_error_line(output, capsys, monkeypatch):
+    argv = ["kmatrix", "--n", "6", "--format", output]
+    _, whole, _ = run(capsys, argv)
+    stdout = _PipeClosingAt(len(whole) // 2)
+    monkeypatch.setattr(sys, "stdout", stdout)
+    code = main(argv)
+    assert (code, capsys.readouterr().err) == (2, "error: [Errno 32] Broken pipe\n")
+    assert whole.startswith(stdout.getvalue())
+
+
+def test_a_closed_stdout_takes_no_output(monkeypatch):
+    # with its stdout closed, Python sets sys.stdout to None, and print writes nothing
+    monkeypatch.setattr(sys, "stdout", None)
+    assert main(["types", "--n", "3", "--format", "json"]) == 0
+    assert main(["types", "--n", "3"]) == 0
 
 
 def test_solve_and_the_screen_build_no_v(tmp_path, capsys, monkeypatch):
@@ -821,6 +923,23 @@ def test_malformed_file_exits_2_with_one_error_line(command, kind, name, tmp_pat
     assert time.perf_counter() - start < 5
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("content", ['{"n": 1, "points": [[1], [2', b"\xff\xfe{}"], ids=["json-syntax", "not-utf-8"])
+@pytest.mark.parametrize("command", ["equiv", "analyze"])
+def test_an_unreadable_file_is_named_in_the_error(command, content, tmp_path, capsys):
+    # equiv's second file, analyze's basis: the other file given is good
+    bad = tmp_path / "bad-input.json"
+    if isinstance(content, bytes):
+        bad.write_bytes(content)
+    else:
+        bad.write_text(content, encoding="utf-8")
+    nodes = write_json(tmp_path / "nodes.json", {"n": 1, "points": [[5]]})
+    argv = ["equiv", nodes, str(bad)] if command == "equiv" else ["analyze", "--basis", str(bad), "--nodes", nodes]
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {bad}: ") and err.count("\n") == 1
+    assert nodes not in err
 
 
 # Python reads an int of at most sys.get_int_max_str_digits() digits, 4300

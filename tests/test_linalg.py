@@ -10,8 +10,12 @@ from itertools import combinations, permutations
 from math import lcm, prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symlag import _linalg
+
+from oracles import fraction_rank
 
 F = Fraction
 
@@ -120,4 +124,29 @@ def test_left_kernel_vector_exactly_when_the_rows_are_dependent(name):
         assert y is None
     else:
         assert all(type(x) is int for x in y) and any(y)
+        assert all(sum(c * row[j] for c, row in zip(y, m)) == 0 for j in range(len(m[0])))
+
+
+@st.composite
+def _low_rank_matrices(draw):
+    # rows x cols as a product (rows x r)(r x cols): most draws are singular,
+    # some with entries far past a machine word
+    rows, cols = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    r = draw(st.integers(0, min(rows, cols)))
+    entries = st.one_of(st.integers(-3, 3), st.integers(-(2**80), 2**80))
+    left = draw(st.lists(st.lists(entries, min_size=r, max_size=r), min_size=rows, max_size=rows))
+    right = draw(st.lists(st.lists(entries, min_size=cols, max_size=cols), min_size=r, max_size=r))
+    return [[sum(a * b for a, b in zip(row, column)) for column in zip(*right)] if r else [0] * cols
+            for row in left]
+
+
+# derandomized: the same examples on every run, so tier-1 stays reproducible
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(_low_rank_matrices())
+def test_left_kernel_vector_exactly_when_the_rank_falls_short(m):
+    y = _linalg.left_kernel_vector([row[:] for row in m])
+    if fraction_rank(m) == len(m):
+        assert y is None
+    else:
+        assert len(y) == len(m) and all(type(x) is int for x in y) and any(y)
         assert all(sum(c * row[j] for c, row in zip(y, m)) == 0 for j in range(len(m[0])))
