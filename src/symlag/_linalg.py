@@ -1,25 +1,18 @@
-"""Dense integer determinants and leading minors on one fraction-free kernel.
+"""Dense integer determinants and left kernel vectors on one fraction-free kernel.
 
 `_echelon` is a Bareiss pass (Bareiss 1968) whose divisions are all exact.
-Its pivots give the determinant and the rank, and without row swaps the
-k-th pivot is the k-th leading principal minor, so one pass gives them
-all; one pass over the transpose of m gives a left kernel vector of m.
-Every entry is an integer; callers clear denominators first.
+Its pivots give the determinant and the rank, and one pass over the
+transpose of m gives a left kernel vector of m.  Every entry is an
+integer; callers clear denominators first.
 """
 from __future__ import annotations
 
-from typing import Sequence
 
-
-def _echelon(m: list[list[int]]) -> tuple[list[int], int, int]:
-    """Fraction-free row echelon form of an integer matrix, in place.
-
-    Columns without a pivot are skipped.  Returns (pivots, sign of the row
-    swaps, lead), where the first ``lead`` pivots sat on the diagonal
-    without a swap: those are the leading principal minors.
-    """
+def _echelon(m: list[list[int]]) -> tuple[list[int], int]:
+    """Fraction-free row echelon form of an integer matrix, in place, skipping
+    columns without a pivot; returns (pivots, sign of the row swaps)."""
     pivots = []
-    sign, lead, prev, r = 1, 0, 1, 0
+    sign, prev, r = 1, 1, 0
     for c in range(len(m[0]) if m else 0):
         p = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
         if p is None:
@@ -27,8 +20,6 @@ def _echelon(m: list[list[int]]) -> tuple[list[int], int, int]:
         if p != r:
             m[r], m[p] = m[p], m[r]
             sign = -sign
-        elif lead == r == c:
-            lead += 1
         piv, tail = m[r][c], m[r][c + 1:]
         for row in m[r + 1:]:
             f = row[c]
@@ -37,7 +28,7 @@ def _echelon(m: list[list[int]]) -> tuple[list[int], int, int]:
         pivots.append(piv)
         prev = piv
         r += 1
-    return pivots, sign, lead
+    return pivots, sign
 
 
 def integer_determinant(m: list[list[int]]) -> int:
@@ -46,7 +37,7 @@ def integer_determinant(m: list[list[int]]) -> int:
     >>> integer_determinant([[2, 1], [4, 3]])
     2
     """
-    pivots, sign, _ = _echelon(m)
+    pivots, sign = _echelon(m)
     if len(pivots) < len(m):
         return 0
     return sign * pivots[-1] if pivots else 1
@@ -77,17 +68,3 @@ def left_kernel_vector(m: list[list[int]]) -> list[int] | None:
         y[i] = -sum(t[i][j] * y[j] for j in range(i + 1, f + 1)) // t[i][i]
     return y
 
-
-def leading_principal_minors(rows: Sequence[Sequence[int]]) -> list[int]:
-    """Determinants of the k x k leading blocks, k = 1..n (Sylvester data).
-
-    One elimination of a copy gives them all unless a leading minor
-    vanishes; the minors from that one on are then computed block by block.
-
-    >>> leading_principal_minors([[0, 1], [1, 0]])
-    [0, -1]
-    """
-    pivots, _, lead = _echelon([list(row) for row in rows])
-    return pivots[:lead] + [
-        integer_determinant([list(row[: k + 1]) for row in rows[: k + 1]]) for k in range(lead, len(rows))
-    ]

@@ -16,9 +16,10 @@ columns, both in the descending type order of :mod:`symlag.symcore`.  A
 class-i permutation fixes nothing in orbit class j once type_i > type_j
 (its long cycles cannot fit into the smaller equality blocks), so K is
 lower triangular, det K is the product of its diagonal prod(c_l!), and K
-is invertible; hence V = K^T D K / n! (D = diagonal of class sizes) is
-symmetric positive definite.  V's indices are both orbit classes,
-descending.
+is invertible.  V = K^T D K / n! (D = diagonal of class sizes), indexed by
+orbit classes, descending, is also U^T U for the unit upper triangular
+Kostka matrix U (Macdonald I.6); finding U from V without division
+certifies that every leading minor of V is 1.
 
 The same factorisation solves V X = r without building V: K^T D K X = n! r
 is a back substitution with K^T, a division by the class sizes and a
@@ -32,9 +33,9 @@ from __future__ import annotations
 
 import functools
 from math import factorial, prod
+from operator import mul
 from typing import NamedTuple, Sequence
 
-from . import _linalg
 from .errors import DimensionMismatchError
 from .symcore import OrbitType, enumerate_types
 
@@ -125,17 +126,37 @@ class VMatrix(_TypeTable):
     __slots__ = ()
 
     def is_symmetric(self) -> bool:
-        return all(
-            self.entries[i][j] == self.entries[j][i]
-            for i in range(self.size)
-            for j in range(i)
-        )
+        return list(zip(*self.entries)) == list(map(tuple, self.entries))
 
     def determinant(self) -> int:
-        return _linalg.integer_determinant([list(row) for row in self.entries])
+        return self.leading_principal_minors()[-1]
 
     def leading_principal_minors(self) -> list[int]:
-        return _linalg.leading_principal_minors(self.entries)
+        """All 1, since V = U^T U (see _unit_factor); ArithmeticError otherwise."""
+        _unit_factor(self.entries)
+        return [1] * self.size
+
+
+def _unit_factor(entries: Sequence[Sequence[int]]) -> list[list[int]]:
+    """The unit upper triangular U with U^T U = V, found without division.
+
+    U[k][j] = V[k][j] - sum over i < k of U[i][k] U[i][j], for j >= k.  This
+    reads V's upper triangle only, so ArithmeticError unless V is symmetric
+    and every U[k][k] comes out 1.  U, being unique, is the Kostka matrix.
+
+    >>> _unit_factor(((1, 1, 1), (1, 2, 3), (1, 3, 6)))
+    [[1, 1, 1], [0, 1, 2], [0, 0, 1]]
+    """
+    if list(zip(*entries)) != list(map(tuple, entries)):
+        raise ArithmeticError("V is not symmetric")
+    columns: list[list[int]] = [[] for _ in entries]  # U[0][j] .. U[k-1][j] as row k starts
+    for k, row in enumerate(entries):
+        tail = [row[j] - sum(map(mul, columns[k], columns[j])) for j in range(k, len(row))]
+        if tail[0] != 1:
+            raise ArithmeticError(f"V's unit factor has {tail[0]}, not 1, at diagonal entry {k + 1}")
+        for j, x in enumerate(tail, k):
+            columns[j].append(x)
+    return [[0] * k + [columns[j][k] for j in range(k, len(entries))] for k in range(len(entries))]
 
 
 @functools.lru_cache(maxsize=None)

@@ -392,11 +392,23 @@ def node_set_from_json(obj, snap_tol: Fraction | None = None) -> tuple[NodeSet, 
     return _validated(rows, slot_values, dim), snaps
 
 
+# A JSON input file larger than this is refused after reading one byte past
+# it.  It admits the 12 MB file of the tensor basis {0..4}^8, which
+# MAX_BASIS_FUNCTIONS then refuses by its count.  At this size, a file of
+# empty arrays takes classify 3.2 s and a 433 MB peak, nearly all in json;
+# integer points in R^6 take 2.8 s, and distinct 20-digit decimals, the
+# slowest content measured, about 4 s per MB (2-vCPU Xeon, Python 3.11).
+MAX_INPUT_BYTES = 1 << 24
+
+
 def read_json(path):
     """The JSON value in the file at ``path``, with symlag's words for what json cannot read."""
+    with open(path, "rb") as fh:
+        data = fh.read(MAX_INPUT_BYTES + 1)
+    if len(data) > MAX_INPUT_BYTES:
+        raise ValueError(f"{path}: the file has more than {MAX_INPUT_BYTES} bytes, the most symlag reads")
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.loads(fh.read())
+        return json.loads(data.decode("utf-8"))
     except RecursionError:
         raise ValueError(f"{path}: JSON arrays and objects nest too deeply") from None
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:

@@ -26,9 +26,10 @@ from .errors import DimensionMismatchError, NotSymmetricError, echo
 
 T = TypeVar("T")
 
-#: Largest dimension n accepted from input.  At n = 24 (1575 classes) only
-#: ``vmatrix`` builds V, in about 285 s, most of it V's leading minors;
-#: ``solve`` on total degree 2 takes 4-6 s (2-vCPU Xeon, Python 3.11).
+#: Largest dimension n accepted from input.  Only ``vmatrix`` builds V, and
+#: V's unit factor: ``vmatrix --n 22`` takes about 23 s and ``--n 24`` (1575
+#: classes) about 85 s, half of it each; ``solve`` on total degree 2 in R^24
+#: takes 4-6 s (2-vCPU Xeon, Python 3.11).
 MAX_DIMENSION = 24
 
 

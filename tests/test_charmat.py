@@ -243,6 +243,57 @@ def test_kostka_matrix_is_unitriangular_in_the_type_order(n):
     assert all(table[a][b] == 0 for a in range(len(table)) for b in range(a))
 
 
+# -- V certified by its unit triangular factor -------------------------------------
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_unit_factor_of_v_is_the_kostka_matrix(n):
+    assert charmat._unit_factor(v_matrix(n).entries) == kostka_matrix(n)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_v_leading_minors_are_the_determinants_of_its_leading_blocks(n):
+    v = v_matrix(n)
+    blocks = [[row[:k] for row in v.entries[:k]] for k in range(1, v.size + 1)]
+    assert v.leading_principal_minors() == [fraction_determinant(block) for block in blocks]
+    assert v.determinant() == fraction_determinant(v.entries)
+
+
+def _v_with_one_entry_raised(n, i, j):
+    v = v_matrix(n)
+    rows = [list(row) for row in v.entries]
+    rows[i][j] += 1
+    return charmat.VMatrix(n=n, types=v.types, entries=tuple(map(tuple, rows)))
+
+
+@pytest.mark.parametrize("k", [0, 3, 6])
+def test_a_raised_diagonal_entry_fails_the_certificate(k):
+    v = _v_with_one_entry_raised(5, k, k)
+    with pytest.raises(ArithmeticError, match=f"has 2, not 1, at diagonal entry {k + 1}"):
+        v.leading_principal_minors()
+    with pytest.raises(ArithmeticError):
+        v.determinant()
+
+
+@pytest.mark.parametrize("i, j", [(1, 4), (4, 1), (0, 6)], ids=["upper", "lower", "corner"])
+def test_an_entry_changed_on_one_side_fails_the_certificate(i, j):
+    # the recurrence reads only the upper triangle; the symmetry check sees both
+    v = _v_with_one_entry_raised(5, i, j)
+    with pytest.raises(ArithmeticError, match="V is not symmetric"):
+        v.leading_principal_minors()
+
+
+def test_certifying_v_calls_no_linalg_function(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("V's certificate called _linalg")
+
+    for name, value in vars(_linalg).items():
+        if callable(value) and getattr(value, "__module__", None) == _linalg.__name__:
+            monkeypatch.setattr(_linalg, name, refuse)
+    v = v_matrix(12)
+    assert v.leading_principal_minors() == [1] * v.size
+    assert v.determinant() == 1
+
+
 def test_v_entries_are_deterministic_across_orders():
     rng = random.Random(5)
     v = v_matrix(4)

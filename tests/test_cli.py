@@ -942,6 +942,35 @@ def test_an_unreadable_file_is_named_in_the_error(command, content, tmp_path, ca
     assert nodes not in err
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="needs an endless file")
+@pytest.mark.parametrize("command", ["classify", "equiv", "solve", "analyze"])
+def test_an_endless_file_is_refused_after_the_input_limit(command, monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(nodeset, "MAX_INPUT_BYTES", 1000)
+    nodes = write_json(tmp_path / "nodes.json", {"n": 1, "points": [[5]]})
+    basis = write_json(tmp_path / "basis.json", ["x1"])
+    argv = {
+        "classify": ["classify", "--nodes", "/dev/zero"],
+        "equiv": ["equiv", nodes, "/dev/zero"],
+        "solve": ["solve", "--basis", "/dev/zero"],
+        "analyze": ["analyze", "--basis", basis, "--nodes", "/dev/zero"],
+    }[command]
+    start = time.perf_counter()
+    result = run(capsys, argv)
+    assert time.perf_counter() - start < 1
+    assert result == (2, "", "error: /dev/zero: the file has more than 1000 bytes, the most symlag reads\n")
+
+
+def test_a_file_of_exactly_the_input_limit_is_read(monkeypatch, tmp_path, capsys):
+    text = json.dumps({"n": 1, "points": [[5]]})
+    monkeypatch.setattr(nodeset, "MAX_INPUT_BYTES", len(text) + 10)
+    nodes = tmp_path / "nodes.json"
+    nodes.write_text(text + " " * 10, encoding="utf-8")
+    assert run(capsys, ["classify", "--nodes", str(nodes)])[0] == 0
+    nodes.write_text(text + " " * 11, encoding="utf-8")
+    message = f"error: {nodes}: the file has more than {len(text) + 10} bytes, the most symlag reads\n"
+    assert run(capsys, ["classify", "--nodes", str(nodes)]) == (2, "", message)
+
+
 # Python reads an int of at most sys.get_int_max_str_digits() digits, 4300
 # unless set otherwise; symlag keeps that limit and says so in its own words
 DIGIT_LIMIT = sys.get_int_max_str_digits()
