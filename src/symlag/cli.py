@@ -19,7 +19,6 @@ import argparse
 import sys
 from collections import defaultdict
 from fractions import Fraction
-from itertools import repeat
 from json.encoder import encode_basestring_ascii
 
 from . import charmat, interp, nodeset, symcore
@@ -279,6 +278,7 @@ def table_equiv(payload: dict) -> list[str]:
         lines.append("equivariant bijection:")
         for x, y in payload["bijection"]:
             lines.append(f"  {_point_str(x)} -> {_point_str(y)}")
+    lines.extend(_snap_notes(payload["snaps"]))
     return lines
 
 
@@ -335,8 +335,6 @@ def table_analyze(payload: dict) -> list[str]:
 # -- output ------------------------------------------------------------------
 
 _FLAT = frozenset((int, str))  # the exact types of the items a memoized container holds
-_INTS = frozenset((int,))
-_STREAMED = 3  # the payload and the two levels below it are written item by item
 
 
 def _json(payload, write) -> None:
@@ -344,19 +342,19 @@ def _json(payload, write) -> None:
     through ``write`` in chunks, for what symlag/1 holds: dicts with str
     keys, lists, str, int, bool and None.  Anything else raises TypeError.
 
-    The payload and the two levels below it (orbits, bijection or snaps,
-    then each orbit or pair) go out item by item, so no level copies the
-    text below it.  A container of exact ints and strs (a [num, den] cell,
-    a snap record) is written once per object and depth, and its parent
-    finds it with its siblings in one lookup.
+    The payload's keys go out in sorted order.  A list under a key (the
+    orbits, the bijection, the snaps) goes out one item per chunk, and any
+    other value whole, so the largest chunk is one orbit or pair.  A
+    container of exact ints and strs (a [num, den] cell, a snap record) is
+    written once per object and depth, and its parent finds it with its
+    siblings in one lookup.
     """
     # indent -> {id: text}: the payload keeps each container alive, so no id
     # is reused while it is written
     written: defaultdict = defaultdict(dict)
 
-    def text(obj, indent: str, kinds: set | None = None) -> str:
-        # indent: the newline and spaces before obj's closing bracket; kinds:
-        # the types of obj's items, when the caller has them
+    def text(obj, indent: str) -> str:
+        # indent: the newline and spaces before obj's closing bracket
         if isinstance(obj, (list, dict)):
             if not obj:
                 return "[]" if isinstance(obj, list) else "{}"
@@ -365,11 +363,11 @@ def _json(payload, write) -> None:
             if found is None:
                 inner = indent + "  "
                 is_dict = isinstance(obj, dict)
-                kinds = kinds or set(map(type, obj.values() if is_dict else obj))
+                kinds = set(map(type, obj.values() if is_dict else obj))
                 if is_dict:
                     # sorted() and encode_basestring_ascii raise TypeError on a non-str key
                     items = [encode_basestring_ascii(k) + ": " + text(obj[k], inner) for k in sorted(obj)]
-                elif kinds == _INTS:
+                elif kinds == {int}:
                     items = map(int.__repr__, obj)
                 else:
                     items = list(map(written[inner].get, map(id, obj)))
@@ -392,31 +390,24 @@ def _json(payload, write) -> None:
             return int.__repr__(obj)
         raise TypeError(f"symlag/1 holds no {type(obj).__name__}")
 
-    def stream(obj, indent: str, depth: int, head: str) -> None:
-        # head: the separator and key that go before obj
-        is_dict = isinstance(obj, dict)
-        kinds = obj and (is_dict or isinstance(obj, list)) and set(map(type, obj.values() if is_dict else obj))
-        if depth == _STREAMED or not kinds or kinds <= _FLAT:
-            write(head + text(obj, indent, kinds or None))
-            return
-        inner = indent + "  "
-        start, end = "{}" if is_dict else "[]"
-        head += start + inner
-        keys = repeat("")
-        if is_dict:
-            keys = sorted(obj)
-            obj = list(map(obj.__getitem__, keys))
-            keys = [encode_basestring_ascii(k) + ": " for k in keys]
-        # a child already written is flat: it goes out whole
-        for key, x, found in zip(keys, obj, map(written[inner].get, map(id, obj))):
-            if found is None:
-                stream(x, inner, depth + 1, head + key)
-            else:
-                write(head + key + found)
-            head = "," + inner
-        write(indent + end)
-
-    stream(payload, "\n", 0, "")
+    if not isinstance(payload, dict) or not payload:
+        write(text(payload, "\n"))
+        return
+    head = "{"
+    for key in sorted(payload):
+        head += "\n  " + encode_basestring_ascii(key) + ": "
+        value = payload[key]
+        if isinstance(value, list) and value:
+            head += "["
+            # an item already written is flat: it goes out from the memo
+            for x, found in zip(value, map(written["\n    "].get, map(id, value))):
+                write(head + "\n    " + (found or text(x, "\n    ")))
+                head = ","
+            write("\n  ]")
+        else:
+            write(head + text(value, "\n  "))
+        head = ","
+    write("\n}")
 
 
 # -- parser ------------------------------------------------------------------

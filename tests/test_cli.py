@@ -255,6 +255,22 @@ def test_equiv_invalid_input(tmp_path, capsys):
     assert code == 2 and err
 
 
+def test_equiv_table_notes_the_snaps_of_both_sets(tmp_path, capsys):
+    a = write_json(tmp_path / "a.json", {"n": 2, "points": [["0.3333333", 1], [1, "0.3333333"]]})
+    b = write_json(tmp_path / "b.json", {"n": 2, "points": [[1, "0.6666667"], ["0.6666667", 1]]})
+    code, out, _ = run(capsys, ["equiv", a, b, "--snap-tol", "1e-6", "--format", "json"])
+    assert code == 0
+    assert [s["original"] for s in json.loads(out)["snaps"]] == ["0.3333333"] * 2 + ["0.6666667"] * 2
+    code, out, _ = run(capsys, ["equiv", a, b, "--snap-tol", "1e-6"])
+    assert code == 0
+    assert out.splitlines()[-6:] == [
+        "  (1/3, 1) -> (2/3, 1)",
+        "  (1, 1/3) -> (1, 2/3)",
+        *["  note: snapped 0.3333333 -> 1/3 (|delta| = 1/30000000)"] * 2,
+        *["  note: snapped 0.6666667 -> 2/3 (|delta| = 1/30000000)"] * 2,
+    ]
+
+
 # -- analyze --------------------------------------------------------------------------
 
 def test_analyze_case3_unisolvent(tmp_path, capsys):
@@ -782,7 +798,13 @@ def test_json_writer_holds_no_copy_of_the_document(command, tmp_path):
     tracemalloc.start()
     try:
         sink = io.StringIO()
-        cli._json(payload, sink.write)
+        lengths = []
+
+        def write(chunk):
+            lengths.append(len(chunk))
+            sink.write(chunk)
+
+        cli._json(payload, write)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -791,6 +813,8 @@ def test_json_writer_holds_no_copy_of_the_document(command, tmp_path):
     size = len(sink.getvalue())
     assert size > 400_000
     assert peak < 2 * size
+    # the document goes out in pieces no larger than one orbit or pair
+    assert max(lengths) <= size // 10
 
 
 def test_a_repeated_snap_event_is_one_shared_record():
