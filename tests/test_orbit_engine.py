@@ -218,9 +218,12 @@ def swap_calls(monkeypatch):
     return calls
 
 
-def test_analyze_permutes_each_set_once(tmp_path, swap_calls, capsys):
+def test_analyze_permutes_each_set_once(tmp_path, swap_calls, capsys, monkeypatch):
     # validation builds the basis maps, which the r-vector reads; the
-    # determinant split permutes the nodes once and reads the basis maps
+    # determinant split permutes the nodes once and reads the basis maps;
+    # the node set's Points are built once, for both the clearing and the split
+    reads, points_of = [], nodeset.NodeSet.points.fget
+    monkeypatch.setattr(nodeset.NodeSet, "points", property(lambda s: reads.append(s) or points_of(s)))
     exponents = [(2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 0), (0, 1, 1), (1, 0, 1)]
     basis = _write(tmp_path / "basis.json", {"n": 3, "functions": [{"exponents": e} for e in exponents]})
     points = [[1, 1, 0], [1, 0, 1], [0, 1, 1], [2, 2, 3], [2, 3, 2], [3, 2, 2]]
@@ -228,6 +231,7 @@ def test_analyze_permutes_each_set_once(tmp_path, swap_calls, capsys):
     assert main(["analyze", "--basis", basis, "--nodes", nodes]) == 0
     assert "unisolvent" in capsys.readouterr().out
     assert list(map(len, swap_calls)) == [6, 6]
+    assert len(reads) == 1
 
 
 def test_classify_and_equiv_permute_only_the_short_groups(tmp_path, swap_calls, capsys):

@@ -9,6 +9,7 @@ over the rationals (`oracles.fraction_determinant`) on the matrix
 itself checked entry by entry against `oracles.evaluate`, and at N = 126
 elimination modulo 2^61 - 1.  They must agree exactly, sign included.
 """
+import itertools
 import random
 from fractions import Fraction
 
@@ -56,7 +57,8 @@ def rational_basis(n, d):
 
 def split(basis, nodes):
     """The split determinant alone, on the points as vandermonde clears them."""
-    return interp._split_determinant(basis, nodes, *interp._cleared_points(basis.functions, nodes.points))
+    points = nodes.points
+    return interp._split_determinant(basis, points, *interp._cleared_points(basis.functions, points))
 
 
 def both(functions, points):
@@ -104,24 +106,41 @@ def test_split_matches_plain_with_zero_and_negative_coordinates():
         assert split == plain
 
 
-def test_split_matches_plain_on_orbits_with_non_coordinate_stabilizers():
-    # x1*x3 + x2*x4 is fixed by (1 2)(3 4) but by neither swap alone
-    matchings = [((1, 1, 0, 0), (0, 0, 1, 1)), ((1, 0, 1, 0), (0, 1, 0, 1)), ((1, 0, 0, 1), (0, 1, 1, 0))]
-    functions = (
-        [BasisFunction.monomial(e) for e in total_degree_exponents(4, 1)]
-        + [BasisFunction.from_terms([(a, Fraction(2, 3)), (b, Fraction(2, 3))]) for a, b in matchings]
-    )
-    rng = random.Random(72)
-    nonzero = 0
+def _pair_orbit_sets(rng, functions):
+    """Up to 6 sets in R^4: the orbit of (a, a, b, b) and two diagonal points."""
     for _ in range(6):
         a, b, c, d = (rand_fraction(rng, -9, 9, 4) for _ in range(4))
         pts = list(expand_orbit(Point.of(a, a, b, b))) + [Point.of(c, c, c, c), Point.of(d, d, d, d)]
-        if len(set(pts)) < 8:
-            continue
-        split, plain = both(shuffled(rng, functions), shuffled(rng, pts))
-        assert split == plain
-        nonzero += split != 0
-    assert nonzero
+        if len(set(pts)) == 8:
+            yield pts
+
+
+def _forced_sets(rng, functions):
+    for _ in range(3):
+        yield forced_node_set(rng, functions).points
+
+
+def test_split_matches_plain_on_orbits_with_non_coordinate_stabilizers():
+    # x_S + x_{S^c}, x_S the product of the x_i over S, for the n/2-subsets S
+    # holding 1: x1*x3 + x2*x4 is fixed by (1 2)(3 4) but by neither swap
+    # alone, one free generator; x1*x3*x5 + x2*x4*x6 by (1 2)(3 4)(5 6), two
+    for n, degree, seed, node_sets in [(4, 1, 72, _pair_orbit_sets), (6, 2, 1, _forced_sets)]:
+        halves = [tuple(int(i in S) for i in range(n)) for S in itertools.combinations(range(n), n // 2) if 0 in S]
+        functions = [BasisFunction.monomial(e) for e in total_degree_exponents(n, degree)] + [
+            BasisFunction.from_terms([(e, Fraction(2, 3)), (tuple(1 - x for x in e), Fraction(2, 3))]) for e in halves
+        ]
+        # so the orbit of x1*x3*... + x2*x4*... lies in the blocks of exactly
+        # the characters of even weight
+        orbits, blocks = interp._orbits(validate_symmetric_basis(functions).swaps[::2], len(functions))
+        even = [c for c in range(len(blocks)) if c.bit_count() % 2 == 0]
+        assert any([c for c, block in enumerate(blocks) if o in dict(block)] == even for o in range(len(orbits)))
+        rng = random.Random(seed)
+        nonzero = 0
+        for pts in node_sets(rng, functions):
+            split, plain = both(shuffled(rng, functions), shuffled(rng, pts))
+            assert split == plain
+            nonzero += split != 0
+        assert nonzero
 
 
 def test_split_matches_elimination_mod_p_at_benchmark_size():
