@@ -6,10 +6,12 @@ Collecting those values over conjugacy classes gives the integer table K,
 which is the transition matrix from power sums to monomial symmetric
 functions: K[sigma][lambda] is the coefficient of m_lambda in p_sigma
 (Macdonald, Symmetric Functions and Hall Polynomials, I.6), built by the
-recursion p_sigma = p_{sigma_1} * p_{sigma without sigma_1}.  Averaging
-products of characters over the group gives the matrix
-V[i][j] = <chi_i, chi_j>, which by Burnside's lemma equals the number of
-orbits of class-i stabilizers acting on a class-j orbit.
+recursion p_sigma = p_{sigma_1} * p_{sigma without sigma_1} on partitions
+packed as integers: nu is the sum of (n+1)**part over its parts, so each
+base-(n+1) digit counts the parts of one size.  Averaging products of
+characters over the group gives the matrix V[i][j] = <chi_i, chi_j>,
+which by Burnside's lemma equals the number of orbits of class-i
+stabilizers acting on a class-j orbit.
 
 Layout: K has conjugacy classes as rows and orbit-class characters as
 columns, both in the descending type order of :mod:`symlag.symcore`.  A
@@ -52,35 +54,6 @@ def class_size(t: OrbitType) -> int:
     for i, c in enumerate(t.counts, start=1):
         denom *= (i**c) * factorial(c)
     return factorial(t.n) // denom
-
-
-def _parts(t: OrbitType) -> tuple[int, ...]:
-    """The parts of t as a partition of n, in descending order."""
-    return tuple(size for size in range(t.n, 0, -1) for _ in range(t.counts[size - 1]))
-
-
-def _monomial_expansion(sigma: tuple[int, ...], memo: dict) -> dict[tuple[int, ...], int]:
-    """Coefficients of the power sum p_sigma in the monomial basis, keyed by
-    descending part tuples.
-
-    p_sigma = p_{sigma_1} * p_{sigma without sigma_1}, and p_k * m_nu adds k
-    to one distinct part of nu (or appends k); the coefficient of the result
-    is the multiplicity of the new part in it.  ``memo`` holds the expansions
-    of the suffixes of sigma already done.
-    """
-    if not sigma:
-        return {(): 1}
-    if sigma not in memo:
-        k, out = sigma[0], {}
-        for nu, coeff in _monomial_expansion(sigma[1:], memo).items():
-            for a in {0, *nu}:
-                parts = list(nu)
-                if a:
-                    parts.remove(a)
-                kappa = tuple(sorted((*parts, a + k), reverse=True))
-                out[kappa] = out.get(kappa, 0) + coeff * kappa.count(a + k)
-        memo[sigma] = out
-    return memo[sigma]
 
 
 class _TypeTable(NamedTuple):
@@ -168,13 +141,47 @@ def k_matrix(n: int) -> KMatrix:
     exactly when every cycle stays inside one of the point's equal-value
     blocks, so K[sigma][lambda] counts the ways to deal the cycles onto the
     blocks with exact length sums: the coefficient of m_lambda in p_sigma.
+
+    Each row expands p_sigma = p_k * p_{sigma without k}, k the largest
+    part, over partitions packed as integers: nu is the sum of B**part over
+    its parts, B = n + 1, so digit a counts the parts of size a and never
+    carries.  p_k * m_nu adds k to one distinct part a of nu, giving the
+    key nu - B**a + B**(a+k), or appends k as a new part (a = 0, where
+    power[0] = 0 makes the key nu + B**k); the coefficient is the new
+    key's digit a + k, the multiplicity of the new part.  The expansions of
+    the products of the smaller parts are shared between rows, and the
+    packed key of a type maps it to its column.
     """
     types = tuple(enumerate_types(n))
-    keys = [_parts(t) for t in types]
-    memo: dict = {}
-    rows = [_monomial_expansion(key, memo) for key in keys]
-    entries = tuple(tuple(row.get(key, 0) for key in keys) for row in rows)
-    return KMatrix(n=n, types=types, entries=entries)
+    base = n + 1
+    power = [0] + [base**a for a in range(1, n + 1)]
+    distinct: dict[int, tuple[int, ...]] = {}  # nu -> 0 and the distinct parts of nu
+    memo: dict[int, dict[int, int]] = {0: {0: 1}}  # packed sigma -> p_sigma by packed nu
+    keys, expansions = [], []
+    for t in types:
+        sigma, expansion = 0, memo[0]
+        for k in [size for size, c in enumerate(t.counts, start=1) for _ in range(c)]:
+            sigma += power[k]
+            if sigma not in memo:
+                out: dict[int, int] = {}
+                for nu, coeff in expansion.items():
+                    if nu not in distinct:
+                        distinct[nu] = (0, *(a for a in range(1, n + 1) if nu // power[a] % base))
+                    for a in distinct[nu]:
+                        key = nu - power[a] + power[a + k]
+                        out[key] = out.get(key, 0) + coeff * (key // power[a + k] % base)
+                memo[sigma] = out
+            expansion = memo[sigma]
+        keys.append(sigma)
+        expansions.append(expansion)
+    column = {key: j for j, key in enumerate(keys)}
+    entries = []
+    for expansion in expansions:
+        row = [0] * len(types)
+        for key, coeff in expansion.items():
+            row[column[key]] = coeff
+        entries.append(tuple(row))
+    return KMatrix(n=n, types=types, entries=tuple(entries))
 
 
 @functools.lru_cache(maxsize=None)

@@ -135,7 +135,7 @@ def cmd_vmatrix(args) -> tuple[int, dict]:
         "determinant": minors[-1],  # the last leading minor is det V
         "leading_principal_minors": minors,
         "positive_definite": all(m > 0 for m in minors),
-        "symmetric": v.is_symmetric(),
+        "symmetric": True,  # the minors' certificate refuses an asymmetric V
         **_table_json(v),
     }
 
@@ -154,7 +154,7 @@ def cmd_kmatrix(args) -> tuple[int, dict]:
         "schema": SCHEMA,
         "command": "kmatrix",
         "determinant": k.determinant(),
-        "lower_triangular": k.is_lower_triangular(),
+        "lower_triangular": True,  # determinant() refuses any other K
         "diagonal": list(k.diagonal()),
         **_table_json(k),
     }

@@ -39,6 +39,7 @@ from .nodeset import NodeSet, Point, orbit_vector, read_json, too_many_digits
 from .symcore import (
     Permutation,
     Record,
+    adjacent_transpositions,
     apply_to_point,
     check_dimension,
     enumerate_types,
@@ -519,7 +520,7 @@ def _split_determinant(
     functions = basis.functions
     # (1 2), (3 4), ... are every other adjacent transposition
     f_orbits, f_blocks = _orbits(basis.swaps[::2], len(functions))
-    p_orbits, p_blocks = _orbits(swap_images(points, basis.n)[::2], len(points))
+    p_orbits, p_blocks = _orbits(swap_images(points, adjacent_transpositions(basis.n)[::2]), len(points))
     if any(len(rows) != len(cols) for rows, cols in zip(f_blocks, p_blocks)):
         return Fraction(0)
 

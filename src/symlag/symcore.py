@@ -29,7 +29,7 @@ T = TypeVar("T")
 #: Largest dimension n accepted from input.  Only ``vmatrix`` builds V, and
 #: V's unit factor: ``vmatrix --n 22`` takes about 23 s and ``--n 24`` (1575
 #: classes) about 85 s, half of it each; ``solve`` on total degree 2 in R^24
-#: takes 4-6 s (2-vCPU Xeon, Python 3.11).
+#: takes 3.6-5 s, about 1.2 s of it building K (2-vCPU Xeon, Python 3.11).
 MAX_DIMENSION = 24
 
 
@@ -250,17 +250,18 @@ def adjacent_transpositions(n: int) -> list[Permutation]:
     return [Permutation.transposition(n, i, i + 1) for i in range(1, n)]
 
 
-def swap_images(items: Sequence, n: int) -> tuple[tuple[int | None, ...], ...]:
-    """Index maps of the adjacent transpositions on distinct ``items``.
+def swap_images(items: Sequence, transpositions: Sequence[Permutation]) -> tuple[tuple[int | None, ...], ...]:
+    """Index maps of ``transpositions`` on distinct ``items``.
 
-    One map per (i i+1), in ``adjacent_transpositions(n)`` order: position k
-    holds the index in ``items`` of ``items[k].permuted((i i+1))``, or None
-    where that image is not an item.  This is the one place where a set of
-    items is permuted: a basis is validated on these maps and keeps them; a
-    node set, grouped by coordinate multiset instead, only for its witness.
+    One map per transposition tau, in order: position k holds the index in
+    ``items`` of ``items[k].permuted(tau)``, or None where that image is not
+    an item.  This is the one place where a set of items is permuted: a
+    basis is validated on its ``adjacent_transpositions`` maps and keeps
+    them; a node set, grouped by coordinate multiset instead, is permuted
+    only for its witness and for the determinant split's (1 2), (3 4), ...
     """
     index = {x: k for k, x in enumerate(items)}
-    return tuple(tuple(index.get(x.permuted(tau)) for x in items) for tau in adjacent_transpositions(n))
+    return tuple(tuple(index.get(x.permuted(tau)) for x in items) for tau in transpositions)
 
 
 def orbit_classes(maps: Iterable[Sequence[int]], size: int) -> list[list[int]]:
@@ -295,8 +296,9 @@ def symmetric_orbit_classes(
     Raises NotSymmetricError at the first (transposition, item) pair, in
     transposition-major order, whose image is not an item.
     """
-    maps = swap_images(items, n)
-    for tau, image in zip(adjacent_transpositions(n), maps):
+    generators = adjacent_transpositions(n)
+    maps = swap_images(items, generators)
+    for tau, image in zip(generators, maps):
         if None in image:
             raise NotSymmetricError(items[image.index(None)], tau, kind=kind)
     return maps, orbit_classes(maps, len(items))

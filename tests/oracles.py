@@ -120,6 +120,30 @@ def fixed_point_count(orbit: OrbitType, sigma: OrbitType) -> int:
     return sum(apply_to_point(rep, y) == y for y in unique_arrangements(canonical_point(orbit)))
 
 
+@functools.lru_cache(maxsize=None)
+def _deal(cycles: tuple[int, ...], capacities: tuple[int, ...]) -> int:
+    """The ways to send each of ``cycles`` to one labelled block, filling
+    every block to exactly its capacity; the capacities come sorted, since
+    the count does not depend on the blocks' labels."""
+    if not cycles:
+        return int(not any(capacities))
+    first, rest = cycles[0], cycles[1:]
+    return sum(
+        _deal(rest, tuple(sorted((*capacities[:b], cap - first, *capacities[b + 1:]))))
+        for b, cap in enumerate(capacities)
+        if cap >= first
+    )
+
+
+def dealt_k_matrix(n: int) -> list[list[int]]:
+    """K by dealing: a permutation of cycle type sigma fixes a point of type
+    lambda once every cycle lies inside one of the point's equal-value
+    blocks, so K[sigma][lambda] counts the ways to deal sigma's cycles,
+    longest first, onto lambda's blocks with exact length sums."""
+    parts = [_parts(t) for t in enumerate_types(n)]
+    return [[_deal(sigma, tuple(sorted(blocks))) for blocks in parts] for sigma in parts]
+
+
 def v_entry_burnside(i: int, j: int, n: int) -> int:
     """V[i][j] (1-based ranks) as the number of orbits of the class-i
     stabilizer on the explicit class-j orbit, by Burnside's lemma."""
@@ -168,8 +192,9 @@ def validate_points(points, n: int | None = None) -> NodeSet:
             raise DuplicatePointError(f"duplicate point {p}")
         seen.add(p)
     ordered = sorted(pts)
-    swaps = swap_images(ordered, dim)
-    for tau, image in zip(adjacent_transpositions(dim), swaps):
+    generators = adjacent_transpositions(dim)
+    swaps = swap_images(ordered, generators)
+    for tau, image in zip(generators, swaps):
         if None in image:
             raise NotSymmetricError(ordered[image.index(None)], tau, kind="point")
     orbits = []

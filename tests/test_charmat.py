@@ -21,6 +21,7 @@ from symlag.errors import DimensionMismatchError
 
 from oracles import (
     cycle_type,
+    dealt_k_matrix,
     fixed_point_count,
     fraction_determinant,
     kostka_matrix,
@@ -87,6 +88,11 @@ def test_fixed_point_count_matches_enumeration(n):
     for orbit in enumerate_types(n):
         for sigma in enumerate_types(n):
             assert k_entry(orbit, sigma) == fixed_point_count(orbit, sigma)
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_k_matrix_matches_dealing_the_cycles_onto_the_blocks(n):
+    assert [list(row) for row in k_matrix(n).entries] == dealt_k_matrix(n)
 
 
 def test_fixed_point_count_diagonal_is_product_of_factorials():

@@ -103,6 +103,19 @@ def test_kmatrix_n3_json(capsys):
     assert payload["lower_triangular"] is True
 
 
+def test_table_commands_check_each_property_once(capsys, monkeypatch):
+    # det K checks that K is lower triangular, and V's unit factor that V is
+    # symmetric; the payloads report those checks instead of repeating them
+    calls = []
+    for owner, name in ((charmat.KMatrix, "is_lower_triangular"), (charmat.VMatrix, "is_symmetric"),
+                        (charmat, "_unit_factor")):
+        check = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *args, check=check, name=name: calls.append(name) or check(*args))
+    assert run(capsys, ["kmatrix", "--n", "6", "--format", "json"])[0] == 0
+    assert run(capsys, ["vmatrix", "--n", "6", "--format", "json"])[0] == 0
+    assert calls == ["is_lower_triangular", "_unit_factor"]
+
+
 # -- classify ----------------------------------------------------------------------
 
 def test_classify_case3(tmp_path, capsys):
@@ -462,7 +475,8 @@ def test_analyze_json_output_is_byte_identical(tmp_path, capsys):
 # SHA-256 of `--format json` and `--format table` stdout for fixed inputs.
 # The symlag/1 schema promises the JSON bytes across versions; changing them
 # needs a schema bump.  vmatrix-12, vmatrix-13 and kmatrix-16 are the sizes
-# the `tables` benchmark workload runs; solve-td-16-2 (total degree 2 in
+# the `tables` benchmark workload runs; kmatrix-18 and kmatrix-20 pin K past
+# the sizes the dealing oracle checks entry by entry; solve-td-16-2 (total degree 2 in
 # R^16) runs the V X = r solve at a size where its algorithm shows.
 # classify-n5-* and equiv-n5 validate 492 points in R^5 whose coordinate
 # values recur across orbits and types; their digests were taken before
@@ -493,6 +507,8 @@ PINNED_JSON_DIGESTS = {
     "kmatrix-8": "0ea442d8d4de74600fefb6c16819fdbbfbe27f8f706921c62ec7a6e54764e4f7",
     "kmatrix-9": "443a1abf4ec965a69db45aee1f8718d319ded0e2fc2df210ec7c674d62ea46a9",
     "kmatrix-16": "699862becec244bb2c98af93caff8746b36d60b6e30aa01f5f4cfb909b6ae33d",
+    "kmatrix-18": "9ed940061ba9190880b50298f4d719c44329f291e1a4ba0df6636fa29b8246d1",
+    "kmatrix-20": "5c7142cb5fc7e656454fe865b725c05b45734dbb5a29e456ff5e28c41dcbf7a6",
     "solve-td-4-3": "41fcc04c35d4ecd6f65106b93783f90675ca9b9a98e66cae9ba4db7d207c89d0",
     "solve-td-16-2": "feeb1f7a9cde0bc7d0ba08b8266cce195d6755a81302c806144c41d0cec429e7",
     "analyze-unisolvent": "bcd74a649f499e204b11dafe8fb3ef710b1fa42eb6434ce60f19c68b3e57699f",

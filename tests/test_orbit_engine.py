@@ -75,7 +75,8 @@ def function_sets(draw, monomial=False):
 def test_swap_images_follow_adjacent_transposition_order():
     points = [Point.of(1, 2, 3), Point.of(2, 1, 3), Point.of(1, 3, 2)]
     # (1 2) then (2 3)
-    assert swap_images(points, 3) == ((1, 0, None), (2, None, 0))
+    assert swap_images(points, symcore.adjacent_transpositions(3)) == ((1, 0, None), (2, None, 0))
+    assert swap_images(points, [Permutation.transposition(3, 2, 3)]) == ((2, None, 0),)
 
 
 def test_orbit_classes_order_by_smallest_member():
@@ -96,7 +97,7 @@ def test_validation_ignores_input_order_and_orbits_are_full_orbits(points):
     assert orbit_vector(nodes) == orbit_vector(again)
     ordered = nodes.points
     assert ordered == tuple(sorted(points))
-    swaps = swap_images(ordered, nodes.n)
+    swaps = swap_images(ordered, symcore.adjacent_transpositions(nodes.n))
     assert [list(o.members) for o in nodes.orbits] == orbit_classes(swaps, len(points))
     for orbit in nodes.orbits:
         assert {ordered[i] for i in orbit.members} == expand_orbit(orbit.rep)
@@ -106,7 +107,7 @@ def test_validation_ignores_input_order_and_orbits_are_full_orbits(points):
 @given(point_sets())
 def test_subgroup_orbit_count_matches_brute_force(points):
     nodes = validate_symmetric(points)
-    swaps = swap_images(nodes.points, nodes.n)
+    swaps = swap_images(nodes.points, symcore.adjacent_transpositions(nodes.n))
     for t in enumerate_types(nodes.n):
         assert stabilizer_orbit_count(swaps, t, len(nodes)) == subgroup_orbit_count(nodes, t)
 
@@ -115,7 +116,7 @@ def test_subgroup_orbit_count_matches_brute_force(points):
 @given(function_sets())
 def test_basis_orbit_count_matches_brute_force(functions):
     basis = validate_symmetric_basis(functions)
-    assert basis.swaps == swap_images(sorted(functions), basis.n)
+    assert basis.swaps == swap_images(sorted(functions), symcore.adjacent_transpositions(basis.n))
     group = _all_permutations(basis.n)
     assert [set(o) for o in basis.orbits] == [
         set(f.permuted(g) for g in group) for f in (o[0] for o in basis.orbits)
@@ -205,12 +206,13 @@ def test_equiv_bijection_is_equivariant_onto_and_keeps_orbit_types(points, data)
 
 @pytest.fixture
 def swap_calls(monkeypatch):
-    """The items of every swap_images call, in call order."""
+    """The items of every swap_images call and the number of transpositions
+    it applies, in call order."""
     calls, images = [], symcore.swap_images
 
-    def spy(items, n):
-        calls.append(list(items))
-        return images(items, n)
+    def spy(items, transpositions):
+        calls.append((list(items), len(transpositions)))
+        return images(items, transpositions)
 
     # also where a module could have imported it by name
     for module in (symcore, interp, nodeset):
@@ -230,7 +232,8 @@ def test_analyze_permutes_each_set_once(tmp_path, swap_calls, capsys, monkeypatc
     nodes = _write(tmp_path / "nodes.json", {"n": 3, "points": points})
     assert main(["analyze", "--basis", basis, "--nodes", nodes]) == 0
     assert "unisolvent" in capsys.readouterr().out
-    assert list(map(len, swap_calls)) == [6, 6]
+    # the basis under (1 2) and (2 3); the nodes under (1 2) alone
+    assert [(len(items), count) for items, count in swap_calls] == [(6, 2), (6, 1)]
     assert len(reads) == 1
 
 
@@ -245,7 +248,7 @@ def test_classify_and_equiv_permute_only_the_short_groups(tmp_path, swap_calls, 
     assert main(["classify", "--nodes", asym]) == 2
     assert main(["equiv", nodes, asym]) == 2
     short = [Point.of(*p) for p in sorted(points[3:-1])]
-    assert swap_calls == [short, short]
+    assert swap_calls == [(short, 2), (short, 2)]
     line = "error: set is not symmetric: applying (1 2) to the point (3, 4, 2) leaves the set\n"
     assert capsys.readouterr().err == 2 * line
 
