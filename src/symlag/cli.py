@@ -3,9 +3,11 @@
 Each ``cmd_<name>(args)`` returns its exit code and its ``symlag/1`` payload;
 no other module knows that format.  The table is a view of the payload,
 drawn by ``table_<name>(payload)`` alone, and ``main`` prints one of the two.
-``main`` sends the payload to stdout through ``_json``, in chunks, with the
-bytes of ``json.dumps(payload, indent=2, sort_keys=True)`` and without
-json's pure-Python encoder.
+The points of ``classify`` and ``equiv`` stay in their payloads as ``_Rows``,
+ranks into the node sets' value tables, which iterate as the lists they
+stand for.  ``main`` sends the payload to stdout through ``_json``, in runs
+of about 32 KiB, with the bytes of ``json.dumps(payload, indent=2,
+sort_keys=True)`` and without json's pure-Python encoder.
 
 Exit codes: 0 success (for analyze: unisolvent; for solve: admissible; for
 equiv: equivalent), 1 negative verdict, 2 input or usage error.  Every input
@@ -53,10 +55,23 @@ def _positive_fraction(text: str) -> Fraction:
     return value
 
 
-def _point_rows(nodes: nodeset.NodeSet) -> list[list[list[int]]]:
-    """Each point as its [num, den] coordinates, one shared list per distinct value."""
-    cells = [[v.numerator, v.denominator] for v in nodes.values]
-    return [list(map(cells.__getitem__, ranks)) for ranks in nodes.ranks]
+class _Rows:
+    """A payload list of points kept as ranks into value tables (a NodeSet's
+    ``values``): each item holds one rank tuple per table, part j ranking
+    into ``tables[j]``.  With one table an item is a point, with two a
+    [point of A, point of B] pair.  Iterating yields those lists, each
+    coordinate a [num, den] list; ``_json`` writes them from the tables."""
+
+    __slots__ = ("tables", "items")
+
+    def __init__(self, tables: tuple, items: list[tuple]):
+        self.tables, self.items = tables, items
+
+    def __iter__(self):
+        cells = [[[v.numerator, v.denominator] for v in table] for table in self.tables]
+        for parts in self.items:
+            rows = [list(map(c.__getitem__, ranks)) for c, ranks in zip(cells, parts)]
+            yield rows if len(rows) > 1 else rows[0]
 
 
 def _table_json(m: charmat.KMatrix | charmat.VMatrix) -> dict:
@@ -170,7 +185,6 @@ def table_kmatrix(payload: dict) -> list[str]:
 
 def cmd_classify(args) -> tuple[int, dict]:
     nodes, snaps = nodeset.load_node_set(args.nodes, snap_tol=args.snap_tol)
-    rows = _point_rows(nodes)
     return 0, {
         "schema": SCHEMA,
         "command": "classify",
@@ -182,7 +196,7 @@ def cmd_classify(args) -> tuple[int, dict]:
                 "type": list(o.type.counts),
                 "size": len(o.members),
                 "representative": [[c.numerator, c.denominator] for c in o.rep.coords],
-                "points": list(map(rows.__getitem__, o.members)),
+                "points": _Rows((nodes.values,), list(zip(map(nodes.ranks.__getitem__, o.members)))),
             }
             for o in nodes.orbits
         ],
@@ -254,8 +268,8 @@ def cmd_equiv(args) -> tuple[int, dict]:
     result = nodeset.equivalent(nodes_a, nodes_b)
     bijection = None
     if result.image is not None:
-        rows_b = _point_rows(nodes_b)
-        bijection = [[x, rows_b[j]] for x, j in zip(_point_rows(nodes_a), result.image)]
+        pairs = zip(nodes_a.ranks, map(nodes_b.ranks.__getitem__, result.image))
+        bijection = _Rows((nodes_a.values, nodes_b.values), list(pairs))
     return (0 if result.equivalent else 1), {
         "schema": SCHEMA,
         "command": "equiv",
@@ -335,23 +349,46 @@ def table_analyze(payload: dict) -> list[str]:
 # -- output ------------------------------------------------------------------
 
 _FLAT = frozenset((int, str))  # the exact types of the items a memoized container holds
+_RUN = 1 << 15  # characters of a list's items sent in one write, unless one item is longer
 
 
 def _json(payload, write) -> None:
     """Send ``json.dumps(payload, indent=2, sort_keys=True)``, byte for byte,
     through ``write`` in chunks, for what symlag/1 holds: dicts with str
-    keys, lists, str, int, bool and None.  Anything else raises TypeError.
+    keys, lists, ``_Rows``, str, int, bool and None.  Anything else raises
+    TypeError.
 
-    The payload's keys go out in sorted order.  A list under a key (the
-    orbits, the bijection, the snaps) goes out one item per chunk, and any
-    other value whole, so the largest chunk is one orbit or pair.  A
-    container of exact ints and strs (a [num, den] cell, a snap record) is
-    written once per object and depth, and its parent finds it with its
-    siblings in one lookup.
+    The payload's keys go out in sorted order.  The items of a list under a
+    key (the orbits, the bijection, the snaps) go out in runs of about
+    ``_RUN`` characters, and any other value whole, so the largest chunk is
+    a run or one orbit.  A container of exact ints and strs (a snap record)
+    is written once per object and depth, and its parent finds it with its
+    siblings in one lookup.  A ``_Rows`` writes each value's [num, den] cell
+    once per table and depth, and each point as one join of its cells.
     """
     # indent -> {id: text}: the payload keeps each container alive, so no id
     # is reused while it is written
     written: defaultdict = defaultdict(dict)
+    # (indent, id of each table of a _Rows) -> the pieces its items are
+    # joined from, built once however many _Rows share the tables
+    shapes: dict = {}
+
+    def row_texts(rows: _Rows, indent: str):
+        # indent: the newline and spaces before each item's closing bracket
+        key = (indent, *map(id, rows.tables))
+        shape = shapes.get(key)
+        if shape is None:
+            # an item of one table is a point; of more, a list of points
+            point = indent if len(rows.tables) == 1 else indent + "  "
+            cell = point + "  "
+            getters = [[f"[{cell}  {v.numerator!r},{cell}  {v.denominator!r}{cell}]" for v in table].__getitem__
+                       for table in rows.tables]
+            head, end = "[" + cell, point + "]"
+            if len(rows.tables) > 1:
+                head, end = "[" + point + head, end + indent + "]"
+            shape = shapes[key] = (head, point + "]," + point + "[" + cell, "," + cell, end, getters)
+        head, between, sep, end, getters = shape
+        return (head + between.join(map(sep.join, map(map, getters, parts))) + end for parts in rows.items)
 
     def text(obj, indent: str) -> str:
         # indent: the newline and spaces before obj's closing bracket
@@ -378,6 +415,9 @@ def _json(payload, write) -> None:
                 if kinds <= _FLAT:
                     memo[id(obj)] = found
             return found
+        if type(obj) is _Rows:
+            inner = indent + "  "
+            return "[" + inner + ("," + inner).join(row_texts(obj, inner)) + indent + "]" if obj.items else "[]"
         if isinstance(obj, str):
             return encode_basestring_ascii(obj)
         if obj is None:
@@ -397,15 +437,25 @@ def _json(payload, write) -> None:
     for key in sorted(payload):
         head += "\n  " + encode_basestring_ascii(key) + ": "
         value = payload[key]
-        if isinstance(value, list) and value:
-            head += "["
+        if type(value) is _Rows and value.items:
+            items = row_texts(value, "\n    ")
+        elif isinstance(value, list) and value:
             # an item already written is flat: it goes out from the memo
-            for x, found in zip(value, map(written["\n    "].get, map(id, value))):
-                write(head + "\n    " + (found or text(x, "\n    ")))
-                head = ","
-            write("\n  ]")
+            items = (found or text(x, "\n    ") for x, found in zip(value, map(written["\n    "].get, map(id, value))))
         else:
             write(head + text(value, "\n  "))
+            head = ","
+            continue
+        head += "[\n    "
+        run: list[str] = []
+        size = 0
+        for item in items:
+            if run and size + len(item) > _RUN:
+                write(head + ",\n    ".join(run))
+                head, run, size = ",\n    ", [], 0
+            run.append(item)
+            size += len(item)
+        write(head + ",\n    ".join(run) + "\n  ]")
         head = ","
     write("\n}")
 

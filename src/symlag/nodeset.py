@@ -8,11 +8,13 @@ optionally moves each onto a nearby simple rational and reports it
 
 A validated :class:`NodeSet` is a value table: its sorted distinct
 coordinates, and each point, in lexicographic order, as the ranks of its
-coordinates among them.  Ranking keeps equality and order, so validation
-hashes each distinct value once and then works on ranks.  The orbit of a
-point is every arrangement of its coordinate multiset, so the set is
-symmetric exactly when each group of points with one sorted rank tuple is a
-whole orbit; only the points of short groups are permuted, for the witness.
+coordinates among them.  Ranking keeps equality and order.  The distinct
+values are found by their (numerator, denominator) pairs and sorted by
+their floats, comparing two exactly only when their floats tie, so no
+Fraction is hashed; validation then works on ranks.  The orbit of a point
+is every arrangement of its coordinate multiset, so the set is symmetric
+exactly when each group of points with one sorted rank tuple is a whole
+orbit; only the points of short groups are permuted, for the witness.
 ``node_set_from_json`` ranks straight from its parse cache, one entry per
 distinct raw form (string, int or [int, int] pair).  Orbits come in the
 order of their first point; the orbit vector counts them per type rank, and
@@ -22,6 +24,7 @@ agree.  ``equivalent`` builds it as an index map.
 from __future__ import annotations
 
 import json
+import math
 import re
 import sys
 from collections import Counter
@@ -117,6 +120,15 @@ class NodeSet(Record):
         return len(self.ranks)
 
 
+def _order_key(v: Fraction) -> tuple[float, Fraction]:
+    """A sort key for v: its correctly rounded float, which is monotone, and
+    v itself, which is compared only when two floats tie."""
+    try:
+        return v.numerator / v.denominator, v
+    except OverflowError:  # |v| beyond the largest float, up to 10^MAX_DECIMAL_EXPONENT
+        return (math.inf if v > 0 else -math.inf), v
+
+
 def _validated(rows: list[Sequence[int]], slot_values: Sequence[Fraction], n: int | None) -> NodeSet:
     """The NodeSet of points given as rows of slots, slot k holding value
     ``slot_values[k]`` (several slots may hold one value), validated on the
@@ -129,9 +141,12 @@ def _validated(rows: list[Sequence[int]], slot_values: Sequence[Fraction], n: in
     for row in rows:
         if len(row) != dim:
             raise DimensionMismatchError(f"mixed dimensions {dim} and {len(row)}")
-    values = sorted(set(slot_values))
-    rank = {v: r for r, v in enumerate(values)}
-    slot_rank = [rank[v] for v in slot_values]
+    # a Fraction is in lowest terms, so its (numerator, denominator) pair
+    # names it, and ints hash in C where a Fraction hash takes a pow
+    keys = [(v.numerator, v.denominator) for v in slot_values]
+    values = sorted(dict(zip(keys, slot_values)).values(), key=_order_key)
+    rank = {(v.numerator, v.denominator): r for r, v in enumerate(values)}
+    slot_rank = list(map(rank.__getitem__, keys))
     ranked = [tuple(map(slot_rank.__getitem__, row)) for row in rows]
 
     def point(ranks: Sequence[int]) -> Point:
@@ -396,8 +411,10 @@ def node_set_from_json(obj, snap_tol: Fraction | None = None) -> tuple[NodeSet, 
 # it.  It admits the 12 MB file of the tensor basis {0..4}^8, which
 # MAX_BASIS_FUNCTIONS then refuses by its count.  At this size, a file of
 # empty arrays takes classify 3.2 s and a 433 MB peak, nearly all in json;
-# integer points in R^6 take 2.8 s, and distinct 20-digit decimals, the
-# slowest content measured, about 4 s per MB (2-vCPU Xeon, Python 3.11).
+# integer points in R^6 take 2.8 s.  Distinct 20-digit decimals, the slowest
+# content measured, one orbit each, take about 2.7 s per MB: 3.1 s for 1 MB
+# and 10.7 s (224 MB peak) for 4 MB, so about 45 s at this size (2-vCPU
+# Xeon, Python 3.11).
 MAX_INPUT_BYTES = 1 << 24
 
 

@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+import tempfile
 import time
 import tracemalloc
 from fractions import Fraction
@@ -14,10 +15,10 @@ from math import prod
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from symlag import charmat, cli, interp, nodeset
+from symlag import charmat, cli, interp, nodeset, symcore
 from symlag.cli import main
 
 from conftest import forced_vector, hyperplane_set, random_symmetric_set
@@ -831,6 +832,97 @@ def test_json_writer_holds_no_copy_of_the_document(command, tmp_path):
     assert peak < 2 * size
     # the document goes out in pieces no larger than one orbit or pair
     assert max(lengths) <= size // 10
+
+
+def _text_calls(payload) -> tuple[int, list[int]]:
+    """The calls of _json's text function, and the length of each write, as
+    _json writes the payload."""
+    code = next(c for c in cli._json.__code__.co_consts if getattr(c, "co_name", None) == "text")
+    calls = 0
+    lengths = []
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        calls += event == "call" and frame.f_code is code
+
+    sys.setprofile(profile)
+    try:
+        cli._json(payload, lambda chunk: lengths.append(len(chunk)))
+    finally:
+        sys.setprofile(None)
+    return calls, lengths
+
+
+@pytest.mark.parametrize("command", ["classify", "classify-snapped", "equiv"])
+def test_json_writer_batches_its_writes_and_writes_no_point_through_text(command, tmp_path):
+    exact, decimal, other = _big_node_files(tmp_path)
+    argv = {
+        "classify": ["classify", "--nodes", exact],
+        "classify-snapped": ["classify", "--nodes", decimal, "--snap-tol", "1e-6"],
+        "equiv": ["equiv", exact, other],
+    }[command]
+    args = cli.build_parser().parse_args(argv)
+    _, payload = args.handler(args)
+    calls, lengths = _text_calls(payload)
+    # a list's run goes out once it and its next item pass _RUN, so two
+    # runs in a row hold more than _RUN; any other value is one write
+    assert len(lengths) <= 2 * sum(lengths) // cli._RUN + 2 * len(payload) + 1
+    assert len(lengths) < 100
+    if command == "classify-snapped":
+        assert len(payload["snaps"]) > 1000  # one write each, before runs
+    # the same payload without its points needs no fewer text calls: the
+    # points, 1,968 of them, are written from their tables alone
+    stripped = dict(payload)
+    if command == "equiv":
+        stripped["bijection"] = cli._Rows(payload["bijection"].tables, [])
+    else:
+        stripped["orbits"] = [{**o, "points": cli._Rows(o["points"].tables, [])} for o in payload["orbits"]]
+    assert calls <= _text_calls(stripped)[0] < 1968
+
+
+def _rows_as_lists(obj):
+    """The payload as json.dumps takes it: each _Rows as the lists it yields."""
+    if isinstance(obj, dict):
+        return {key: _rows_as_lists(value) for key, value in obj.items()}
+    if isinstance(obj, (list, cli._Rows)):
+        return [_rows_as_lists(x) for x in obj]
+    return obj
+
+
+@st.composite
+def _node_set_pairs(draw):
+    # a set of R^n with up to two orbits of each type, spelled exactly or as
+    # 7-digit decimals that --snap-tol 1e-6 snaps back, and a second set
+    # with the same orbit vector or a drawn one
+    n = draw(st.integers(1, 5))
+    vectors = st.lists(st.integers(0, 2), min_size=len(symcore.enumerate_types(n)),
+                       max_size=len(symcore.enumerate_types(n)))
+    vector_a = draw(vectors)
+    vector_b = vector_a if draw(st.booleans()) else draw(vectors)
+    return n, vector_a, vector_b, draw(st.integers(0, 2**32)), draw(st.booleans())
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(_node_set_pairs())
+@example((2, [0, 0], [0, 0], 0, False))  # the empty set: "orbits": [] and "bijection": []
+@example((1, [2], [2], 1, True))  # n = 1, every orbit one point
+@example((3, [2, 1, 0], [2, 1, 0], 2, False))  # one-point orbits among larger ones
+@example((3, [1, 1, 1], [0, 1, 2], 3, True))  # unequal vectors: "bijection": null
+def test_row_writer_matches_json_dumps(case):
+    n, vector_a, vector_b, seed, snapped = case
+    rng = random.Random(seed)
+    with tempfile.TemporaryDirectory() as tmp:
+        files = []
+        for name, vector in (("a", vector_a), ("b", vector_b)):
+            nodes = random_symmetric_set(rng, vector, n)
+            spell = (lambda v: f"{v.numerator / v.denominator:.7f}") if snapped else (lambda v: [v.numerator, v.denominator])
+            points = [[spell(c) for c in p.coords] for p in nodes.points]
+            files.append(write_json(Path(tmp) / f"{name}.json", {"n": n, "points": points}))
+        tol = ["--snap-tol", "1e-6"] if snapped else []
+        for argv in (["classify", "--nodes", files[0], *tol], ["equiv", *files, *tol]):
+            args = cli.build_parser().parse_args(argv)
+            _, payload = args.handler(args)
+            assert _written(payload) == json.dumps(_rows_as_lists(payload), indent=2, sort_keys=True)
 
 
 def test_a_repeated_snap_event_is_one_shared_record():

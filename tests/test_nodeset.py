@@ -528,6 +528,45 @@ def test_node_set_from_json_hashes_per_distinct_raw_form_not_per_coordinate(monk
     assert calls <= 3 * len(distinct)
 
 
+def test_distinct_values_are_ranked_without_fraction_hashes_or_comparisons(monkeypatch):
+    # 400 distinct 20-digit decimals, one per point of R^1: their floats
+    # differ, so the exact values are never compared, and none is hashed
+    rng = random.Random(11)
+    texts = sorted({f"{rng.randrange(-10**20, 10**20)}e-{rng.randrange(0, 25)}" for _ in range(400)})
+    calls = 0
+
+    def counting(method):
+        def wrapper(*args):
+            nonlocal calls
+            calls += 1
+            return method(*args)
+        return wrapper
+
+    for name in ("__hash__", "__eq__", "__lt__", "__le__", "__gt__", "__ge__"):
+        monkeypatch.setattr(Fraction, name, counting(getattr(Fraction, name)))
+    s, _ = node_set_from_json({"n": 1, "points": [[t] for t in texts]})
+    monkeypatch.undo()
+    assert calls == 0
+    assert s.values == tuple(sorted(map(Fraction, texts)))
+    assert [s.values[r] for (r,) in s.ranks] == sorted(map(Fraction, texts))
+
+
+def test_values_beyond_floats_and_between_them_rank_in_order():
+    # 1e400 overflows a float and 1e-400 underflows to 0.0; the three values
+    # near 0.1 share one float, so only their exact values order them
+    texts = ["1e400", "-1e400", "1e401", "-1e401", "0", "1e-400", "-1e-400", "1e308", "-1e308",
+             "0.10000000000000000001", "0.1", "0.09999999999999999999", "1e4000", "-1e4000"]
+    s, _ = node_set_from_json({"n": 1, "points": [[t] for t in texts]})
+    assert s.values == tuple(sorted(map(Fraction, texts)))
+    assert s.values[0] == -Fraction(10) ** 4000 and s.values[-1] == Fraction(10) ** 4000
+    assert _outcome(lambda: s) == _outcome(lambda: validate_points([(Fraction(t),) for t in texts], 1))
+    # the same values in a symmetric set of R^2
+    pairs = [[a, b] for a in texts[:6] for b in texts[:6] if a != b]
+    s2, _ = node_set_from_json({"n": 2, "points": pairs})
+    assert s2.values == tuple(sorted(map(Fraction, texts[:6])))
+    assert _outcome(lambda: s2) == _outcome(lambda: validate_points([tuple(map(Fraction, p)) for p in pairs], 2))
+
+
 def test_node_set_from_json_dimension_mismatch():
     with pytest.raises(DimensionMismatchError):
         node_set_from_json({"n": 2, "points": [[1, 2, 3]]})
