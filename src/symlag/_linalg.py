@@ -2,8 +2,8 @@
 
 `_echelon` is a Bareiss pass (Bareiss 1968) whose divisions are all exact.
 Its pivots give the determinant and the rank, and one pass over the
-transpose of m gives a left kernel vector of m.  Every entry is an
-integer; callers clear denominators first.
+transpose of m gives the determinant of m or a left kernel vector.  Every
+entry is an integer; callers clear denominators first.
 """
 from __future__ import annotations
 
@@ -43,28 +43,29 @@ def integer_determinant(m: list[list[int]]) -> int:
     return sign * pivots[-1] if pivots else 1
 
 
-def left_kernel_vector(m: list[list[int]]) -> list[int] | None:
-    """A nonzero integer y with y m = 0, or None when the rows of m are independent.
+def left_kernel(m: list[list[int]]) -> tuple[int, list[int] | None]:
+    """(det m, None) when the rows of m are independent, else (0, y) for a
+    nonzero integer y with y m = 0; det m is read for a square m only.
 
     y m = 0 is t y = 0 for the transpose t of m.  One _echelon pass over t
     puts pivots on its diagonal up to the first column f without one; y is
     the last of them at f and 0 after it, and back-substitution through the
     triangle above f gives the rest.  By Cramer's rule each y_i is a minor
-    of t, up to sign, so every division is exact.
+    of t, up to sign, so every division is exact.  Without such a column,
+    the last pivot of the pass is det t = det m, up to the swaps' sign.
 
-    >>> left_kernel_vector([[1, 2], [2, 4]])
-    [-2, 1]
-    >>> left_kernel_vector([[1, 2], [3, 4]]) is None
-    True
+    >>> left_kernel([[1, 2], [2, 4]])
+    (0, [-2, 1])
+    >>> left_kernel([[1, 2], [3, 4]])
+    (-2, None)
     """
     t = [list(column) for column in zip(*m)]
-    _echelon(t)
+    pivots, sign = _echelon(t)
     f = next((i for i in range(len(m)) if i == len(t) or t[i][i] == 0), None)
     if f is None:
-        return None
+        return sign * pivots[-1] if pivots else 1, None
     y = [0] * len(m)
     y[f] = t[f - 1][f - 1] if f else 1
     for i in reversed(range(f)):
         y[i] = -sum(t[i][j] * y[j] for j in range(i + 1, f + 1)) // t[i][i]
-    return y
-
+    return 0, y

@@ -14,7 +14,10 @@ coefficients).  The S_n-invariant block comes first: one row per basis
 orbit, one column per node orbit.  If it is singular, a polynomial in the
 span of the basis, checked zero at the nodes, proves the determinant 0.
 Otherwise the matrix is split into one block per character of the group
-generated by the swaps (1 2), (3 4), ... that preserve both sets; each
+generated by the swaps (1 2), (3 4), ... that preserve both sets; the
+trivial character's block is split again by the pair swaps
+(1 3)(2 4), (5 7)(6 8), ..., and what stays trivial is split into the
+invariant block, already eliminated, and its complement.  Each other
 block goes through the fraction-free kernel of _linalg, and the blocks'
 determinants give the determinant: the pair is unisolvent exactly when it
 is not zero.  Inputs whose determinant would exceed MAX_DETERMINANT_BITS,
@@ -43,6 +46,7 @@ from .symcore import (
     apply_to_point,
     check_dimension,
     enumerate_types,
+    orbit_classes,
     orbit_size,
     stabilizer_orbit_count,
     swap_images,
@@ -282,15 +286,18 @@ MAX_DETERMINANT_BITS = 1 << 18
 MAX_BASIS_FUNCTIONS = 125_000
 MAX_ORBIT_WORK = 60_000_000
 
-# analyze refuses a node set over which the blocks of _split_determinant,
-# their sizes cubed and summed, exceed this: about 30 s of elimination on a
-# 2-vCPU Xeon (Python 3.11), where the grid {-1, 0, 1}^7 (3.9e8) took 56 s.
+# analyze refuses a node set over which the character blocks of the first
+# layer of _split_determinant, their sizes cubed and summed, exceed this:
+# about 30 s of elimination on a 2-vCPU Xeon (Python 3.11) when the split was
+# that layer alone, where the grid {-1, 0, 1}^7 (3.9e8) took 56 s.  The later
+# layers only split the trivial block further, so the work is now less.
 MAX_ELIMINATION_WORK = 250_000_000
 
 
 def check_elimination_work(nodes: NodeSet) -> None:
-    """Raise SymlagError when the blocks _split_determinant would eliminate
-    over ``nodes``, their sizes cubed and summed, exceed MAX_ELIMINATION_WORK.
+    """Raise SymlagError when the character blocks of the first layer of
+    _split_determinant over ``nodes``, their sizes cubed and summed, exceed
+    MAX_ELIMINATION_WORK; the blocks the split eliminates come to no more.
 
     The swap (2i-1 2i) fixes a node, bit i of its mask f, when those two
     coordinates are equal; its orbit of 2^(k - |f|) nodes gives one column
@@ -300,7 +307,7 @@ def check_elimination_work(nodes: NodeSet) -> None:
     maps: on the grid {-1, 0, 1}^9 that took 0.23-0.28 s against 0.03 s
     (best of 5, 2-vCPU Xeon, Python 3.11), work that grows as 2^k times the
     node orbits before the basis is read.  A test checks the sum against
-    the blocks the split eliminates.
+    those blocks, and against the blocks the split eliminates.
     """
     k = nodes.n // 2
     masks = Counter(sum((r[2 * i] == r[2 * i + 1]) << i for i in range(k)) for r in nodes.ranks)
@@ -364,12 +371,17 @@ def _cleared_values(
     ]
 
 
+def _row_scale(f: BasisFunction) -> int:
+    """The lcm of f's coefficient denominators, which makes s f integral."""
+    return lcm(*(c.denominator for _, c in f.terms))
+
+
 def _integer_rows(
     functions: Sequence[BasisFunction], cleared: Sequence[tuple[list[int], int]], degree: int
 ) -> tuple[list[list[int]], list[int]]:
-    """Rows s_i q_j^D f_i(a_j) over the cleared points, and the row scales s_i
-    (the lcm of f_i's coefficient denominators)."""
-    scales = [lcm(*(c.denominator for _, c in f.terms)) for f in functions]
+    """Rows s_i q_j^D f_i(a_j) over the cleared points, and the row scales
+    s_i of _row_scale."""
+    scales = [_row_scale(f) for f in functions]
     rows = [
         _cleared_values([(exponents, int(c * s)) for exponents, c in f.terms], cleared, degree)
         for f, s in zip(functions, scales)
@@ -425,6 +437,12 @@ def _orbits(
     return orbits, blocks
 
 
+def _odd(order: Sequence[int]) -> int:
+    """1 when listing 0..N-1 in ``order`` is an odd permutation, else 0."""
+    # a permutation of N items has the parity of N minus its number of cycles
+    return (len(order) - len(Permutation(tuple(i + 1 for i in order)).cycles())) & 1
+
+
 def _adapted_basis_determinant(orbits, blocks) -> int:
     """Determinant of the symmetry-adapted basis of one side, from _orbits.
 
@@ -437,9 +455,7 @@ def _adapted_basis_determinant(orbits, blocks) -> int:
     at = {key: i for i, key in enumerate(key for block in blocks for key in block)}
     rows = [y for members, _ in orbits for y in members]
     columns = [at[o, w] for o, (members, _) in enumerate(orbits) for w in range(len(members))]
-    # a permutation of N items has the parity of N minus its number of cycles
-    odd = sum(len(p) - len(Permutation(tuple(i + 1 for i in p)).cycles()) for p in (rows, columns))
-    det = -1 if odd & 1 else 1
+    det = -1 if _odd(rows) ^ _odd(columns) else 1
     for _, free in orbits:
         m = len(free)
         det *= (1, -2)[m] if m < 2 else 2 ** (m << (m - 1))
@@ -457,10 +473,99 @@ def _walsh(values: list[int]) -> list[int]:
     return v
 
 
+def _character_split(rows_of, row_maps, column_maps, size: int):
+    """One layer of the split of a square matrix M of ``size`` rows, whose
+    entries commuting involutions keep: M[g r, g c] = M[r, c], g acting by
+    ``row_maps`` on rows and by ``column_maps`` on columns, rows_of(indices)
+    giving M's rows at those indices.
+
+    Returns (det T_r / det T_c, blocks, row orbits, column orbits), blocks
+    in the order of the characters, the trivial one first, or None when a
+    block is not square, which makes M singular.  The block of chi is
+    B_chi[r, (c, w)] = sum_u chi(g_u) M[r, g_u c] over the orbit
+    representatives of _orbits; T_r and T_c are the adapted bases of
+    _adapted_basis_determinant, and det M = det T_r / det T_c * prod_chi
+    det B_chi (Fassler & Stiefel 1992).  The trivial block holds every
+    orbit, in order, and sums each column orbit.
+    """
+    r_orbits, r_blocks = _orbits(row_maps, size)
+    c_orbits, c_blocks = _orbits(column_maps, size)
+    if any(len(rows) != len(cols) for rows, cols in zip(r_blocks, c_blocks)):
+        return None
+    reps = rows_of([members[0] for members, _ in r_orbits])
+    spectra = [[_walsh([row[b] for b in members]) for members, _ in c_orbits] for row in reps]
+    blocks = [[[spectra[r][a][w] for a, w in cols] for r, _ in rows] for rows, cols in zip(r_blocks, c_blocks)]
+    factor = Fraction(_adapted_basis_determinant(r_orbits, r_blocks), _adapted_basis_determinant(c_orbits, c_blocks))
+    return factor, blocks, r_orbits, c_orbits
+
+
+def _orbit_of(classes: Iterable[Sequence[int]], size: int) -> list[int]:
+    """For each of 0..size-1, the index of the class that holds it."""
+    orbit_of = [0] * size
+    for o, members in enumerate(classes):
+        for x in members:
+            orbit_of[x] = o
+    return orbit_of
+
+
+def _orbit_maps(maps: Sequence[Sequence[int]], orbits, size: int) -> list[list[int]]:
+    """Index maps that permute the ``orbits`` of _orbits, as maps of those
+    orbits: each orbit goes to the orbit of its first member's image."""
+    orbit_of = _orbit_of((members for members, _ in orbits), size)
+    return [[orbit_of[g[members[0]]] for members, _ in orbits] for g in maps]
+
+
+def _class_and_size(outer, inner, orbit_of: Sequence[int]) -> list[tuple[int, int]]:
+    """(class, size) of each ``outer`` orbit of _orbits, whose members are
+    ``inner`` orbits of one size: the class in ``orbit_of`` of its first
+    item, and the number of items it holds."""
+    return [(orbit_of[inner[first[0]][0][0]], len(first) * len(inner[first[0]][0])) for first, _ in outer]
+
+
+def _regrouped(block: list[list[int]], rows, columns) -> tuple[list[list[int]], Fraction]:
+    """The complement of the S_n-invariant part of the doubly trivial block
+    C, and the factor f with det C = det B * det complement * f, B the
+    invariant block of _invariant_certificate.
+
+    rows[h] = (O, |h|): the basis orbit of row h and the number of functions
+    it stands for; columns[q] = (P, |q|) likewise for the node orbits.  A
+    row of C is one function's values, a column a sum over |q| nodes.
+    Within each group O the rows are replaced by sum_h |h| C[h], which is B's
+    row O with column P scaled by |P|, and by C[h] - C[h_1] for h != h_1;
+    within each group P the columns by sum_q C_q, and |q_1| C_q - |q| C_{q_1}
+    for q != q_1.  These have determinants |O| and |q_1|^(r-2) |P| for the r
+    columns of P (1 when r = 1), and both cross blocks are 0, since a sum
+    over O, or over P, is S_n-invariant.  Listing B's rows and columns first,
+    in the order of the orbits, permutes C's rows and columns: f carries the
+    sign of both permutations.
+    """
+    row_groups: dict[int, list[int]] = {}
+    for h, (o, _) in enumerate(rows):
+        row_groups.setdefault(o, []).append(h)
+    column_groups: dict[int, list[int]] = {}
+    for q, (p, _) in enumerate(columns):
+        column_groups.setdefault(p, []).append(q)
+    rest_rows = [(h, group[0]) for group in row_groups.values() for h in group[1:]]
+    rest_columns = [(q, group[0]) for group in column_groups.values() for q in group[1:]]
+    complement = []
+    for h, h_1 in rest_rows:
+        diff = [x - y for x, y in zip(block[h], block[h_1])]
+        complement.append([columns[q_1][1] * diff[q] - columns[q][1] * diff[q_1] for q, q_1 in rest_columns])
+    odd = _odd([row_groups[o][0] for o in sorted(row_groups)] + [h for h, _ in rest_rows]) ^ _odd(
+        [column_groups[p][0] for p in sorted(column_groups)] + [q for q, _ in rest_columns]
+    )
+    factor = Fraction(-1 if odd else 1)
+    for group in row_groups.values():
+        factor /= sum(rows[h][1] for h in group)
+    for group in column_groups.values():
+        factor *= Fraction(columns[group[0]][1]) ** (2 - len(group))
+    return complement, factor
+
+
 def _invariant_certificate(
     basis: BasisSet, nodes: NodeSet, cleared: Sequence[tuple[list[int], int]], degree: int
-) -> tuple[list[int], dict[tuple[int, ...], int]] | None:
-    """A polynomial that proves det [f_i(a_j)] = 0, or None.
+) -> tuple[int, tuple[list[int], dict[tuple[int, ...], int]] | None]:
+    """(det B, None), or (0, (y, g)) with a polynomial g that proves det [f_i(a_j)] = 0.
 
     A unisolvent pair's evaluation map is an S_n-equivariant isomorphism,
     hence one on the fixed parts (Fassler & Stiefel 1992), where it is the
@@ -468,6 +573,7 @@ def _invariant_certificate(
     column per node orbit P, square by the caller's check.  Row O is scaled
     by s_O, the lcm of the coefficient denominators its functions share,
     and column P by q_P^D, over ``cleared`` and ``degree`` of _cleared_points.
+    One elimination gives det B, a factor of the split's determinant.
 
     A singular B gives (y, g): y a nonzero integer left kernel vector, and
     g = sum_O y_O s_O sum_{f in O} f as merged integer terms, in the span of
@@ -478,63 +584,100 @@ def _invariant_certificate(
     # Counter.update adds, and keeps what cancels to 0 or below
     sums = []
     for orbit in basis.orbits:
-        s = lcm(*(c.denominator for _, c in orbit[0].terms))
+        s = _row_scale(orbit[0])
         terms: Counter = Counter()
         for f in orbit:
             terms.update({exponents: int(c * s) for exponents, c in f.terms})
         sums.append(terms)
     reps = [cleared[orbit.members[0]] for orbit in nodes.orbits]
-    y = _linalg.left_kernel_vector([_cleared_values(terms.items(), reps, degree) for terms in sums])
+    det, y = _linalg.left_kernel([_cleared_values(terms.items(), reps, degree) for terms in sums])
     if y is None:
-        return None
+        return det, None
     merged: Counter = Counter()
     for weight, terms in zip(y, sums):
         merged.update({exponents: weight * c for exponents, c in terms.items()})
     g = {exponents: c for exponents, c in merged.items() if c}
     if not any(y) or any(_cleared_values(g.items(), reps, degree)):
         raise ArithmeticError("the kernel of the invariant block gave a polynomial that is not zero at every node")
-    return y, g
+    return 0, (y, g)
 
 
 def _split_determinant(
-    basis: BasisSet, points: Sequence[Point], cleared: Sequence[tuple[list[int], int]], degree: int
+    basis: BasisSet,
+    nodes: NodeSet,
+    points: Sequence[Point],
+    cleared: Sequence[tuple[list[int], int]],
+    degree: int,
+    invariant: int,
 ) -> Fraction:
     """Exact det [f_i(a_j)] over integers, one symmetry block at a time, on
-    the points of a validated node set as _cleared_points clears them (to
-    ``degree``).
+    the ``points`` of ``nodes`` as _cleared_points clears them (to
+    ``degree``), given det B = ``invariant`` from _invariant_certificate;
+    both sets have as many S_n-orbits.
 
-    Both validated sets are closed under every swap, so all floor(n/2) of
-    (1 2), (3 4), ... generate A = (Z/2)^k, and M[g f, g a] = M[f, a].  In the
-    symmetry-adapted bases of both sides M becomes block diagonal with one
-    block per character chi of A (Fassler & Stiefel 1992):
-    B_chi[f, a] = sum_u chi(g_u) M[f, g_u a] over orbit representatives on
-    whose stabilizers chi is trivial.  A non-square or rank-deficient block
-    means det M = 0.  Otherwise, with T_f and T_p the adapted bases of
-    _adapted_basis_determinant, row f of the block for chi in T_f^T M T_p is
-    |orbit of f| times row f of B_chi; T_f's columns are orthogonal, each of
-    squared length |orbit|, so det T_f^2 = prod_f |orbit of f|^|orbit of f|
-    over orbit representatives, and det M = prod_chi det B_chi * det T_f /
-    det T_p, divided by the integer scales, all exact.  With k = 0 this is
-    one Bareiss pass on M.
+    Both validated sets are closed under S_n, and M[g f, g a] = M[f, a] for
+    every permutation g.  Three exact layers split M:
+
+    1. The swaps (1 2), (3 4), ... generate A = (Z/2)^(n//2), and
+       _character_split gives one block per character of A.
+    2. The pair swaps tau_j = (4j+1 4j+3)(4j+2 4j+4), j < n//4, commute and
+       normalize A, so they permute the A-orbits of both sides and keep A's
+       trivial block: _character_split splits it again, on their maps of
+       the orbits (no tau for n < 4: the block passes through whole).
+    3. The block that stays trivial has one row per orbit h of H = <A, tau>
+       on the functions, that of its first function, and one column per
+       orbit q of H on the nodes, the sum over it.  _regrouped splits it
+       into [B with column P scaled by |P|] + [complement], and det B is
+       ``invariant``, so B is eliminated once per request.
+
+    A non-square or singular block means det M = 0.  Otherwise det M is the
+    product of the blocks' determinants and the layers' closed-form factors,
+    divided by the integer scales, all exact.  For n = 1 only B remains.
     """
-    functions = basis.functions
-    # (1 2), (3 4), ... are every other adjacent transposition
-    f_orbits, f_blocks = _orbits(basis.swaps[::2], len(functions))
-    p_orbits, p_blocks = _orbits(swap_images(points, adjacent_transpositions(basis.n)[::2]), len(points))
-    if any(len(rows) != len(cols) for rows, cols in zip(f_blocks, p_blocks)):
-        return Fraction(0)
+    functions, n = basis.functions, basis.n
+    k = n // 2
+    taus = []
+    for j in range(n // 4):
+        images = list(range(1, n + 1))
+        images[4 * j:4 * j + 4] = [4 * j + 3, 4 * j + 4, 4 * j + 1, 4 * j + 2]
+        taus.append(Permutation(images))
+    point_maps = swap_images(points, adjacent_transpositions(n)[::2] + taus)
+    # tau_j is (a+2 a+3)(a+1 a+2)(a+3 a+4)(a+2 a+3) for a = 4j, from the
+    # adjacent swaps the basis keeps
+    swaps = basis.swaps
+    function_taus = [
+        [swaps[a + 1][swaps[a][swaps[a + 2][swaps[a + 1][x]]]] for x in range(len(functions))]
+        for a in range(0, 4 * len(taus), 4)
+    ]
 
-    reps, scales = _integer_rows([functions[members[0]] for members, _ in f_orbits], cleared, degree)
-    spectra = [[_walsh([row[b] for b in members]) for members, _ in p_orbits] for row in reps]
-    det = _adapted_basis_determinant(f_orbits, f_blocks)
-    for rows, cols in zip(f_blocks, p_blocks):
-        block_det = _linalg.integer_determinant([[spectra[r][a][w] for a, w in cols] for r, _ in rows])
+    def function_rows(reps: list[int]) -> list[list[int]]:
+        return _integer_rows([functions[i] for i in reps], cleared, degree)[0]
+
+    first = _character_split(function_rows, swaps[::2], point_maps[:k], len(functions))
+    if first is None:
+        return Fraction(0)
+    factor, blocks, f_orbits, p_orbits = first
+    second = _character_split(
+        lambda reps: [blocks[0][r] for r in reps],
+        _orbit_maps(function_taus, f_orbits, len(functions)),
+        _orbit_maps(point_maps[k:], p_orbits, len(points)),
+        len(f_orbits),
+    )
+    if second is None:
+        return Fraction(0)
+    tau_factor, tau_blocks, h_rows, h_columns = second
+    complement, regroup_factor = _regrouped(
+        tau_blocks[0],
+        _class_and_size(h_rows, f_orbits, _orbit_of(orbit_classes(swaps, len(functions)), len(functions))),
+        _class_and_size(h_columns, p_orbits, _orbit_of((orbit.members for orbit in nodes.orbits), len(points))),
+    )
+    det = factor * tau_factor * regroup_factor * invariant
+    for block in [*blocks[1:], *tau_blocks[1:], complement]:
+        block_det = _linalg.integer_determinant(block)
         if block_det == 0:
             return Fraction(0)
         det *= block_det
-    row_scale = prod(s ** len(members) for s, (members, _) in zip(scales, f_orbits))
-    column_scale = prod(q for _, q in cleared) ** degree
-    return Fraction(det, _adapted_basis_determinant(p_orbits, p_blocks) * row_scale * column_scale)
+    return det / (prod(map(_row_scale, functions)) * prod(q for _, q in cleared) ** degree)
 
 
 def vandermonde(basis: BasisSet, nodes: NodeSet, mode: str = "exact") -> UnisolvenceReport:
@@ -559,11 +702,11 @@ def vandermonde(basis: BasisSet, nodes: NodeSet, mode: str = "exact") -> Unisolv
         raise ValueError("need at least one function and one node")
     points = nodes.points
     cleared, degree = _cleared_points(basis.functions, points)
-    square = len(basis.orbits) == len(nodes.orbits)
-    if square and _invariant_certificate(basis, nodes, cleared, degree) is None:
-        det = _split_determinant(basis, points, cleared, degree)
-    else:
-        det = Fraction(0)
+    det = Fraction(0)
+    if len(basis.orbits) == len(nodes.orbits):
+        invariant, _ = _invariant_certificate(basis, nodes, cleared, degree)
+        if invariant:
+            det = _split_determinant(basis, nodes, points, cleared, degree, invariant)
     verdict = VERDICT_UNISOLVENT if det != 0 else VERDICT_SINGULAR
     return UnisolvenceReport(size=len(basis), determinant=det, verdict=verdict)
 

@@ -23,11 +23,12 @@ agree.  ``equivalent`` builds it as an index map.
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
+import operator
 import re
 import sys
-from collections import Counter
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
@@ -73,24 +74,34 @@ class Point(NamedTuple("Point", [("coords", tuple[Fraction, ...])])):
         return "(" + ", ".join(str(c) for c in self.coords) + ")"
 
 
-def _orbit_type(coords: Sequence) -> OrbitType:
-    """Orbit type of a point: counts[i-1] = number of values occurring i times."""
-    counts = [0] * len(coords)
-    for m in Counter(coords).values():
-        counts[m - 1] += 1
-    return OrbitType(tuple(counts))
+# R^n has 2^(n-1) shapes, one set few of them; the bound keeps a process small
+@functools.lru_cache(maxsize=1 << 12)
+def _shape(steps: tuple[bool, ...]) -> tuple[OrbitType, tuple[int, ...]]:
+    """The orbit type of a sorted rank key whose neighbours differ where
+    ``steps`` is true, and the positions of the key that list its canonical
+    representative.
 
-
-def _canonical(coords: Sequence) -> list:
-    """The orbit representative in canonical block order: values grouped by
-    ascending multiplicity, ties by value, e.g. (b,c,d,d,c,d,a) -> (a,b,c,c,d,d,d).
-
-    Two same-type representatives built this way share their equality pattern
-    position-for-position, hence share their stabilizer subgroup — which is
-    what makes the equivalence bijection below well defined.
+    The key's runs of equal ranks are its value blocks, counts[m-1] of them
+    of length m.  The canonical order takes the blocks by ascending length,
+    ties by value, e.g. (b,c,d,d,c,d,a) -> (a,b,c,c,d,d,d): a stable sort of
+    the runs by length, since ranks keep the order of values.  Two same-type
+    representatives built this way share their equality pattern position
+    for position, hence their stabilizer subgroup, which makes the
+    equivalence bijection below well defined.
     """
-    multiplicity = Counter(coords)
-    return [v for v in sorted(multiplicity, key=lambda v: (multiplicity[v], v)) for _ in range(multiplicity[v])]
+    starts = [0, *(i + 1 for i, step in enumerate(steps) if step), len(steps) + 1]
+    runs = sorted((range(a, b) for a, b in zip(starts, starts[1:])), key=len)
+    counts = [0] * (len(steps) + 1)
+    for run in runs:
+        counts[len(run) - 1] += 1
+    return OrbitType(tuple(counts)), tuple(i for run in runs for i in run)
+
+
+def _type_and_rep(key: Sequence[int]) -> tuple[OrbitType, list[int]]:
+    """The orbit type and the canonical representative, as ranks, of the
+    orbit whose arrangement in ascending order is ``key``."""
+    orbit_type, positions = _shape(tuple(map(operator.ne, key, key[1:])))
+    return orbit_type, [key[i] for i in positions]
 
 
 class Orbit(NamedTuple):
@@ -162,8 +173,8 @@ def _validated(rows: list[Sequence[int]], slot_values: Sequence[Fraction], n: in
     for i, ranks in enumerate(ranked):
         groups.setdefault(tuple(sorted(ranks)), []).append(i)
     orbits = tuple(
-        Orbit(type=_orbit_type(key), members=tuple(members), rep=point(_canonical(key)))
-        for key, members in groups.items()
+        Orbit(orbit_type, tuple(members), point(rep))
+        for (orbit_type, rep), members in zip(map(_type_and_rep, groups), groups.values())
     )
     # swaps keep each point in its group, so the first witness is in a short one
     short = sorted(i for orbit in orbits if len(orbit.members) != orbit_size(orbit.type) for i in orbit.members)
@@ -228,7 +239,8 @@ def equivalent(s1: NodeSet, s2: NodeSet) -> EquivalenceResult:
     image = [0] * len(s1)
     for oa in s1.orbits:
         ob = unmatched[oa.type].pop()
-        rank = dict(zip(_canonical(s1.ranks[oa.members[0]]), _canonical(s2.ranks[ob.members[0]])))
+        # an orbit's first member is its ascending arrangement, the least
+        rank = dict(zip(_type_and_rep(s1.ranks[oa.members[0]])[1], _type_and_rep(s2.ranks[ob.members[0]])[1]))
         for i in oa.members:
             image[i] = index_b[tuple(map(rank.__getitem__, s1.ranks[i]))]
     return EquivalenceResult(True, va, vb, tuple(image))

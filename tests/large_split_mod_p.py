@@ -1,4 +1,4 @@
-"""The split determinant against elimination mod p at N = 210 and N = 252.
+"""The split determinant against elimination mod p at N = 210, 252 and 330.
 
 Too slow for the tier-1 suite, whose pattern ``test_*.py`` this file's name
 falls outside; run it by name:
@@ -22,7 +22,7 @@ from oracles import determinant_mod_p, residue, vandermonde_mod_p
 from conftest import forced_node_set, total_degree_exponents
 
 
-@pytest.mark.parametrize("n, d", [(6, 4), (5, 5)], ids=["N210", "N252"])
+@pytest.mark.parametrize("n, d", [(6, 4), (5, 5), (4, 7)], ids=["N210", "N252", "N330"])
 def test_split_matches_elimination_mod_p_at_large_size(n, d):
     functions = [BasisFunction.monomial(e) for e in total_degree_exponents(n, d)]
     basis = validate_symmetric_basis(functions)

@@ -4,7 +4,8 @@ Rational cases are cleared to integers here, row by row; determinants,
 those of each leading block included, are then checked against the
 Leibniz permutation expansion of the rational matrix times the row
 multipliers, and pivot counts and left kernel vectors against the size
-of the largest nonzero minor.
+of the largest nonzero minor; the kernel's pass over the transpose must
+give the same determinant.
 """
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 
 from symlag import _linalg
 
-from oracles import fraction_rank
+from oracles import fraction_determinant, fraction_rank
 
 F = Fraction
 
@@ -114,13 +115,17 @@ def test_rank_is_largest_nonzero_minor(name):
 @pytest.mark.parametrize("name", [name for name in [*SQUARE, *RECTANGULAR] if name != "empty"])
 def test_left_kernel_vector_exactly_when_the_rows_are_dependent(name):
     a = {**SQUARE, **RECTANGULAR}[name]
-    m = cleared(a)[0]
-    y = _linalg.left_kernel_vector([row[:] for row in m])
+    m, mults = cleared(a)
+    det, y = _linalg.left_kernel([row[:] for row in m])
     if reference_rank(a) == len(a):
         assert y is None
     else:
+        assert det == 0
         assert all(type(x) is int for x in y) and any(y)
         assert all(sum(c * row[j] for c, row in zip(y, m)) == 0 for j in range(len(m[0])))
+    if name in SQUARE:
+        # the same pass gives the determinant, sign included
+        assert det == leibniz(a) * prod(mults)
 
 
 @st.composite
@@ -140,9 +145,12 @@ def _low_rank_matrices(draw):
 @settings(derandomize=True, database=None, deadline=None, max_examples=300)
 @given(_low_rank_matrices())
 def test_left_kernel_vector_exactly_when_the_rank_falls_short(m):
-    y = _linalg.left_kernel_vector([row[:] for row in m])
+    det, y = _linalg.left_kernel([row[:] for row in m])
+    if len(m) == len(m[0]):
+        assert det == fraction_determinant(m)
     if fraction_rank(m) == len(m):
         assert y is None
     else:
+        assert det == 0
         assert len(y) == len(m) and all(type(x) is int for x in y) and any(y)
         assert all(sum(c * row[j] for c, row in zip(y, m)) == 0 for j in range(len(m[0])))

@@ -17,6 +17,7 @@ import pytest
 
 from symlag import (
     BasisFunction,
+    Permutation,
     Point,
     validate_symmetric,
     validate_symmetric_basis,
@@ -24,6 +25,7 @@ from symlag import (
     vandermonde_matrix,
 )
 from symlag import _linalg, interp
+from symlag.symcore import adjacent_transpositions, swap_images
 from symlag.interp import VERDICT_SINGULAR
 
 from oracles import (
@@ -56,9 +58,14 @@ def rational_basis(n, d):
 
 
 def split(basis, nodes):
-    """The split determinant alone, on the points as vandermonde clears them."""
+    """The split determinant alone, on the points as vandermonde clears them,
+    given the invariant block's determinant, 0 when orbit counts differ."""
     points = nodes.points
-    return interp._split_determinant(basis, points, *interp._cleared_points(basis.functions, points))
+    cleared, degree = interp._cleared_points(basis.functions, points)
+    invariant = 0
+    if len(basis.orbits) == len(nodes.orbits):
+        invariant, _ = interp._invariant_certificate(basis, nodes, cleared, degree)
+    return interp._split_determinant(basis, nodes, points, cleared, degree, invariant)
 
 
 def both(functions, points):
@@ -183,12 +190,24 @@ def test_singular_by_a_non_square_block(monkeypatch):
 
 
 def test_singular_by_a_zero_block(monkeypatch):
+    # (x1 - x2)(x1 + x2 - 3) lies in total degree 2 and vanishes on these
+    # nodes; it is antisymmetric, so the invariant block is nonsingular and
+    # the block of the sign character of (1 2) is square and singular
+    blocks = _count_eliminated_blocks(monkeypatch)
+    basis = validate_symmetric_basis([BasisFunction.monomial(e) for e in total_degree_exponents(2, 2)])
+    nodes = validate_symmetric([Point.of(*p) for p in [(1, 1), (5, 5), (0, 3), (3, 0), (1, 2), (2, 1)]])
+    assert split(basis, nodes) == 0 == fraction_determinant(vandermonde_matrix(basis.functions, nodes.points))
+    assert blocks and blocks[-1][1] == 0
+
+
+def test_a_singular_invariant_block_is_a_zero_factor_of_the_split(monkeypatch):
     # the quadratic basis vanishes on this case-3 set through its symmetric
-    # factor, so the trivial-character block is square and singular
+    # factor: det B = 0 is a factor of det M, and every block the split
+    # eliminates is nonsingular
     blocks = _count_eliminated_blocks(monkeypatch)
     basis, nodes = quadratic_basis(), case3_set(2, 1, 1, Fraction(7, 4))
     assert split(basis, nodes) == 0 == fraction_determinant(vandermonde_matrix(basis.functions, nodes.points))
-    assert blocks and blocks[-1][1] == 0
+    assert blocks and all(det for _, det in blocks)
 
 
 def test_the_invariant_block_decides_the_case3_pair_before_the_split(monkeypatch):
@@ -213,20 +232,144 @@ def test_exact_evaluation_refuses_huge_entries():
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_elimination_work_is_that_of_the_blocks_the_split_eliminates(n, monkeypatch):
+    # the measure is that of the first layer's character blocks, built by
+    # _orbits over the nodes' maps of (1 2), (3 4), ...; the later layers
+    # only split those blocks further, so what is eliminated never exceeds it
     blocks = _count_eliminated_blocks(monkeypatch)
     rng = random.Random(7300 + n)
     functions = [BasisFunction.monomial(e) for e in total_degree_exponents(n, TOTAL_DEGREE[n])]
     checked = 0
     for _ in range(3):
         nodes = forced_node_set(rng, functions)
-        blocks.clear()
-        if vandermonde(validate_symmetric_basis(functions), nodes).determinant == 0:
-            continue  # a singular block, invariant or split, stopped the elimination
-        work = sum(size**3 for size, _ in blocks)
+        maps = swap_images(nodes.points, adjacent_transpositions(n)[::2])
+        work = sum(len(block) ** 3 for block in interp._orbits(maps, len(nodes))[1])
         monkeypatch.setattr(interp, "MAX_ELIMINATION_WORK", work)
         interp.check_elimination_work(nodes)
         monkeypatch.setattr(interp, "MAX_ELIMINATION_WORK", work - 1)
         with pytest.raises(interp.SymlagError, match=f"come to {work}, above the limit of {work - 1};"):
             interp.check_elimination_work(nodes)
-        checked += 1
+        blocks.clear()
+        det = vandermonde(validate_symmetric_basis(functions), nodes).determinant
+        assert sum(size**3 for size, _ in blocks) <= work
+        checked += det != 0  # a singular block, invariant or split, stops the elimination
     assert checked
+
+
+# -- the layers of the split, on pairs built to exercise them ------------------
+
+def _closure(x, generators):
+    """x and its images under the group the permutations generate."""
+    seen, todo = {x}, [x]
+    while todo:
+        y = todo.pop()
+        for g in generators:
+            z = y.permuted(g)
+            if z not in seen:
+                seen.add(z)
+                todo.append(z)
+    return seen
+
+
+def _pair_swaps(n):
+    """(1 2), (3 4), ..., then tau_j = (4j+1 4j+3)(4j+2 4j+4), as permutations."""
+    swaps = adjacent_transpositions(n)[::2]
+    taus = []
+    for j in range(n // 4):
+        images = list(range(1, n + 1))
+        images[4 * j:4 * j + 4] = [4 * j + 3, 4 * j + 4, 4 * j + 1, 4 * j + 2]
+        taus.append(Permutation(images))
+    return swaps, taus
+
+
+def _layer_shapes(items, n):
+    """What the layers see of a symmetric set: whether tau fixes an A-orbit,
+    and the sizes of the orbits of H = <A, tau> within each S_n-orbit."""
+    swaps, taus = _pair_swaps(n)
+    tau_fixes, groups, left = False, [], set(items)
+    while left:
+        whole = _closure(next(iter(left)), adjacent_transpositions(n))
+        left -= whole
+        sizes = []
+        while whole:
+            h = _closure(next(iter(whole)), swaps + taus)
+            whole -= h
+            sizes.append(len(h))
+            a = _closure(next(iter(h)), swaps)
+            tau_fixes |= any(next(iter(a)).permuted(t) in a for t in taus)
+        groups.append(sizes)
+    return tau_fixes, groups
+
+
+# per dimension: the total degree of the monomial part, and further seeds as
+# terms; x1^2*x2 + x2^2*x3 + x3^2*x1 is fixed by the 3-cycles only,
+# x1^2*x2^2 + x3^2*x4^2 by a dihedral group of order 8, and
+# x1*x2*x3 + x4*x5*x6 by S_3 x S_3 and (1 4)(2 5)(3 6): none of these
+# stabilizers is a Young subgroup
+_LAYER_SEEDS = {
+    1: (5, []),
+    2: (3, []),
+    3: (2, [[((2, 1, 0), 1), ((0, 2, 1), 1), ((1, 0, 2), 1)]]),
+    4: (2, [[((2, 2, 0, 0), 1), ((0, 0, 2, 2), 1)]]),
+    5: (2, []),
+    6: (1, [[((1, 1, 1, 0, 0, 0), 1), ((0, 0, 0, 1, 1, 1), 1)]]),
+}
+
+
+def _layer_basis(rng, n):
+    """The S_n-orbits of c0 p + c1 (x1 + ... + xn) p over the seeds p, with
+    random rational c0 != 0 and c1 for each: several terms, and the
+    stabilizer of p."""
+    degree, extra = _LAYER_SEEDS[n]
+    seeds = [[(e, 1)] for e in total_degree_exponents(n, degree) if list(e) == sorted(e, reverse=True)] + extra
+    functions = set()
+    for seed in seeds:
+        c0, c1 = rand_fraction(rng, 1, 9, 5), rand_fraction(rng, -9, 9, 5)
+        terms = [(e, c0 * k) for e, k in seed]
+        terms += [(tuple(x + (i == j) for j, x in enumerate(e)), c1 * k) for e, k in seed for i in range(n)]
+        functions |= _closure(BasisFunction.from_terms(terms), adjacent_transpositions(n))
+    return sorted(functions)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_the_layers_keep_the_determinant_exact_sign_included(n):
+    # the second derivation is Gaussian elimination over the rationals on
+    # the matrix in the sets' sorted order; node sets with repeated
+    # coordinates give A-orbits that tau fixes, S_n-orbits that split into
+    # H-orbits of unequal sizes, and S_n-orbits that are one H-orbit
+    rng = random.Random(7900 + n)
+    seen = {"tau fixes an A-orbit": False, "unequal split": False, "one H-orbit": False}
+    nonzero = 0
+    for _ in range(3):
+        functions = _layer_basis(rng, n)
+        nodes = forced_node_set(rng, functions)
+        split, plain = both(shuffled(rng, functions), shuffled(rng, nodes.points))
+        assert split == plain
+        nonzero += split != 0
+        for items in (functions, nodes.points):
+            tau_fixes, groups = _layer_shapes(items, n)
+            seen["tau fixes an A-orbit"] |= tau_fixes
+            seen["unequal split"] |= any(len(set(sizes)) > 1 for sizes in groups)
+            seen["one H-orbit"] |= any(len(sizes) == 1 for sizes in groups)
+    assert nonzero
+    assert seen == {"tau fixes an A-orbit": n >= 4, "unequal split": n >= 3, "one H-orbit": True}
+
+
+@pytest.mark.parametrize("n, d, largest", [(5, 4, 28), (3, 6, 34)])
+def test_the_split_eliminates_no_block_past_the_first_layers_nontrivial_ones(n, d, largest, monkeypatch):
+    # A's trivial block is 58 x 58 at (5,4) and 50 x 50 at (3,6); the pair
+    # swaps and the regrouping leave nothing larger than A's other blocks,
+    # 28 and 34, and the c x c invariant block is eliminated once, by the
+    # certificate's pass
+    blocks = _count_eliminated_blocks(monkeypatch)
+    kernels, passes = [], []
+    left_kernel, echelon = _linalg.left_kernel, _linalg._echelon
+    monkeypatch.setattr(interp._linalg, "left_kernel", lambda m: kernels.append(len(m)) or left_kernel(m))
+    monkeypatch.setattr(interp._linalg, "_echelon", lambda m: passes.append(len(m)) or echelon(m))
+    functions = [BasisFunction.monomial(e) for e in total_degree_exponents(n, d)]
+    basis = validate_symmetric_basis(functions)
+    for seed in (7500, 7501):
+        blocks.clear(), kernels.clear(), passes.clear()
+        assert vandermonde(basis, forced_node_set(random.Random(seed), functions)).determinant != 0
+        assert max(size for size, _ in blocks) <= largest
+        assert kernels == [len(basis.orbits)]
+        assert len(passes) == len(blocks) + 1
