@@ -1,9 +1,10 @@
-"""Dense integer determinants and left kernel vectors on one fraction-free kernel.
+"""Dense integer determinants and left kernel vectors through one entry.
 
-`_echelon` is a Bareiss pass (Bareiss 1968) whose divisions are all exact.
-Its pivots give the determinant and the rank, and one pass over the
-transpose of m gives the determinant of m or a left kernel vector.  Every
-entry is an integer; callers clear denominators first.
+`_echelon` is a Bareiss pass (Bareiss 1968) whose divisions are all exact;
+its pivots give the determinant and the rank.  `left_kernel` runs it once
+over the transpose of m, which gives the determinant of a square m or a
+left kernel vector.  Every entry is an integer; callers clear denominators
+first.
 """
 from __future__ import annotations
 
@@ -29,18 +30,6 @@ def _echelon(m: list[list[int]]) -> tuple[list[int], int]:
         prev = piv
         r += 1
     return pivots, sign
-
-
-def integer_determinant(m: list[list[int]]) -> int:
-    """Determinant of a square integer matrix, eliminated in place.
-
-    >>> integer_determinant([[2, 1], [4, 3]])
-    2
-    """
-    pivots, sign = _echelon(m)
-    if len(pivots) < len(m):
-        return 0
-    return sign * pivots[-1] if pivots else 1
 
 
 def left_kernel(m: list[list[int]]) -> tuple[int, list[int] | None]:

@@ -98,9 +98,6 @@ class VMatrix(_TypeTable):
 
     __slots__ = ()
 
-    def is_symmetric(self) -> bool:
-        return list(zip(*self.entries)) == list(map(tuple, self.entries))
-
     def determinant(self) -> int:
         return self.leading_principal_minors()[-1]
 

@@ -8,9 +8,10 @@ to x^(e') with e'[j] = e[sigma(j)], the same coordinate action used for
 points, and evaluation satisfies (sigma f)(x) = f(sigma^{-1} x).
 
 Unisolvence of a (basis, nodes) pair is decided by the exact determinant
-of the evaluation matrix f_i(a_j), evaluated over the integers (points
-cleared by the lcm of their denominators, functions by that of their
-coefficients).  The S_n-invariant block comes first: one row per basis
+of the evaluation matrix f_i(a_j), evaluated over the integers: each point
+a as the homogeneous vector (q, q a_1, ..., q a_n), q the lcm of its
+denominators, and each function scaled by the lcm of its coefficient
+denominators.  The S_n-invariant block comes first: one row per basis
 orbit, one column per node orbit.  If it is singular, a polynomial in the
 span of the basis, checked zero at the nodes, proves the determinant 0.
 Otherwise the matrix is split into one block per character of the group
@@ -18,10 +19,11 @@ generated by the swaps (1 2), (3 4), ... that preserve both sets; the
 trivial character's block is split again by the pair swaps
 (1 3)(2 4), (5 7)(6 8), ..., and what stays trivial is split into the
 invariant block, already eliminated, and its complement.  Each other
-block goes through the fraction-free kernel of _linalg, and the blocks'
-determinants give the determinant: the pair is unisolvent exactly when it
-is not zero.  Inputs whose determinant would exceed MAX_DETERMINANT_BITS,
-or whose blocks MAX_ELIMINATION_WORK, are refused before evaluation.
+block goes through _linalg.left_kernel, the pass that eliminates the
+invariant block, and the blocks' determinants give the determinant: the
+pair is unisolvent exactly when it is not zero.  Inputs whose determinant
+would exceed MAX_DETERMINANT_BITS, or whose blocks MAX_ELIMINATION_WORK,
+are refused before evaluation.
 Before any determinant work, cheap necessary conditions run: equal
 counts, equal orbit counts, and the orbit vector forced by the exact
 linear system V X = r, solved and certified through the triangular factor
@@ -33,6 +35,7 @@ import re
 from collections import Counter
 from fractions import Fraction
 from math import lcm, prod
+from operator import mul
 from typing import Iterable, NamedTuple, Sequence
 
 from . import _linalg
@@ -49,7 +52,6 @@ from .symcore import (
     orbit_classes,
     orbit_size,
     stabilizer_orbit_count,
-    swap_images,
     symmetric_orbit_classes,
 )
 
@@ -326,30 +328,29 @@ def _log2_bound(x: int) -> int:
 
 
 def _cleared_points(
-    functions: Sequence[BasisFunction], points: Sequence[Point]
-) -> tuple[list[tuple[list[int], int]], int]:
-    """Each point as (integer coordinates, q), q the lcm of its coordinate
-    denominators, and the largest total degree D of the functions.
+    functions: Sequence[BasisFunction], points: Sequence[Sequence[Fraction]]
+) -> tuple[list[tuple[int, ...]], int]:
+    """Each point a, given by its coordinates, as the homogeneous integer
+    vector (q, q a_1, ..., q a_n), q the lcm of its coordinate denominators,
+    and the largest total degree D of the functions.
 
     Raises SymlagError, before any power is taken, when N times the
     estimated bits of the largest cleared entry s_i q_j^D f_i(a_j) exceeds
     MAX_DETERMINANT_BITS.
     """
-    dims = {p.n for p in points}
+    dims = {len(p) for p in points}
     for f in functions:
         if dims - {f.n}:
-            bad = next(p for p in points if p.n != f.n)
-            raise DimensionMismatchError(f"point of dimension {bad.n}, function of dimension {f.n}")
+            bad = next(p for p in points if len(p) != f.n)
+            raise DimensionMismatchError(f"point of dimension {len(bad)}, function of dimension {f.n}")
     cleared = []
     for p in points:
-        q = lcm(*(c.denominator for c in p.coords))
-        cleared.append(([c.numerator * (q // c.denominator) for c in p.coords], q))
+        q = lcm(*(c.denominator for c in p))
+        cleared.append((q, *(c.numerator * (q // c.denominator) for c in p)))
     degree = max((sum(e) for f in functions for e, _ in f.terms), default=0)
     if functions and points:
-        coord_bits = [max(_log2_bound(xs[i]) for xs, _ in cleared) for i in range(functions[0].n)]
-        entry_bits = degree * max(_log2_bound(q) for _, q in cleared) + max(
-            sum(k * b for k, b in zip(e, coord_bits)) for f in functions for e, _ in f.terms
-        )
+        q_bits, *coord_bits = (max(map(_log2_bound, column)) for column in zip(*cleared))
+        entry_bits = degree * q_bits + max(sum(map(mul, e, coord_bits)) for f in functions for e, _ in f.terms)
         estimate = max(len(functions), len(points)) * entry_bits
         if estimate > MAX_DETERMINANT_BITS:
             raise SymlagError(
@@ -360,15 +361,13 @@ def _cleared_points(
 
 
 def _cleared_values(
-    terms: Iterable[tuple[tuple[int, ...], int]], cleared: Sequence[tuple[list[int], int]], degree: int
+    terms: Iterable[tuple[tuple[int, ...], int]], cleared: Sequence[tuple[int, ...]], degree: int
 ) -> list[int]:
-    """q^D g(a) at each cleared point (integer coordinates of a times q, q),
-    for the polynomial g of the integer terms (exponents, c), of degree at most D."""
-    shifted = [(c, exponents, degree - sum(exponents)) for exponents, c in terms]
-    return [
-        sum(c * prod(x**e for x, e in zip(xs, exponents)) * q**shift for c, exponents, shift in shifted)
-        for xs, q in cleared
-    ]
+    """q^D g(a) at each cleared point (q, q a_1, ..., q a_n) of _cleared_points,
+    for the polynomial g of the integer terms (exponents e, c), of degree at
+    most D, each homogenized to c x_0^(D - |e|) x^e."""
+    homogeneous = [(c, (degree - sum(e), *e)) for e, c in terms]
+    return [sum(c * prod(map(pow, x, e)) for c, e in homogeneous) for x in cleared]
 
 
 def _row_scale(f: BasisFunction) -> int:
@@ -377,7 +376,7 @@ def _row_scale(f: BasisFunction) -> int:
 
 
 def _integer_rows(
-    functions: Sequence[BasisFunction], cleared: Sequence[tuple[list[int], int]], degree: int
+    functions: Sequence[BasisFunction], cleared: Sequence[tuple[int, ...]], degree: int
 ) -> tuple[list[list[int]], list[int]]:
     """Rows s_i q_j^D f_i(a_j) over the cleared points, and the row scales
     s_i of _row_scale."""
@@ -391,9 +390,9 @@ def _integer_rows(
 
 def vandermonde_matrix(functions: Sequence[BasisFunction], points: Sequence[Point]) -> list[list[Fraction]]:
     """Exact evaluation matrix with rows f_i and columns a_j."""
-    cleared, degree = _cleared_points(functions, points)
+    cleared, degree = _cleared_points(functions, [p.coords for p in points])
     rows, scales = _integer_rows(functions, cleared, degree)
-    columns = [q**degree for _, q in cleared]
+    columns = [x[0] ** degree for x in cleared]
     return [[Fraction(x, s * t) for x, t in zip(row, columns)] for row, s in zip(rows, scales)]
 
 
@@ -563,7 +562,7 @@ def _regrouped(block: list[list[int]], rows, columns) -> tuple[list[list[int]], 
 
 
 def _invariant_certificate(
-    basis: BasisSet, nodes: NodeSet, cleared: Sequence[tuple[list[int], int]], degree: int
+    basis: BasisSet, nodes: NodeSet, cleared: Sequence[tuple[int, ...]], degree: int
 ) -> tuple[int, tuple[list[int], dict[tuple[int, ...], int]] | None]:
     """(det B, None), or (0, (y, g)) with a polynomial g that proves det [f_i(a_j)] = 0.
 
@@ -603,17 +602,12 @@ def _invariant_certificate(
 
 
 def _split_determinant(
-    basis: BasisSet,
-    nodes: NodeSet,
-    points: Sequence[Point],
-    cleared: Sequence[tuple[list[int], int]],
-    degree: int,
-    invariant: int,
+    basis: BasisSet, nodes: NodeSet, cleared: Sequence[tuple[int, ...]], degree: int, invariant: int
 ) -> Fraction:
     """Exact det [f_i(a_j)] over integers, one symmetry block at a time, on
-    the ``points`` of ``nodes`` as _cleared_points clears them (to
-    ``degree``), given det B = ``invariant`` from _invariant_certificate;
-    both sets have as many S_n-orbits.
+    the nodes as _cleared_points clears them (to ``degree``), given
+    det B = ``invariant`` from _invariant_certificate; both sets have as
+    many S_n-orbits.
 
     Both validated sets are closed under S_n, and M[g f, g a] = M[f, a] for
     every permutation g.  Three exact layers split M:
@@ -641,7 +635,11 @@ def _split_determinant(
         images = list(range(1, n + 1))
         images[4 * j:4 * j + 4] = [4 * j + 3, 4 * j + 4, 4 * j + 1, 4 * j + 2]
         taus.append(Permutation(images))
-    point_maps = swap_images(points, adjacent_transpositions(n)[::2] + taus)
+    # a node's image is the node whose rank tuple is its own, permuted
+    index = {ranks: i for i, ranks in enumerate(nodes.ranks)}
+    point_maps = [
+        [index[apply_to_point(g, ranks)] for ranks in nodes.ranks] for g in adjacent_transpositions(n)[::2] + taus
+    ]
     # tau_j is (a+2 a+3)(a+1 a+2)(a+3 a+4)(a+2 a+3) for a = 4j, from the
     # adjacent swaps the basis keeps
     swaps = basis.swaps
@@ -660,7 +658,7 @@ def _split_determinant(
     second = _character_split(
         lambda reps: [blocks[0][r] for r in reps],
         _orbit_maps(function_taus, f_orbits, len(functions)),
-        _orbit_maps(point_maps[k:], p_orbits, len(points)),
+        _orbit_maps(point_maps[k:], p_orbits, len(nodes)),
         len(f_orbits),
     )
     if second is None:
@@ -669,15 +667,15 @@ def _split_determinant(
     complement, regroup_factor = _regrouped(
         tau_blocks[0],
         _class_and_size(h_rows, f_orbits, _orbit_of(orbit_classes(swaps, len(functions)), len(functions))),
-        _class_and_size(h_columns, p_orbits, _orbit_of((orbit.members for orbit in nodes.orbits), len(points))),
+        _class_and_size(h_columns, p_orbits, _orbit_of((orbit.members for orbit in nodes.orbits), len(nodes))),
     )
     det = factor * tau_factor * regroup_factor * invariant
     for block in [*blocks[1:], *tau_blocks[1:], complement]:
-        block_det = _linalg.integer_determinant(block)
+        block_det, _ = _linalg.left_kernel(block)
         if block_det == 0:
             return Fraction(0)
         det *= block_det
-    return det / (prod(map(_row_scale, functions)) * prod(q for _, q in cleared) ** degree)
+    return det / (prod(map(_row_scale, functions)) * prod(x[0] for x in cleared) ** degree)
 
 
 def vandermonde(basis: BasisSet, nodes: NodeSet, mode: str = "exact") -> UnisolvenceReport:
@@ -700,13 +698,13 @@ def vandermonde(basis: BasisSet, nodes: NodeSet, mode: str = "exact") -> Unisolv
         )
     if not basis.functions:
         raise ValueError("need at least one function and one node")
-    points = nodes.points
-    cleared, degree = _cleared_points(basis.functions, points)
+    values = nodes.values
+    cleared, degree = _cleared_points(basis.functions, [tuple(map(values.__getitem__, r)) for r in nodes.ranks])
     det = Fraction(0)
     if len(basis.orbits) == len(nodes.orbits):
         invariant, _ = _invariant_certificate(basis, nodes, cleared, degree)
         if invariant:
-            det = _split_determinant(basis, nodes, points, cleared, degree, invariant)
+            det = _split_determinant(basis, nodes, cleared, degree, invariant)
     verdict = VERDICT_UNISOLVENT if det != 0 else VERDICT_SINGULAR
     return UnisolvenceReport(size=len(basis), determinant=det, verdict=verdict)
 

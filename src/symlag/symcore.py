@@ -255,10 +255,10 @@ def swap_images(items: Sequence, transpositions: Sequence[Permutation]) -> tuple
 
     One map per transposition tau, in order: position k holds the index in
     ``items`` of ``items[k].permuted(tau)``, or None where that image is not
-    an item.  This is the one place where a set of items is permuted: a
-    basis is validated on its ``adjacent_transpositions`` maps and keeps
-    them; a node set, grouped by coordinate multiset instead, is permuted
-    only for its witness and for the determinant split's (1 2), (3 4), ...
+    an item.  A basis is validated on its ``adjacent_transpositions`` maps
+    and keeps them; a node set, grouped by coordinate multiset instead, has
+    only the points of its short groups permuted, for the witness.  The
+    determinant split maps the nodes on their rank tuples.
     """
     index = {x: k for k, x in enumerate(items)}
     return tuple(tuple(index.get(x.permuted(tau)) for x in items) for tau in transpositions)

@@ -108,8 +108,7 @@ def test_table_commands_check_each_property_once(capsys, monkeypatch):
     # det K checks that K is lower triangular, and V's unit factor that V is
     # symmetric; the payloads report those checks instead of repeating them
     calls = []
-    for owner, name in ((charmat.KMatrix, "is_lower_triangular"), (charmat.VMatrix, "is_symmetric"),
-                        (charmat, "_unit_factor")):
+    for owner, name in ((charmat.KMatrix, "is_lower_triangular"), (charmat, "_unit_factor")):
         check = getattr(owner, name)
         monkeypatch.setattr(owner, name, lambda *args, check=check, name=name: calls.append(name) or check(*args))
     assert run(capsys, ["kmatrix", "--n", "6", "--format", "json"])[0] == 0
@@ -1293,6 +1292,45 @@ def test_classify_hostile_snap_tol_exits_2(tmp_path, capsys):
     code, out, err = run(capsys, ["classify", "--nodes", nodes, "--snap-tol", "1e-1300"])
     assert code == 2 and out == ""
     assert err.startswith("error: snapping needs more than") and err.count("\n") == 1
+
+
+# -- ingestion paths -----------------------------------------------------------
+# Expected outputs taken from the CLI before the nodes were cleared from
+# their value table.
+
+def test_a_node_file_may_be_a_bare_list_of_points(tmp_path, capsys):
+    nodes = write_json(tmp_path / "nodes.json", [[1, 2], [2, 1]])
+    out = "2 points in R^2, 1 orbits, orbit vector (0, 1)\n  type (2, 0)  size   2  representative (1, 2)\n"
+    assert run(capsys, ["classify", "--nodes", nodes]) == (0, out, "")
+
+
+def test_an_integer_coefficient_is_a_whole_number(tmp_path, capsys):
+    # rows 3*x2 and 3*x1 at (1, 2) and (2, 1): det [[6, 3], [3, 6]] = 27
+    functions = [[{"exponents": [1, 0], "coeff": 3}], [{"exponents": [0, 1], "coeff": 3}]]
+    basis = write_json(tmp_path / "basis.json", {"n": 2, "functions": functions})
+    nodes = write_json(tmp_path / "nodes.json", [[1, 2], [2, 1]])
+    code, out, err = run(capsys, ["analyze", "--basis", basis, "--nodes", nodes, "--format", "json"])
+    payload = json.loads(out)
+    assert (code, err) == (0, "")
+    assert payload["determinant"] == [27, 1] and payload["verdict"] == "unisolvent"
+
+
+@pytest.mark.parametrize("argv, content, message", [
+    (["solve", "--basis"], {"n": 2}, "basis file needs a 'functions' array"),
+    (["solve", "--n", "4", "--basis"], {"n": 3, "functions": ["x1", "x2", "x3"]},
+     "basis file says n=3, caller says n=4"),
+    (["classify", "--nodes"], {"n": 2}, "node file needs a 'points' array"),
+], ids=["no-functions", "basis-n-against-flag", "no-points"])
+def test_a_file_without_its_array_or_with_another_n_is_refused(argv, content, message, tmp_path, capsys):
+    path = write_json(tmp_path / "input.json", content)
+    assert run(capsys, [*argv, path]) == (2, "", f"error: {message}\n")
+
+
+def test_n_flag_that_is_no_integer_says_so(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["types", "--n", "abc"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith("error: argument --n: 'abc' is not an integer\n")
 
 
 # -- remaining error paths ----------------------------------------------------

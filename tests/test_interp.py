@@ -659,6 +659,31 @@ def test_vandermonde_rejects_empty_inputs():
         vandermonde(validate_symmetric_basis([], n=2), validate_symmetric([], n=2))
 
 
+# Both messages were taken from vandermonde before it cleared the nodes from
+# their value table into homogeneous integer vectors.
+
+def test_vandermonde_names_the_dimensions_of_a_point_and_a_function():
+    basis = validate_symmetric_basis([BasisFunction.monomial(e) for e in [(0, 0), (1, 0), (0, 1)]])
+    nodes = validate_symmetric([Point.of(k, k, k) for k in (1, 2, 3)])
+    with pytest.raises(DimensionMismatchError, match=r"^point of dimension 3, function of dimension 2$"):
+        vandermonde(basis, nodes)
+
+
+def test_the_bits_estimate_counts_the_common_denominator_of_each_node():
+    # q = 3 has 2 bits and the cleared coordinates 1 and 6 up to 3, so each
+    # entry is estimated at 99999 * 2 + 99999 * 3 bits, over N = 2
+    functions = [BasisFunction.monomial((99999, 0)), BasisFunction.monomial((0, 99999))]
+    nodes = validate_symmetric([Point.of(Fraction(1, 3), 2), Point.of(2, Fraction(1, 3))])
+    message = (
+        "^exact evaluation would need about 999990 bits, above the limit of 262144; "
+        "lower the basis degree or the size of the node coordinates$"
+    )
+    with pytest.raises(interp.SymlagError, match=message):
+        vandermonde(validate_symmetric_basis(functions), nodes)
+    with pytest.raises(interp.SymlagError, match=message):
+        vandermonde_matrix(functions, nodes.points)
+
+
 def test_act_on_function_dimension_mismatch():
     with pytest.raises(DimensionMismatchError):
         BasisFunction.monomial((1, 0, 0)).permuted(identity(2))

@@ -21,7 +21,7 @@ from oracles import evaluate, fraction_determinant
 from conftest import TOTAL_DEGREE, forced_node_set, forced_vector, hyperplane_set, total_degree_exponents
 
 def certificate(basis, nodes):
-    cleared, degree = interp._cleared_points(basis.functions, nodes.points)
+    cleared, degree = interp._cleared_points(basis.functions, [p.coords for p in nodes.points])
     det, found = interp._invariant_certificate(basis, nodes, cleared, degree)
     # the one elimination gives B's determinant or a certificate, never both
     assert (det == 0) == (found is not None)

@@ -221,9 +221,9 @@ def swap_calls(monkeypatch):
 
 
 def test_analyze_permutes_each_set_once(tmp_path, swap_calls, capsys, monkeypatch):
-    # validation builds the basis maps, which the r-vector reads; the
-    # determinant split permutes the nodes once and reads the basis maps;
-    # the node set's Points are built once, for both the clearing and the split
+    # validation builds the basis maps, which the r-vector and the
+    # determinant split read; the split maps the nodes through their rank
+    # tuples, and the clearing reads the value table, so no Point is built
     reads, points_of = [], nodeset.NodeSet.points.fget
     monkeypatch.setattr(nodeset.NodeSet, "points", property(lambda s: reads.append(s) or points_of(s)))
     exponents = [(2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 0), (0, 1, 1), (1, 0, 1)]
@@ -232,9 +232,9 @@ def test_analyze_permutes_each_set_once(tmp_path, swap_calls, capsys, monkeypatc
     nodes = _write(tmp_path / "nodes.json", {"n": 3, "points": points})
     assert main(["analyze", "--basis", basis, "--nodes", nodes]) == 0
     assert "unisolvent" in capsys.readouterr().out
-    # the basis under (1 2) and (2 3); the nodes under (1 2) alone
-    assert [(len(items), count) for items, count in swap_calls] == [(6, 2), (6, 1)]
-    assert len(reads) == 1
+    # the basis under (1 2) and (2 3)
+    assert [(len(items), count) for items, count in swap_calls] == [(6, 2)]
+    assert len(reads) == 0
 
 
 def test_classify_and_equiv_permute_only_the_short_groups(tmp_path, swap_calls, capsys):

@@ -19,6 +19,7 @@ from symlag import (
     BasisFunction,
     Permutation,
     Point,
+    enumerate_types,
     validate_symmetric,
     validate_symmetric_basis,
     vandermonde,
@@ -42,6 +43,7 @@ from conftest import (
     forced_node_set,
     quadratic_basis,
     rand_fraction,
+    random_symmetric_set,
     total_degree_exponents,
 )
 
@@ -60,12 +62,11 @@ def rational_basis(n, d):
 def split(basis, nodes):
     """The split determinant alone, on the points as vandermonde clears them,
     given the invariant block's determinant, 0 when orbit counts differ."""
-    points = nodes.points
-    cleared, degree = interp._cleared_points(basis.functions, points)
+    cleared, degree = interp._cleared_points(basis.functions, [p.coords for p in nodes.points])
     invariant = 0
     if len(basis.orbits) == len(nodes.orbits):
         invariant, _ = interp._invariant_certificate(basis, nodes, cleared, degree)
-    return interp._split_determinant(basis, nodes, points, cleared, degree, invariant)
+    return interp._split_determinant(basis, nodes, cleared, degree, invariant)
 
 
 def both(functions, points):
@@ -164,14 +165,26 @@ def test_split_matches_elimination_mod_p_at_benchmark_size():
 
 
 def _count_eliminated_blocks(monkeypatch):
-    """The (size, determinant) of each block the split eliminates, as it goes."""
-    blocks, determinant = [], _linalg.integer_determinant
+    """The (size, determinant) of each block the split eliminates, as it goes.
+
+    Each goes through left_kernel, as does the certificate's pass on the
+    c x c invariant block, which the spy leaves out: that pass comes first,
+    and is the certificate's only one."""
+    blocks, left_kernel, certificate = [], _linalg.left_kernel, interp._invariant_certificate
 
     def spy(m):
-        blocks.append((len(m), determinant(m)))
-        return blocks[-1][1]
+        det, y = left_kernel(m)
+        blocks.append((len(m), det))
+        return det, y
 
-    monkeypatch.setattr(interp._linalg, "integer_determinant", spy, raising=False)
+    def certify(basis, *args):
+        assert blocks == []
+        found = certificate(basis, *args)
+        assert blocks.pop() == (len(basis.orbits), found[0]) and blocks == []
+        return found
+
+    monkeypatch.setattr(interp._linalg, "left_kernel", spy)
+    monkeypatch.setattr(interp, "_invariant_certificate", certify)
     return blocks
 
 
@@ -187,6 +200,36 @@ def test_singular_by_a_non_square_block(monkeypatch):
     # one basis orbit against two node orbits: vandermonde decides before the split
     report = vandermonde(basis, nodes)
     assert report.verdict == VERDICT_SINGULAR and report.determinant == 0
+
+
+def test_singular_by_a_non_square_block_of_the_tau_layer(monkeypatch):
+    # the S_4-orbits of x^(k,k,k,k), k < 3, of seven exponent patterns, and
+    # of x1*x2 + x3*x4: 90 functions in 11 orbits; and 6 node orbits of type
+    # (1,0,1,0), 3 of (0,2,0,0) and 2 of (4,0,0,0): 90 nodes in 11 orbits.
+    # Each element of A fixes as many functions as nodes, so A's blocks are
+    # square, and the invariant block is nonsingular; but a 4-cycle of
+    # <A, tau> fixes 4 functions and no node, so a tau block is not square
+    blocks = _count_eliminated_blocks(monkeypatch)
+    layers, passes = [], []
+    character_split, echelon = interp._character_split, _linalg._echelon
+    monkeypatch.setattr(interp, "_character_split", lambda *args: layers.append(character_split(*args)) or layers[-1])
+    monkeypatch.setattr(interp._linalg, "_echelon", lambda m: passes.append(len(m)) or echelon(m))
+    functions = set()
+    for e in [(0,) * 4, (1,) * 4, (2,) * 4, (0, 0, 1, 2), (0, 0, 1, 3), (0, 0, 2, 3), (1, 1, 0, 2), (1, 1, 0, 3),
+              (2, 2, 0, 1), (3, 3, 0, 1)]:
+        functions |= {BasisFunction.monomial(p) for p in itertools.permutations(e)}
+    for pair in [(1, 1, 0, 0), (1, 0, 1, 0), (1, 0, 0, 1)]:
+        functions.add(BasisFunction.from_terms([(pair, 1), (tuple(1 - x for x in pair), 1)]))
+    basis = validate_symmetric_basis(functions)
+    counts = {(1, 0, 1, 0): 6, (0, 2, 0, 0): 3, (4, 0, 0, 0): 2}
+    nodes = random_symmetric_set(random.Random(1), [counts.get(t.counts, 0) for t in enumerate_types(4)], 4)
+    assert (len(basis), len(basis.orbits), len(nodes), len(nodes.orbits)) == (90, 11, 90, 11)
+    report = vandermonde(basis, nodes)
+    assert report.verdict == VERDICT_SINGULAR and report.determinant == 0
+    assert [layer is None for layer in layers] == [False, True]
+    # the certificate's pass on the nonsingular 11 x 11 block is the only elimination
+    assert blocks == [] and passes == [11]
+    assert determinant_mod_p(vandermonde_mod_p(basis.functions, nodes.points)) == 0
 
 
 def test_singular_by_a_zero_block(monkeypatch):
@@ -359,7 +402,7 @@ def test_the_split_eliminates_no_block_past_the_first_layers_nontrivial_ones(n, 
     # A's trivial block is 58 x 58 at (5,4) and 50 x 50 at (3,6); the pair
     # swaps and the regrouping leave nothing larger than A's other blocks,
     # 28 and 34, and the c x c invariant block is eliminated once, by the
-    # certificate's pass
+    # certificate's pass, which comes first; every pass is a left_kernel call
     blocks = _count_eliminated_blocks(monkeypatch)
     kernels, passes = [], []
     left_kernel, echelon = _linalg.left_kernel, _linalg._echelon
@@ -371,5 +414,5 @@ def test_the_split_eliminates_no_block_past_the_first_layers_nontrivial_ones(n, 
         blocks.clear(), kernels.clear(), passes.clear()
         assert vandermonde(basis, forced_node_set(random.Random(seed), functions)).determinant != 0
         assert max(size for size, _ in blocks) <= largest
-        assert kernels == [len(basis.orbits)]
+        assert kernels == [len(basis.orbits), *(size for size, _ in blocks)]
         assert len(passes) == len(blocks) + 1
