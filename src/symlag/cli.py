@@ -185,6 +185,8 @@ def table_kmatrix(payload: dict) -> list[str]:
 
 def cmd_classify(args) -> tuple[int, dict]:
     nodes, snaps = nodeset.load_node_set(args.nodes, snap_tol=args.snap_tol)
+    # one [num, den] cell per value, shared by every representative, which _json writes once
+    cells = [[v.numerator, v.denominator] for v in nodes.values]
     return 0, {
         "schema": SCHEMA,
         "command": "classify",
@@ -195,7 +197,7 @@ def cmd_classify(args) -> tuple[int, dict]:
             {
                 "type": list(o.type.counts),
                 "size": len(o.members),
-                "representative": [[c.numerator, c.denominator] for c in o.rep.coords],
+                "representative": list(map(cells.__getitem__, o.rep)),
                 "points": _Rows((nodes.values,), list(zip(map(nodes.ranks.__getitem__, o.members)))),
             }
             for o in nodes.orbits

@@ -17,9 +17,11 @@ exactly when each group of points with one sorted rank tuple is a whole
 orbit; only the points of short groups are permuted, for the witness.
 ``node_set_from_json`` ranks straight from its parse cache, one entry per
 distinct raw form (string, int or [int, int] pair).  Orbits come in the
-order of their first point; the orbit vector counts them per type rank, and
-two sets admit an equivariant bijection exactly when their orbit vectors
-agree.  ``equivalent`` builds it as an index map.
+order of their first point, each as indices into the table: its members
+into ``ranks``, its canonical arrangement into ``values``, so a valid set
+builds no Point.  The orbit vector counts them per type rank, and two sets
+admit an equivariant bijection exactly when their orbit vectors agree.
+``equivalent`` builds it as an index map.
 """
 from __future__ import annotations
 
@@ -97,19 +99,12 @@ def _shape(steps: tuple[bool, ...]) -> tuple[OrbitType, tuple[int, ...]]:
     return OrbitType(tuple(counts)), tuple(i for run in runs for i in run)
 
 
-def _type_and_rep(key: Sequence[int]) -> tuple[OrbitType, list[int]]:
-    """The orbit type and the canonical representative, as ranks, of the
-    orbit whose arrangement in ascending order is ``key``."""
-    orbit_type, positions = _shape(tuple(map(operator.ne, key, key[1:])))
-    return orbit_type, [key[i] for i in positions]
-
-
 class Orbit(NamedTuple):
-    """One S_n-orbit inside a node set."""
+    """One S_n-orbit inside a node set, as indices into its NodeSet."""
 
     type: OrbitType
-    members: tuple[int, ...]  # the indices of its points in its NodeSet, ascending
-    rep: Point  # canonical arrangement
+    members: tuple[int, ...]  # the indices of its points in ``ranks``, ascending
+    rep: tuple[int, ...]  # the canonical arrangement, as ranks into ``values``
 
 
 class NodeSet(Record):
@@ -160,6 +155,7 @@ def _validated(rows: list[Sequence[int]], slot_values: Sequence[Fraction], n: in
     slot_rank = list(map(rank.__getitem__, keys))
     ranked = [tuple(map(slot_rank.__getitem__, row)) for row in rows]
 
+    # only the messages of a refused set build Points
     def point(ranks: Sequence[int]) -> Point:
         return Point(tuple(map(values.__getitem__, ranks)))
 
@@ -172,15 +168,15 @@ def _validated(rows: list[Sequence[int]], slot_values: Sequence[Fraction], n: in
     groups: dict[tuple[int, ...], list[int]] = {}
     for i, ranks in enumerate(ranked):
         groups.setdefault(tuple(sorted(ranks)), []).append(i)
-    orbits = tuple(
-        Orbit(orbit_type, tuple(members), point(rep))
-        for (orbit_type, rep), members in zip(map(_type_and_rep, groups), groups.values())
-    )
+    orbits = []
+    for key, members in groups.items():
+        orbit_type, positions = _shape(tuple(map(operator.ne, key, key[1:])))
+        orbits.append(Orbit(orbit_type, tuple(members), tuple(map(key.__getitem__, positions))))
     # swaps keep each point in its group, so the first witness is in a short one
     short = sorted(i for orbit in orbits if len(orbit.members) != orbit_size(orbit.type) for i in orbit.members)
     if short:
         symmetric_orbit_classes([point(ranked[i]) for i in short], dim, kind="point")
-    return NodeSet(n=dim, values=tuple(values), ranks=tuple(ranked), orbits=orbits)
+    return NodeSet(n=dim, values=tuple(values), ranks=tuple(ranked), orbits=tuple(orbits))
 
 
 def validate_symmetric(points: Iterable[Point | Sequence], n: int | None = None) -> NodeSet:
@@ -238,9 +234,7 @@ def equivalent(s1: NodeSet, s2: NodeSet) -> EquivalenceResult:
     index_b = {ranks: j for j, ranks in enumerate(s2.ranks)}
     image = [0] * len(s1)
     for oa in s1.orbits:
-        ob = unmatched[oa.type].pop()
-        # an orbit's first member is its ascending arrangement, the least
-        rank = dict(zip(_type_and_rep(s1.ranks[oa.members[0]])[1], _type_and_rep(s2.ranks[ob.members[0]])[1]))
+        rank = dict(zip(oa.rep, unmatched[oa.type].pop().rep))
         for i in oa.members:
             image[i] = index_b[tuple(map(rank.__getitem__, s1.ranks[i]))]
     return EquivalenceResult(True, va, vb, tuple(image))

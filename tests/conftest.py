@@ -1,7 +1,11 @@
-"""Shared fixtures: the degree-2 example in R^3 and random symmetric sets."""
+"""Shared fixtures: the degree-2 example in R^3 and random symmetric sets.
+
+The builders walk neither the (d + 1)^n exponent vectors of a total-degree
+basis nor the n! permutations of a point, so they reach R^24: exponents
+come part by part, and orbits as the arrangements of a multiset.
+"""
 from __future__ import annotations
 
-import itertools
 import random
 from fractions import Fraction
 
@@ -11,16 +15,14 @@ from symlag import (
     BasisFunction,
     Point,
     enumerate_types,
+    k_matrix,
     orbit_size,
     r_vector,
     solve_constraints,
-    v_matrix,
     validate_symmetric,
     validate_symmetric_basis,
 )
 from symlag.symcore import canonical_blocks
-
-from oracles import expand_orbit
 
 # the symmetric quadratic basis {x^2, y^2, z^2, xy, yz, zx} of R^3
 QUADRATIC_EXPONENTS = [(2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 0), (0, 1, 1), (1, 0, 1)]
@@ -40,13 +42,31 @@ TOTAL_DEGREE = {1: 6, 2: 5, 3: 4, 4: 3, 5: 2, 6: 2}
 
 
 def total_degree_exponents(n, d):
-    return [e for e in itertools.product(range(d + 1), repeat=n) if sum(e) <= d]
+    """The exponent vectors of total degree at most d in R^n, in
+    lexicographic order, one coordinate at a time."""
+    if n == 0:
+        return [()]
+    return [(e, *rest) for e in range(d + 1) for rest in total_degree_exponents(n - 1, d - e)]
+
+
+def arrangements(values) -> list[tuple]:
+    """Every distinct arrangement of the multiset ``values``, once each, in
+    lexicographic order: the orbit of a point, one coordinate at a time."""
+    if not values:
+        return [()]
+    out = []
+    for v in sorted(set(values)):
+        rest = list(values)
+        rest.remove(v)
+        out += [(v, *tail) for tail in arrangements(rest)]
+    return out
 
 
 def forced_vector(functions):
-    """The orbit vector V X = r forces for a symmetric set of functions."""
+    """The orbit vector V X = r forces for a symmetric set of functions;
+    solve_constraints reads only the dimension of the table it is given."""
     basis = validate_symmetric_basis(functions)
-    return solve_constraints(v_matrix(basis.n), r_vector(basis)).integer_solution()
+    return solve_constraints(k_matrix(basis.n), r_vector(basis)).integer_solution()
 
 
 def case3_points(a, b, c, d) -> list[Point]:
@@ -76,7 +96,7 @@ def case2_set(a1, a2, a3, b, c):
 
 def case4_set(p, q, r):
     """One free orbit: all six arrangements of three distinct values."""
-    return validate_symmetric(list(expand_orbit(Point.of(p, q, r))))
+    return validate_symmetric(arrangements(Point.of(p, q, r).coords))
 
 
 def rand_fraction(rng: random.Random, lo: int = -30, hi: int = 30, dmax: int = 8) -> Fraction:
@@ -111,10 +131,10 @@ def random_symmetric_set(rng: random.Random, vector, n: int):
     types = enumerate_types(n)
     expected = sum(count * orbit_size(t) for t, count in zip(types, vector))
     while True:
-        points: set[Point] = set()
+        points: set[tuple] = set()
         for t, count in zip(types, vector):
             for _ in range(count):
-                points |= expand_orbit(random_point_of_type(rng, t))
+                points.update(arrangements(random_point_of_type(rng, t).coords))
         if len(points) == expected:
             return validate_symmetric(points, n=n)
 
@@ -134,13 +154,13 @@ def hyperplane_set(rng: random.Random, vector, n: int, d: int):
     expected = sum(orbit_size(t) for t in orbits)
     while True:
         sums = distinct_fractions(rng, d)
-        points: set[Point] = set()
+        points: set[tuple] = set()
         for k, t in enumerate(orbits):
             sizes = [len(block) for block in canonical_blocks(t)]
             values = distinct_fractions(rng, len(sizes))
             rng.shuffle(values)
             values[0] = (sums[k % d] - sum(s * v for s, v in zip(sizes[1:], values[1:]))) / sizes[0]
-            points |= expand_orbit(_point_on_blocks(t, values))
+            points.update(arrangements(_point_on_blocks(t, values).coords))
         # a solved value that meets another value shrinks an orbit or merges two
         if len(points) == expected:
             return validate_symmetric(points, n=n)

@@ -1,4 +1,5 @@
-"""The split determinant against elimination mod p at N = 210, 252 and 330.
+"""The split determinant against elimination mod p at N = 210, 252 and 330,
+and past n = 13 at (16, 2), N = 153, and (24, 2), N = 325.
 
 Too slow for the tier-1 suite, whose pattern ``test_*.py`` this file's name
 falls outside; run it by name:
@@ -22,7 +23,8 @@ from oracles import determinant_mod_p, residue, vandermonde_mod_p
 from conftest import forced_node_set, total_degree_exponents
 
 
-@pytest.mark.parametrize("n, d", [(6, 4), (5, 5), (4, 7)], ids=["N210", "N252", "N330"])
+@pytest.mark.parametrize("n, d", [(6, 4), (5, 5), (4, 7), (16, 2), (24, 2)],
+                         ids=["N210", "N252", "N330", "n16-N153", "n24-N325"])
 def test_split_matches_elimination_mod_p_at_large_size(n, d):
     functions = [BasisFunction.monomial(e) for e in total_degree_exponents(n, d)]
     basis = validate_symmetric_basis(functions)

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+from collections import Counter
 from fractions import Fraction
 from math import prod
 
@@ -197,16 +198,18 @@ def validate_points(points, n: int | None = None) -> NodeSet:
     for tau, image in zip(generators, swaps):
         if None in image:
             raise NotSymmetricError(ordered[image.index(None)], tau, kind="point")
+    # the values and ranks only name what the Points found: each point, and
+    # each orbit's canonical arrangement
+    values = tuple(sorted({c for p in ordered for c in p.coords}))
+    rank = {v: r for r, v in enumerate(values)}
+    ranks = tuple(tuple(rank[c] for c in p.coords) for p in ordered)
     orbits = []
     for members in orbit_classes(swaps, len(ordered)):
         group = tuple(ordered[i] for i in members)
         t = point_type(group[0])
         assert len(group) == orbit_size(t), "orbit decomposition does not match orbit size"
-        orbits.append(Orbit(type=t, members=tuple(members), rep=canonical_arrangement(group[0])))
-    # the values and ranks only fill in the NodeSet; nothing above used them
-    values = tuple(sorted({c for p in ordered for c in p.coords}))
-    rank = {v: r for r, v in enumerate(values)}
-    ranks = tuple(tuple(rank[c] for c in p.coords) for p in ordered)
+        rep = tuple(rank[c] for c in canonical_arrangement(group[0]).coords)
+        orbits.append(Orbit(type=t, members=tuple(members), rep=rep))
     nodes = NodeSet(n=dim, values=values, ranks=ranks, orbits=tuple(orbits))
     assert nodes.points == tuple(ordered), "the ranks do not give back the points"
     return nodes
@@ -362,3 +365,46 @@ def determinant_mod_p(rows, p: int = P61) -> int:
             if f:
                 row[c:] = [(x - f * y) % p for x, y in zip(row[c:], pivot[c:])]
     return det % p
+
+
+# -- the split's first layer, by walking the group ------------------------------
+
+def split_orbits(maps, size):
+    """interp._orbits by enumeration: all 2^k images of each orbit's first
+    member, its stabilizer among them, the free generators by a greedy span
+    that complements the stabilizer, and every character tested against
+    every stabilizer element."""
+    seen = [False] * size
+    orbits, blocks = [], [[] for _ in range(1 << len(maps))]
+    for x in range(size):
+        if seen[x]:
+            continue
+        at = [x]
+        for g in maps:
+            at += [g[y] for y in at]
+        stabilizer = [h for h, y in enumerate(at) if y == x]
+        span, free = set(stabilizer), []
+        for b in range(len(maps)):
+            if 1 << b not in span:
+                free.append(b)
+                span |= {h ^ 1 << b for h in span}
+        members = [
+            at[sum(1 << b for j, b in enumerate(free) if u >> j & 1)] for u in range(1 << len(free))
+        ]
+        for y in members:
+            seen[y] = True
+        for c, block in enumerate(blocks):
+            if not any((c & h).bit_count() & 1 for h in stabilizer):
+                block.append((len(orbits), sum((c >> b & 1) << j for j, b in enumerate(free))))
+        orbits.append((members, free))
+    return orbits, blocks
+
+
+def elimination_work(nodes) -> int:
+    """The measure of interp.check_elimination_work one character at a
+    time: the size of the block of each of the 2^k characters c of
+    (1 2), (3 4), ..., cubed and summed."""
+    k = nodes.n // 2
+    masks = Counter(sum((r[2 * i] == r[2 * i + 1]) << i for i in range(k)) for r in nodes.ranks)
+    sizes = [sum(m >> (k - f.bit_count()) for f, m in masks.items() if not c & f) for c in range(1 << k)]
+    return sum(size**3 for size in sizes)

@@ -685,13 +685,11 @@ def test_json_output_needs_no_json_encoder(name, tmp_path, capsys, monkeypatch):
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_JSON_DIGESTS[name]
 
 
-@pytest.mark.parametrize("name", ["classify-n5-exact", "classify-n5-snapped", "equiv-n5"])
-def test_classify_and_equiv_build_at_most_one_point_per_orbit(name, tmp_path, capsys, monkeypatch):
-    argv = _pinned_argv(name, tmp_path)
-    _, out, _ = run(capsys, argv + ["--format", "json"])
-    payload = json.loads(out)
-    vectors = [payload[key] for key in ("orbit_vector", "orbit_vector_a", "orbit_vector_b") if key in payload]
-    orbits = sum(map(sum, vectors))
+@pytest.mark.parametrize("name", ["classify-n5-exact", "classify-n5-snapped", "equiv-n5", "analyze-td-5-4-generic"])
+def test_valid_input_builds_no_point(name, tmp_path, capsys, monkeypatch):
+    # every orbit is an index record into its set's value table, so only the
+    # message of a refused set needs a Point
+    argv = _pinned_argv(name, tmp_path)  # builds its files from Points
     built = 0
     new = nodeset.Point.__new__  # every Point is made here
 
@@ -701,10 +699,15 @@ def test_classify_and_equiv_build_at_most_one_point_per_orbit(name, tmp_path, ca
         return new(cls, coords)
 
     monkeypatch.setattr(nodeset.Point, "__new__", counting)
-    for output in ("json", "table"):
-        built = 0
-        code, _, _ = run(capsys, argv + ["--format", output])
-        assert code == 0 and 0 < built <= orbits
+    for output, digests in (("json", PINNED_JSON_DIGESTS), ("table", PINNED_TABLE_DIGESTS)):
+        code, out, _ = run(capsys, argv + ["--format", output])
+        assert code == 0 and built == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digests[name]
+    # the counter counts: a refused set builds the Point its message names
+    nodes = tmp_path / "short.json"
+    nodes.write_text(json.dumps({"n": 2, "points": [[1, 2]]}))
+    code, _, err = run(capsys, ["classify", "--nodes", str(nodes)])
+    assert code == 2 and "(1, 2)" in err and built > 0
 
 
 def test_importing_the_cli_leaves_dataclasses_and_its_imports_out():

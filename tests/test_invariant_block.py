@@ -32,8 +32,8 @@ def combination(basis, y) -> dict:
     """sum_O y_O s_O sum_{f in O} f in Fractions, zero terms dropped."""
     terms: dict = {}
     for weight, orbit in zip(y, basis.orbits):
-        scale = lcm(*(c.denominator for _, c in orbit[0].terms))
-        for f in orbit:
+        scale = lcm(*(c.denominator for _, c in basis.functions[orbit[0]].terms))
+        for f in map(basis.functions.__getitem__, orbit):
             for exponents, c in f.terms:
                 terms[exponents] = terms.get(exponents, 0) + weight * scale * c
     return {exponents: c for exponents, c in terms.items() if c}

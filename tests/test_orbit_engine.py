@@ -100,7 +100,8 @@ def test_validation_ignores_input_order_and_orbits_are_full_orbits(points):
     swaps = swap_images(ordered, symcore.adjacent_transpositions(nodes.n))
     assert [list(o.members) for o in nodes.orbits] == orbit_classes(swaps, len(points))
     for orbit in nodes.orbits:
-        assert {ordered[i] for i in orbit.members} == expand_orbit(orbit.rep)
+        rep = Point(tuple(map(nodes.values.__getitem__, orbit.rep)))
+        assert {ordered[i] for i in orbit.members} == expand_orbit(rep)
 
 
 @ENGINE
@@ -118,8 +119,9 @@ def test_basis_orbit_count_matches_brute_force(functions):
     basis = validate_symmetric_basis(functions)
     assert basis.swaps == swap_images(sorted(functions), symcore.adjacent_transpositions(basis.n))
     group = _all_permutations(basis.n)
-    assert [set(o) for o in basis.orbits] == [
-        set(f.permuted(g) for g in group) for f in (o[0] for o in basis.orbits)
+    functions = basis.functions
+    assert [set(map(functions.__getitem__, o)) for o in basis.orbits] == [
+        set(f.permuted(g) for g in group) for f in (functions[o[0]] for o in basis.orbits)
     ]
     assert r_vector(basis) == tuple(
         basis_orbit_count_under_stabilizer(basis, t) for t in enumerate_types(basis.n)

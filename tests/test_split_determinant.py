@@ -31,15 +31,19 @@ from symlag.interp import VERDICT_SINGULAR
 
 from oracles import (
     determinant_mod_p,
+    elimination_work,
     evaluate,
     expand_orbit,
     fraction_determinant,
     residue,
+    split_orbits,
     vandermonde_mod_p,
 )
 from conftest import (
     TOTAL_DEGREE,
+    arrangements,
     case3_set,
+    distinct_fractions,
     forced_node_set,
     quadratic_basis,
     rand_fraction,
@@ -160,6 +164,19 @@ def test_split_matches_elimination_mod_p_at_benchmark_size():
     basis = validate_symmetric_basis(functions)
     nodes = forced_node_set(random.Random(7500), functions)
     det = split(basis, nodes)
+    assert det != 0
+    assert residue(det) == determinant_mod_p(vandermonde_mod_p(basis.functions, nodes.points))
+
+
+@pytest.mark.parametrize("n, d", [(7, 3), (8, 2), (8, 3), (9, 2), (10, 2), (12, 2), (13, 2)])
+def test_split_matches_elimination_mod_p_beyond_n_6(n, d):
+    # forced sets past the reach of plain elimination, with 3 to 6 swaps in
+    # A and 1 to 3 pair swaps; the second derivation is elimination over
+    # Z/p on the matrix in the sets' sorted order, sign included
+    functions = [BasisFunction.monomial(e) for e in total_degree_exponents(n, d)]
+    basis = validate_symmetric_basis(functions)
+    nodes = forced_node_set(random.Random(7600 + n), functions)
+    det = vandermonde(basis, nodes).determinant
     assert det != 0
     assert residue(det) == determinant_mod_p(vandermonde_mod_p(basis.functions, nodes.points))
 
@@ -416,3 +433,72 @@ def test_the_split_eliminates_no_block_past_the_first_layers_nontrivial_ones(n, 
         assert max(size for size, _ in blocks) <= largest
         assert kernels == [len(basis.orbits), *(size for size, _ in blocks)]
         assert len(passes) == len(blocks) + 1
+
+
+# -- the first layer's orbits and work, against walking the group -------------
+
+def _small_orbit_set(rng, n):
+    """A random symmetric set in R^n of up to five orbits, each point at most
+    three coordinates off a common value, its values drawn from a pool of
+    four, so that orbits stay small and values recur across them."""
+    pool = distinct_fractions(rng, 4, lo=-3, hi=3, dmax=2)
+    points = set()
+    for _ in range(rng.randint(1, 5)):
+        coords = [rng.choice(pool)] * n
+        for i in rng.sample(range(n), rng.randint(0, min(3, n))):
+            coords[i] = rng.choice(pool)
+        points.update(arrangements(coords))
+    return validate_symmetric(points, n=n)
+
+
+def _small_orbit_basis(rng, n):
+    """The S_n-orbits of up to three random monomials, each with at most
+    three nonzero exponents, and for n = 4, 6 and 8 of x1*x3*... +
+    x2*x4*..., which (1 2)(3 4) fixes while neither swap does."""
+    functions = set()
+    for _ in range(rng.randint(1, 3)):
+        e = [0] * n
+        for i in rng.sample(range(n), rng.randint(0, min(3, n))):
+            e[i] = rng.randint(1, 3)
+        functions.update(map(BasisFunction.monomial, arrangements(e)))
+    if n in (4, 6, 8):
+        odd = tuple((i + 1) % 2 for i in range(n))
+        seed = BasisFunction.from_terms([(odd, 1), (tuple(1 - x for x in odd), 1)])
+        functions |= _closure(seed, adjacent_transpositions(n))
+    return validate_symmetric_basis(functions)
+
+
+@pytest.mark.parametrize("n", range(1, 14))
+def test_orbits_from_generator_relations_match_the_group_walk(n):
+    # on the maps of (1 2), (3 4), ... and of the pair swaps on their orbits,
+    # for k = n // 2 up to 6: the same orbits, free lists and blocks, in order
+    rng = random.Random(8100 + n)
+    swaps, taus = _pair_swaps(n)
+    beyond_swaps = False
+    for _ in range(3):
+        for items in (_small_orbit_basis(rng, n).functions, _small_orbit_set(rng, n).points):
+            maps = swap_images(items, swaps)
+            orbits, blocks = split_orbits(maps, len(items))
+            assert interp._orbits(maps, len(items)) == (orbits, blocks)
+            tau_maps = interp._orbit_maps(swap_images(items, taus), orbits, len(items))
+            assert interp._orbits(tau_maps, len(orbits)) == split_orbits(tau_maps, len(orbits))
+            # a stabilizer not generated by the swaps that fix the first member
+            beyond_swaps |= any(
+                len(free) + sum(g[members[0]] == members[0] for g in maps) < len(maps) for members, free in orbits
+            )
+    assert beyond_swaps == (n in (4, 6, 8))
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_elimination_work_by_weight_is_the_sum_over_characters(n, monkeypatch):
+    # the pair permutations keep a symmetric set, so a block's size depends
+    # only on its character's weight; the oracle sums all 2^k characters
+    rng = random.Random(8200 + n)
+    for _ in range(4):
+        nodes = _small_orbit_set(rng, n)
+        work = elimination_work(nodes)
+        monkeypatch.setattr(interp, "MAX_ELIMINATION_WORK", work)
+        interp.check_elimination_work(nodes)
+        monkeypatch.setattr(interp, "MAX_ELIMINATION_WORK", work - 1)
+        with pytest.raises(interp.SymlagError, match=f"come to {work}, above the limit of {work - 1};"):
+            interp.check_elimination_work(nodes)

@@ -259,9 +259,10 @@ def test_canonical_point_realizes_its_type():
     for n in range(1, 8):
         types = enumerate_types(n)
         points = {p for t in types for p in itertools.permutations(canonical_point(t))}
-        orbits = validate_symmetric(points).orbits
-        assert len(orbits) == len(types)
-        assert {o.type: o.rep for o in orbits} == {t: Point(canonical_point(t)) for t in types}
+        nodes = validate_symmetric(points)
+        assert len(nodes.orbits) == len(types)
+        reps = {o.type: Point(tuple(map(nodes.values.__getitem__, o.rep))) for o in nodes.orbits}
+        assert reps == {t: Point(canonical_point(t)) for t in types}
 
 
 def test_stabilizer_elements_examples():
