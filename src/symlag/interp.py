@@ -40,7 +40,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 from . import _linalg
 from .charmat import KMatrix, k_matrix, v_solve
-from .errors import DimensionMismatchError, SizeMismatchError, SymlagError, echo
+from .errors import DimensionMismatchError, NotSymmetricError, SizeMismatchError, SymlagError, echo
 from .nodeset import NodeSet, Point, orbit_vector, read_json, too_many_digits
 from .symcore import (
     Permutation,
@@ -49,9 +49,10 @@ from .symcore import (
     apply_to_point,
     check_dimension,
     enumerate_types,
+    orbit_classes,
     orbit_size,
     stabilizer_orbit_count,
-    symmetric_orbit_classes,
+    swap_images,
 )
 
 VERDICT_UNISOLVENT = "unisolvent"
@@ -197,8 +198,9 @@ def validate_symmetric_basis(functions: Iterable[BasisFunction], n: int | None =
     """Check closure of the function set under variable permutation.
 
     As with node sets, closure under the adjacent transpositions is closure
-    under all of S_n.  Raises NotSymmetricError with an (f, transposition)
-    witness.
+    under all of S_n.  Raises NotSymmetricError at the first (transposition,
+    f) pair, in transposition-major order and f in sorted order, whose image
+    is not in the set.
     """
     fs = list(functions)
     dim = fs[0].n if fs else n
@@ -213,8 +215,13 @@ def validate_symmetric_basis(functions: Iterable[BasisFunction], n: int | None =
         raise ValueError("duplicate basis function in input")
 
     ordered = sorted(fs)
-    swaps, classes = symmetric_orbit_classes(ordered, dim, kind="function")
-    return BasisSet(n=dim, functions=tuple(ordered), orbits=tuple(map(tuple, classes)), swaps=swaps)
+    generators = adjacent_transpositions(dim)
+    swaps = swap_images(ordered, generators)
+    for tau, image in zip(generators, swaps):
+        if None in image:
+            raise NotSymmetricError(ordered[image.index(None)], tau, kind="function")
+    orbits = tuple(map(tuple, orbit_classes(swaps, len(ordered))))
+    return BasisSet(n=dim, functions=tuple(ordered), orbits=orbits, swaps=swaps)
 
 
 def r_vector(b: BasisSet) -> tuple[int, ...]:

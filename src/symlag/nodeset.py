@@ -11,10 +11,11 @@ coordinates, and each point, in lexicographic order, as the ranks of its
 coordinates among them.  Ranking keeps equality and order.  The distinct
 values are found by their (numerator, denominator) pairs and sorted by
 their floats, comparing two exactly only when their floats tie, so no
-Fraction is hashed; validation then works on ranks.  The orbit of a point
-is every arrangement of its coordinate multiset, so the set is symmetric
-exactly when each group of points with one sorted rank tuple is a whole
-orbit; only the points of short groups are permuted, for the witness.
+Fraction is hashed, from a file or a list of Points; validation then works
+on ranks.  The orbit of a point is every arrangement of its coordinate
+multiset, so the set is symmetric exactly when each group of points with
+one sorted rank tuple is a whole orbit; only the rank tuples of short
+groups are permuted, and the witness is the one Point a refusal builds.
 ``node_set_from_json`` ranks straight from its parse cache, one entry per
 distinct raw form (string, int or [int, int] pair).  Orbits come in the
 order of their first point, each as indices into the table: its members
@@ -34,16 +35,16 @@ import sys
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
-from .errors import DimensionMismatchError, DuplicatePointError, SymlagError, echo
+from .errors import DimensionMismatchError, DuplicatePointError, NotSymmetricError, SymlagError, echo
 from .symcore import (
     OrbitType,
     Permutation,
     Record,
+    adjacent_transpositions,
     apply_to_point,
     check_dimension,
     enumerate_types,
     orbit_size,
-    symmetric_orbit_classes,
     type_rank,
 )
 
@@ -172,10 +173,15 @@ def _validated(rows: list[Sequence[int]], slot_values: Sequence[Fraction], n: in
     for key, members in groups.items():
         orbit_type, positions = _shape(tuple(map(operator.ne, key, key[1:])))
         orbits.append(Orbit(orbit_type, tuple(members), tuple(map(key.__getitem__, positions))))
-    # swaps keep each point in its group, so the first witness is in a short one
-    short = sorted(i for orbit in orbits if len(orbit.members) != orbit_size(orbit.type) for i in orbit.members)
+    # swaps keep each point in its group, so the first (transposition, point)
+    # witness, transposition-major, is a point of a short one
+    short = sorted(ranked[i] for orbit in orbits if len(orbit.members) != orbit_size(orbit.type) for i in orbit.members)
     if short:
-        symmetric_orbit_classes([point(ranked[i]) for i in short], dim, kind="point")
+        present = set(short)
+        for tau in adjacent_transpositions(dim):
+            for ranks in short:
+                if apply_to_point(tau, ranks) not in present:
+                    raise NotSymmetricError(point(ranks), tau)
     return NodeSet(n=dim, values=tuple(values), ranks=tuple(ranked), orbits=tuple(orbits))
 
 
@@ -186,12 +192,14 @@ def validate_symmetric(points: Iterable[Point | Sequence], n: int | None = None)
     witness on failure and DuplicatePointError on repeated points.  ``n``
     is only needed for the empty set.
     """
-    slot: dict[Fraction, int] = {}  # one slot per distinct value
+    # one slot per coordinate: _validated finds the distinct values
+    slot_values: list[Fraction] = []
     rows = []
     for p in points:
         coords = p.coords if isinstance(p, Point) else Point(tuple(p)).coords
-        rows.append([slot.setdefault(c, len(slot)) for c in coords])
-    return _validated(rows, list(slot), n)
+        rows.append(range(len(slot_values), len(slot_values) + len(coords)))
+        slot_values.extend(coords)
+    return _validated(rows, slot_values, n)
 
 
 def orbit_vector(s: NodeSet) -> tuple[int, ...]:
@@ -419,8 +427,11 @@ def node_set_from_json(obj, snap_tol: Fraction | None = None) -> tuple[NodeSet, 
 # empty arrays takes classify 3.2 s and a 433 MB peak, nearly all in json;
 # integer points in R^6 take 2.8 s.  Distinct 20-digit decimals, the slowest
 # content measured, one orbit each, take about 2.7 s per MB: 3.1 s for 1 MB
-# and 10.7 s (224 MB peak) for 4 MB, so about 45 s at this size (2-vCPU
-# Xeon, Python 3.11).
+# and 10.7 s (224 MB peak) for 4 MB, so about 45 s at this size.  80,000
+# random points of R^24, ints in [-10^6, 10^6] (16.3 MB, the first entry of
+# tests/worst_inputs.py), are refused as asymmetric in 9.7-12.3 s with a
+# 634 MB peak, nearly all parsing and ranking 1.23 million distinct ints
+# (2-vCPU Xeon, Python 3.11).
 MAX_INPUT_BYTES = 1 << 24
 
 

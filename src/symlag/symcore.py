@@ -22,7 +22,7 @@ import functools
 from math import factorial
 from typing import Iterable, NamedTuple, Sequence, TypeVar
 
-from .errors import DimensionMismatchError, NotSymmetricError, echo
+from .errors import DimensionMismatchError, echo
 
 T = TypeVar("T")
 
@@ -256,9 +256,7 @@ def swap_images(items: Sequence, transpositions: Sequence[Permutation]) -> tuple
     One map per transposition tau, in order: position k holds the index in
     ``items`` of ``items[k].permuted(tau)``, or None where that image is not
     an item.  A basis is validated on its ``adjacent_transpositions`` maps
-    and keeps them; a node set, grouped by coordinate multiset instead, has
-    only the points of its short groups permuted, for the witness.  The
-    determinant split maps the nodes on their rank tuples.
+    and keeps them.
     """
     index = {x: k for k, x in enumerate(items)}
     return tuple(tuple(index.get(x.permuted(tau)) for x in items) for tau in transpositions)
@@ -284,24 +282,6 @@ def orbit_classes(maps: Iterable[Sequence[int]], size: int) -> list[list[int]]:
     for i in range(size):
         classes.setdefault(find(i), []).append(i)
     return list(classes.values())
-
-
-def symmetric_orbit_classes(
-    items: Sequence, n: int, kind: str
-) -> tuple[tuple[tuple[int, ...], ...], list[list[int]]]:
-    """The swap_images of distinct ``items`` and their orbit_classes under
-    S_n, after checking closure.
-
-    Closure under the adjacent transpositions is closure under all of S_n.
-    Raises NotSymmetricError at the first (transposition, item) pair, in
-    transposition-major order, whose image is not an item.
-    """
-    generators = adjacent_transpositions(n)
-    maps = swap_images(items, generators)
-    for tau, image in zip(generators, maps):
-        if None in image:
-            raise NotSymmetricError(items[image.index(None)], tau, kind=kind)
-    return maps, orbit_classes(maps, len(items))
 
 
 def stabilizer_orbit_count(swaps: Sequence[Sequence[int]], t: OrbitType, size: int) -> int:

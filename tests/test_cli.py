@@ -703,11 +703,12 @@ def test_valid_input_builds_no_point(name, tmp_path, capsys, monkeypatch):
         code, out, _ = run(capsys, argv + ["--format", output])
         assert code == 0 and built == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digests[name]
-    # the counter counts: a refused set builds the Point its message names
+    # a refused set builds the one Point its message names, however many
+    # points its short groups hold
     nodes = tmp_path / "short.json"
-    nodes.write_text(json.dumps({"n": 2, "points": [[1, 2]]}))
+    nodes.write_text(json.dumps({"n": 3, "points": [[1, 2, 3], [2, 1, 3], [1, 3, 2]]}))
     code, _, err = run(capsys, ["classify", "--nodes", str(nodes)])
-    assert code == 2 and "(1, 2)" in err and built > 0
+    assert code == 2 and "applying (1 2) to the point (1, 3, 2)" in err and built == 1
 
 
 def test_importing_the_cli_leaves_dataclasses_and_its_imports_out():

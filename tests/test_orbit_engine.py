@@ -3,6 +3,8 @@ stabilizer orbit counts and r-vectors, against brute force over S_n."""
 import hashlib
 import itertools
 import json
+import re
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -28,7 +30,7 @@ from symlag.symcore import (
     swap_images,
 )
 
-from oracles import basis_orbit_count_under_stabilizer, expand_orbit, subgroup_orbit_count
+from oracles import basis_orbit_count_under_stabilizer, expand_orbit, subgroup_orbit_count, validate_points
 
 # derandomized: the same examples on every run, so tier-1 stays reproducible
 ENGINE = settings(derandomize=True, database=None, deadline=None, max_examples=25)
@@ -244,15 +246,39 @@ def test_classify_and_equiv_permute_only_the_short_groups(tmp_path, swap_calls, 
     nodes = _write(tmp_path / "nodes.json", {"n": 3, "points": points})
     assert main(["classify", "--nodes", nodes]) == 0
     assert main(["equiv", nodes, nodes]) == 0
-    assert swap_calls == []
-    # one point short of the orbit of (2, 3, 4): that group alone is permuted
+    # one point short of the orbit of (2, 3, 4): that group's rank tuples
+    # alone are permuted, and not by swap_images
     asym = _write(tmp_path / "asym.json", {"n": 3, "points": points[:-1]})
     assert main(["classify", "--nodes", asym]) == 2
     assert main(["equiv", nodes, asym]) == 2
-    short = [Point.of(*p) for p in sorted(points[3:-1])]
-    assert swap_calls == [(short, 2), (short, 2)]
+    assert swap_calls == []
     line = "error: set is not symmetric: applying (1 2) to the point (3, 4, 2) leaves the set\n"
     assert capsys.readouterr().err == 2 * line
+
+
+def test_node_sets_are_validated_and_refused_without_hashing_a_fraction(tmp_path, capsys, monkeypatch):
+    valid = [Point.of(*p) for p in [(1, 1, 0), (1, 0, 1), (0, 1, 1), ("1/2", 3, 4), (3, "1/2", 4), (3, 4, "1/2"),
+                                     (4, "1/2", 3), ("1/2", 4, 3), (4, 3, "1/2")]]
+    refused = valid[:-1]
+    expected = validate_points(valid)
+    nodes = _write(tmp_path / "nodes.json", {"n": 3, "points": [[str(c) for c in p.coords] for p in valid]})
+    asym = _write(tmp_path / "asym.json", {"n": 3, "points": [[str(c) for c in p.coords] for p in refused]})
+    message = "set is not symmetric: applying (1 2) to the point (3, 4, 1/2) leaves the set"
+    with pytest.raises(NotSymmetricError, match=re.escape(message)):
+        validate_points(refused)
+
+    def refuse(self):
+        raise AssertionError("a Fraction was hashed")
+
+    monkeypatch.setattr(Fraction, "__hash__", refuse)
+    assert validate_symmetric(valid[::-1]) == expected
+    with pytest.raises(NotSymmetricError, match=re.escape(message)):
+        validate_symmetric(refused)
+    codes = main(["classify", "--nodes", asym]), main(["equiv", nodes, asym])
+    monkeypatch.undo()
+    assert codes == (2, 2)
+    out = capsys.readouterr()
+    assert (out.out, out.err) == ("", 2 * f"error: {message}\n")
 
 
 # -- pinned outputs -------------------------------------------------------------
@@ -269,6 +295,9 @@ def _write(path, obj):
     # is the first failing point of the first failing transposition
     ("classify", "--nodes", {"n": 3, "points": [[1, 1, 2], [5, 6, 7]]},
      "error: set is not symmetric: applying (1 2) to the point (5, 6, 7) leaves the set\n"),
+    # (1 2) keeps both short points, and (2 3) keeps (1, 1, 1, 2), sorted first
+    ("classify", "--nodes", {"n": 4, "points": [[3, 3, 4, 4], [1, 1, 1, 2]]},
+     "error: set is not symmetric: applying (2 3) to the point (3, 3, 4, 4) leaves the set\n"),
     ("solve", "--basis", ["x3", "x1^2*x2"],
      "error: set is not symmetric: applying (1 2) to the function x1^2*x2 leaves the set\n"),
 ])
