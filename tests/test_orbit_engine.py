@@ -295,11 +295,11 @@ def _write(path, obj):
     # is the first failing point of the first failing transposition
     ("classify", "--nodes", {"n": 3, "points": [[1, 1, 2], [5, 6, 7]]},
      "error: set is not symmetric: applying (1 2) to the point (5, 6, 7) leaves the set\n"),
+    ("solve", "--basis", ["x3", "x1^2*x2"],
+     "error: set is not symmetric: applying (1 2) to the function x1^2*x2 leaves the set\n"),
     # (1 2) keeps both short points, and (2 3) keeps (1, 1, 1, 2), sorted first
     ("classify", "--nodes", {"n": 4, "points": [[3, 3, 4, 4], [1, 1, 1, 2]]},
      "error: set is not symmetric: applying (2 3) to the point (3, 3, 4, 4) leaves the set\n"),
-    ("solve", "--basis", ["x3", "x1^2*x2"],
-     "error: set is not symmetric: applying (1 2) to the function x1^2*x2 leaves the set\n"),
 ])
 def test_asymmetric_file_witness_is_pinned(command, kind, content, line, tmp_path, capsys):
     code = main([command, kind, _write(tmp_path / "asym.json", content)])
